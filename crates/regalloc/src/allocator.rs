@@ -180,44 +180,12 @@ impl AllocatorConfig {
         }
     }
 
-    /// The paper's baseline: Chaitin's allocator on `target`.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use AllocatorConfig::new(target, Strategy::Chaitin)"
-    )]
-    pub fn chaitin(target: Target) -> Self {
-        Self::new(target, Strategy::Chaitin)
-    }
-
-    /// The paper's contribution: the optimistic allocator on `target`.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use AllocatorConfig::new(target, Strategy::Briggs)"
-    )]
-    pub fn briggs(target: Target) -> Self {
-        Self::new(target, Strategy::Briggs)
-    }
-
     /// Set the allocation strategy, also resetting the
     /// [`heuristic`](AllocatorConfig::heuristic) ablation knob to the one
     /// the strategy implies.
     pub fn with_strategy(mut self, strategy: Strategy) -> Self {
         self.strategy = strategy;
         self.heuristic = strategy.heuristic();
-        self
-    }
-
-    /// Set the spill heuristic.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use AllocatorConfig::with_strategy, or set the `heuristic` field for ablation"
-    )]
-    pub fn with_heuristic(mut self, heuristic: Heuristic) -> Self {
-        self.heuristic = heuristic;
-        self.strategy = match heuristic {
-            Heuristic::ChaitinPessimistic => Strategy::Chaitin,
-            Heuristic::BriggsOptimistic => Strategy::Briggs,
-        };
         self
     }
 
@@ -1485,20 +1453,6 @@ mod tests {
         let irc_ = AllocatorConfig::new(Target::rt_pc(), Strategy::Irc);
         assert_ne!(irc_.fingerprint(), chaitin.fingerprint());
         assert_ne!(irc_.fingerprint(), briggs.fingerprint());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_match_strategy_constructors() {
-        let c = AllocatorConfig::chaitin(Target::rt_pc());
-        assert_eq!(c.strategy, Strategy::Chaitin);
-        let b = AllocatorConfig::briggs(Target::rt_pc());
-        assert_eq!(b.strategy, Strategy::Briggs);
-        // with_heuristic keeps strategy and heuristic in sync, so the shim
-        // produces the same fingerprint as the new spelling.
-        let via_shim = b.with_heuristic(Heuristic::ChaitinPessimistic);
-        assert_eq!(via_shim.strategy, Strategy::Chaitin);
-        assert_eq!(via_shim.fingerprint(), c.fingerprint());
     }
 
     #[test]

@@ -14,6 +14,7 @@
 
 use optimist_serve::log::{self, Level};
 use optimist_serve::{log_info, log_warn, Server};
+use optimist_store::daemon::on_termination;
 use optimist_store::{Store, StoreOptions};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -210,50 +211,6 @@ fn parse_args() -> Result<Options, String> {
     Ok(opts)
 }
 
-/// SIGTERM/SIGINT handling without libc: install a minimal handler via the
-/// C `signal(2)` entry point (present in every Unix C runtime Rust links
-/// against) that only sets a flag — the only thing an async-signal-safe
-/// handler may do. A watcher thread polls the flag and turns it into a
-/// graceful [`Server::request_shutdown`].
-#[cfg(unix)]
-mod signal {
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    static TERM: AtomicBool = AtomicBool::new(false);
-
-    const SIGINT: i32 = 2;
-    const SIGTERM: i32 = 15;
-
-    extern "C" {
-        fn signal(signum: i32, handler: usize) -> usize;
-    }
-
-    extern "C" fn on_term(_signum: i32) {
-        TERM.store(true, Ordering::SeqCst);
-    }
-
-    /// Install the flag-setting handler for SIGTERM and SIGINT.
-    pub fn install() {
-        unsafe {
-            signal(SIGTERM, on_term as *const () as usize);
-            signal(SIGINT, on_term as *const () as usize);
-        }
-    }
-
-    /// True once a termination signal has arrived.
-    pub fn received() -> bool {
-        TERM.load(Ordering::SeqCst)
-    }
-}
-
-#[cfg(not(unix))]
-mod signal {
-    pub fn install() {}
-    pub fn received() -> bool {
-        false
-    }
-}
-
 fn main() -> ExitCode {
     let opts = match parse_args() {
         Ok(o) => o,
@@ -302,18 +259,13 @@ fn main() -> ExitCode {
     }
     let server = Arc::new(server);
 
-    // Turn SIGTERM/SIGINT into a graceful drain: the watcher flips the
-    // stop flag and run_listener finishes its drain phase on its own.
-    signal::install();
+    // Turn SIGTERM/SIGINT into a graceful drain: the watcher raises the
+    // stop flag and each listener finishes its drain phase on its own.
     {
         let server = Arc::clone(&server);
-        std::thread::spawn(move || loop {
-            if signal::received() {
-                log_info!("received termination signal; draining");
-                server.request_shutdown();
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(20));
+        on_termination(move || {
+            log_info!("received termination signal; draining");
+            server.request_shutdown();
         });
     }
 

@@ -17,11 +17,11 @@
 //! HTTP 200); HTTP status codes are reserved for framing problems
 //! (malformed request line, missing length, oversized body).
 //!
-//! The listener participates in graceful drain exactly like the NDJSON
-//! one: connections register in the server's shared drain registry, a
-//! `shutdown` request (or SIGTERM) stops the accept loop, readers are
-//! half-closed so in-flight responses still go out, and stragglers are
-//! severed when the drain budget runs out.
+//! The listener runs on the same shared accept/drain loop as the NDJSON
+//! one ([`optimist_store::daemon::Daemon`]): connections register in the
+//! server's drain registry, a `shutdown` request (or SIGTERM) stops the
+//! accept loop, readers are half-closed so in-flight responses still go
+//! out, and stragglers are severed when the drain budget runs out.
 //!
 //! Persistent connections are supported (HTTP/1.1 keep-alive semantics;
 //! `Connection: close` and HTTP/1.0 defaults honored). Chunked request
@@ -29,12 +29,8 @@
 
 use crate::json::Json;
 use crate::server::{Disposition, Server};
-use crate::{log_info, log_warn};
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Largest accepted request body: a module big enough to embarrass the
 /// parser long before it embarrasses this limit.
@@ -75,73 +71,21 @@ enum Head {
 /// Propagates bind/accept failures; per-connection I/O errors only end
 /// that connection.
 pub fn run_http(
-    server: &Arc<Server>,
+    server: &Server,
     addr: impl ToSocketAddrs,
     on_bound: impl FnOnce(SocketAddr),
 ) -> io::Result<()> {
     let listener = TcpListener::bind(addr)?;
     on_bound(listener.local_addr()?);
-    listener.set_nonblocking(true)?;
-    let mut workers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    while !server.stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let server = Arc::clone(server);
-                let conn_id = server.register_conn(&stream);
-                workers.push(std::thread::spawn(move || {
-                    stream.set_nonblocking(false).ok();
-                    stream.set_nodelay(true).ok();
-                    let (read, write) = server.socket_timeouts();
-                    stream.set_read_timeout(read).ok();
-                    stream.set_write_timeout(write).ok();
-                    let _ = serve_connection(&server, stream);
-                    server.unregister_conn(conn_id);
-                }));
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(e) => return Err(e),
-        }
-        workers.retain(|w| !w.is_finished());
-    }
-
-    // Drain, same shape as the NDJSON listener. The registry is shared,
-    // so when both front-ends drain at once the half-closes overlap —
-    // shutdown(2) on an already-shut socket is a no-op.
-    let live = workers.iter().filter(|w| !w.is_finished()).count();
-    if live > 0 {
-        log_info!("http drain: waiting on {live} live connection(s)");
-    }
-    server.half_close_conns();
-    let deadline = Instant::now() + server.drain_budget();
-    loop {
-        workers.retain(|w| !w.is_finished());
-        if workers.is_empty() {
-            break;
-        }
-        if Instant::now() >= deadline {
-            log_warn!(
-                "http drain: {} connection(s) still live after {:?}; force-closing",
-                workers.len(),
-                server.drain_budget()
-            );
-            server.force_close_conns();
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    for w in workers {
-        let _ = w.join();
-    }
-    log_info!("http drain: complete");
-    Ok(())
+    server.daemon.serve(listener, "http", |stream| {
+        let _ = serve_connection(server, stream);
+    })
 }
 
 /// Serve one connection: request heads and bodies in, framed NDJSON out,
 /// until the client closes, asks to close, breaks framing, or the daemon
 /// starts draining.
-fn serve_connection(server: &Arc<Server>, stream: TcpStream) -> io::Result<()> {
+fn serve_connection(server: &Server, stream: TcpStream) -> io::Result<()> {
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
     loop {
@@ -222,15 +166,15 @@ enum Route {
 /// Read and parse one request head (request line + headers).
 fn read_head(reader: &mut impl BufRead) -> io::Result<Head> {
     let mut request_line = String::new();
-    if reader.read_line(&mut request_line)? == 0 {
-        return Ok(Head::Eof);
+    // Tolerate stray blank lines between pipelined requests — any number
+    // of them, which is why this is a loop: a client controls the count.
+    while request_line.trim_end().is_empty() {
+        request_line.clear();
+        if reader.read_line(&mut request_line)? == 0 {
+            return Ok(Head::Eof);
+        }
     }
-    let request_line = request_line.trim_end();
-    if request_line.is_empty() {
-        // Tolerate a stray blank line between pipelined requests.
-        return read_head(reader);
-    }
-    let mut parts = request_line.split(' ');
+    let mut parts = request_line.trim_end().split(' ');
     let (Some(method), Some(target), Some(version), None) =
         (parts.next(), parts.next(), parts.next(), parts.next())
     else {
@@ -335,7 +279,8 @@ fn write_error(writer: &mut impl Write, status: u16, reason: &str) -> io::Result
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::mpsc;
+    use proptest::prelude::*;
+    use std::sync::{mpsc, Arc};
 
     const FUNC: &str = "func double(v0:int) -> int {\nb0:\n    v1 = add.i v0, v0\n    ret v1\n}\n";
 
@@ -476,5 +421,61 @@ mod tests {
         );
         exchange(&mut stopper, &req);
         handle.join().unwrap();
+    }
+
+    #[test]
+    fn any_number_of_blank_lines_may_precede_a_request() {
+        let mut input = "\r\n".repeat(100_000);
+        input.push_str("GET /v1/health HTTP/1.1\r\nHost: t\r\n\r\n");
+        let mut reader = BufReader::new(std::io::Cursor::new(input));
+        let head = std::thread::spawn(move || match read_head(&mut reader) {
+            Ok(Head::Ok(head)) => (head.method, head.target),
+            _ => panic!("expected a request head"),
+        })
+        .join()
+        .expect("a blank-line preamble must not overflow the stack");
+        assert_eq!(head, ("GET".to_string(), "/v1/health".to_string()));
+        let mut only_blank = BufReader::new("\r\n\n\r\n".as_bytes());
+        assert!(matches!(read_head(&mut only_blank), Ok(Head::Eof)));
+    }
+
+    /// Fuzz cases per property: the full count under `--release`, a
+    /// smaller budget in debug builds.
+    const CASES: u32 = if cfg!(debug_assertions) { 64 } else { 1024 };
+
+    fn bytes(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<u8>> {
+        collection::vec(any::<u8>(), len)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(CASES))]
+
+        #[test]
+        fn read_head_never_panics_on_random_bytes(input in bytes(0..512)) {
+            let mut reader = BufReader::new(input.as_slice());
+            // Keep reading heads the way a connection would, until the
+            // stream ends or framing breaks.
+            for _ in 0..input.len() + 1 {
+                match read_head(&mut reader) {
+                    Ok(Head::Ok(_)) => {}
+                    Ok(Head::Eof | Head::Bad(..)) | Err(_) => break,
+                }
+            }
+        }
+
+        #[test]
+        fn read_head_never_panics_on_mangled_requests(
+            cut in 0usize..200,
+            flips in collection::vec((0usize..200, any::<u8>()), 0..4),
+        ) {
+            let mut input = b"POST /v1/alloc HTTP/1.1\r\nHost: t\r\nContent-Length: 17\r\nConnection: keep-alive\r\n\r\n{\"req\":\"health\"}".to_vec();
+            for (at, byte) in flips {
+                let at = at % input.len();
+                input[at] = byte;
+            }
+            input.truncate(cut.min(input.len()));
+            let mut reader = BufReader::new(input.as_slice());
+            let _ = read_head(&mut reader);
+        }
     }
 }

@@ -39,14 +39,17 @@
 pub mod cache;
 pub mod client;
 pub mod http;
-pub mod json;
-pub mod log;
 pub mod metrics;
 pub mod persist;
 pub mod protocol;
 pub mod ring;
 pub mod server;
 pub mod stream;
+
+/// The JSON codec and the leveled logger live in `optimist-store`, the
+/// crate both daemons link; the serving crate re-exports them under its
+/// own names.
+pub use optimist_store::{json, log, log_debug, log_error, log_info, log_warn};
 
 pub use cache::{cache_key, ShardedLru};
 pub use client::{Client, ClientError, RetryPolicy};

@@ -9,9 +9,10 @@
 //! memory; computed results (and [`NonConvergence`] failures — the
 //! negative cache) are written through to both tiers.
 //!
-//! The front-ends are thin: `run_stdio` reads lines from a reader,
-//! `run_listener` accepts TCP connections and serves each on its own
-//! thread. Both stop when a `shutdown` request arrives.
+//! The front-ends are thin: `run_io` reads lines from a reader,
+//! `run_listener` accepts TCP connections on the shared
+//! [`Daemon`] loop and serves each on its own thread. Both stop
+//! when a `shutdown` request arrives.
 //!
 //! ## Hardening
 //!
@@ -50,11 +51,11 @@ use crate::stream::StreamOpts;
 use crate::{log_info, log_warn};
 use optimist_ir::parse_module;
 use optimist_regalloc::{default_threads, AllocError, AllocatorConfig, Deadline, WorkerPool};
+use optimist_store::daemon::Daemon;
 use optimist_store::net::{StoreClient, StoreClientError};
 use optimist_store::Store;
-use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write};
-use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{TcpListener, ToSocketAddrs};
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -127,19 +128,9 @@ pub struct Server {
     /// Daemon-default compute budget per work unit; per-request
     /// `"deadline_ms"` overrides it.
     deadline: Option<Duration>,
-    /// Read/write timeouts applied to accepted sockets so dead or stalled
-    /// clients are reaped instead of pinning a connection thread forever.
-    read_timeout: Option<Duration>,
-    write_timeout: Option<Duration>,
-    /// How long [`Server::run_listener`] waits for in-flight connections
-    /// to finish after the stop flag rises, before force-closing them.
-    drain_timeout: Duration,
-    /// Write halves of the live connections, keyed by connection id —
-    /// what graceful drain half-closes so readers see EOF while in-flight
-    /// responses still go out.
-    conns: Mutex<HashMap<u64, TcpStream>>,
-    next_conn: AtomicU64,
-    pub(crate) stop: AtomicBool,
+    /// Stop flag, connection registry, socket timeouts and drain budget,
+    /// shared by the NDJSON and HTTP listeners.
+    pub(crate) daemon: Daemon,
 }
 
 /// The persistent tier plus its degraded-mode tripwires. Three backends
@@ -528,12 +519,7 @@ impl Server {
             max_load: 0,
             load: AtomicUsize::new(0),
             deadline: None,
-            read_timeout: None,
-            write_timeout: None,
-            drain_timeout: Duration::from_secs(5),
-            conns: Mutex::new(HashMap::new()),
-            next_conn: AtomicU64::new(0),
-            stop: AtomicBool::new(false),
+            daemon: Daemon::default(),
         }
     }
 
@@ -666,15 +652,14 @@ impl Server {
     /// forever. `None` (the default) leaves the socket blocking
     /// indefinitely.
     pub fn with_socket_timeouts(mut self, read: Option<Duration>, write: Option<Duration>) -> Self {
-        self.read_timeout = read;
-        self.write_timeout = write;
+        self.daemon = self.daemon.with_socket_timeouts(read, write);
         self
     }
 
     /// How long [`Server::run_listener`] waits for live connections to
     /// drain after shutdown is requested, before force-closing them.
     pub fn with_drain_timeout(mut self, timeout: Duration) -> Self {
-        self.drain_timeout = timeout;
+        self.daemon = self.daemon.with_drain_timeout(timeout);
         self
     }
 
@@ -736,12 +721,12 @@ impl Server {
     /// `run_io` stops at its next line. This is the programmatic face of
     /// the `shutdown` request — the binary's SIGTERM handler calls it.
     pub fn request_shutdown(&self) {
-        self.stop.store(true, Ordering::SeqCst);
+        self.daemon.request_shutdown();
     }
 
     /// True once shutdown has been requested (drain in progress).
     pub fn draining(&self) -> bool {
-        self.stop.load(Ordering::SeqCst)
+        self.daemon.draining()
     }
 
     /// The absolute [`Deadline`] for a work unit admitted now:
@@ -1230,7 +1215,7 @@ impl Server {
             }
             Request::Health => (self.health_json().to_string(), Disposition::Continue),
             Request::Shutdown => {
-                self.stop.store(true, Ordering::SeqCst);
+                self.request_shutdown();
                 (
                     Json::obj([("ok", Json::from(true)), ("shutdown", Json::from(true))])
                         .to_string(),
@@ -1817,145 +1802,27 @@ impl Server {
     /// `on_bound` before entering the accept loop (tests bind port 0 and
     /// need to learn the real port).
     ///
-    /// Shutdown is a **graceful drain**: the listener stops accepting,
-    /// every live connection's read half is closed (its reader sees EOF;
-    /// responses already in flight still go out), and the connection
-    /// threads are joined under [`Server::with_drain_timeout`].
-    /// Stragglers past the deadline are force-closed.
+    /// Shutdown is the shared [`Daemon`] loop's **graceful drain**: the
+    /// listener stops accepting, every live connection's read half is
+    /// closed (its reader sees EOF; responses already in flight still go
+    /// out), and the connection threads are joined under
+    /// [`Server::with_drain_timeout`]. Stragglers past the deadline are
+    /// force-closed.
     pub fn run_listener(
-        self: &Arc<Self>,
+        &self,
         addr: impl ToSocketAddrs,
         on_bound: impl FnOnce(std::net::SocketAddr),
     ) -> io::Result<()> {
         let listener = TcpListener::bind(addr)?;
         on_bound(listener.local_addr()?);
-        // Poll with a short accept timeout so the loop notices the stop
-        // flag set by a `shutdown` request on another connection.
-        listener.set_nonblocking(true)?;
-        let mut workers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        while !self.stop.load(Ordering::SeqCst) {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    let server = Arc::clone(self);
-                    let conn_id = self.next_conn.fetch_add(1, Ordering::Relaxed);
-                    // Register a handle to the socket so the drain phase
-                    // can half-close it; the connection thread drops the
-                    // registration when it exits on its own.
-                    if let Ok(handle) = stream.try_clone() {
-                        self.conns
-                            .lock()
-                            .expect("conns lock")
-                            .insert(conn_id, handle);
-                    }
-                    workers.push(std::thread::spawn(move || {
-                        stream.set_nonblocking(false).ok();
-                        // Streaming emits many small back-to-back writes
-                        // with no interleaved client data; Nagle + delayed
-                        // ACK would stall each one for ~40ms.
-                        stream.set_nodelay(true).ok();
-                        // Reap dead/stalled clients instead of pinning
-                        // this thread forever.
-                        stream.set_read_timeout(server.read_timeout).ok();
-                        stream.set_write_timeout(server.write_timeout).ok();
-                        if let Ok(reader) = stream.try_clone() {
-                            let opts = StreamOpts {
-                                max_inflight: server.max_inflight,
-                            };
-                            let _ = crate::stream::run_stream(&server, reader, stream, opts);
-                        }
-                        server.conns.lock().expect("conns lock").remove(&conn_id);
-                    }));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(e) => return Err(e),
+        let opts = StreamOpts {
+            max_inflight: self.max_inflight,
+        };
+        self.daemon.serve(listener, "ndjson", |stream| {
+            if let Ok(reader) = stream.try_clone() {
+                let _ = crate::stream::run_stream(self, reader, stream, opts);
             }
-            workers.retain(|w| !w.is_finished());
-        }
-
-        // Drain: no new connections (the accept loop is done). Half-close
-        // every live connection so its reader sees EOF and stops admitting
-        // units, while the write half keeps delivering in-flight
-        // responses.
-        let live = self.conns.lock().expect("conns lock").len();
-        if live > 0 {
-            log_info!("drain: waiting on {live} live connection(s)");
-        }
-        for conn in self.conns.lock().expect("conns lock").values() {
-            let _ = conn.shutdown(Shutdown::Read);
-        }
-        let drain_deadline = Instant::now() + self.drain_timeout;
-        loop {
-            workers.retain(|w| !w.is_finished());
-            if workers.is_empty() {
-                break;
-            }
-            if Instant::now() >= drain_deadline {
-                // Past the drain budget: sever both halves. The abandoned
-                // threads die on their next socket operation.
-                let stragglers = workers.len();
-                log_warn!(
-                    "drain: {stragglers} connection(s) still live after {:?}; force-closing",
-                    self.drain_timeout
-                );
-                for conn in self.conns.lock().expect("conns lock").values() {
-                    let _ = conn.shutdown(Shutdown::Both);
-                }
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        for w in workers {
-            let _ = w.join();
-        }
-        log_info!("drain: complete; all connections closed");
-        Ok(())
-    }
-
-    /// Register an accepted connection in the drain registry, so shutdown
-    /// can half-close it. The HTTP front-end ([`crate::http::run_http`])
-    /// shares this registry with the NDJSON listener: whichever loop
-    /// drains first reaches every connection.
-    pub(crate) fn register_conn(&self, stream: &TcpStream) -> u64 {
-        let conn_id = self.next_conn.fetch_add(1, Ordering::Relaxed);
-        if let Ok(handle) = stream.try_clone() {
-            self.conns
-                .lock()
-                .expect("conns lock")
-                .insert(conn_id, handle);
-        }
-        conn_id
-    }
-
-    /// Drop a connection's drain-registry entry (it exited on its own).
-    pub(crate) fn unregister_conn(&self, conn_id: u64) {
-        self.conns.lock().expect("conns lock").remove(&conn_id);
-    }
-
-    /// The socket timeouts accepted connections get.
-    pub(crate) fn socket_timeouts(&self) -> (Option<Duration>, Option<Duration>) {
-        (self.read_timeout, self.write_timeout)
-    }
-
-    /// The configured drain budget.
-    pub(crate) fn drain_budget(&self) -> Duration {
-        self.drain_timeout
-    }
-
-    /// Half-close every registered connection: readers see EOF, in-flight
-    /// responses still go out.
-    pub(crate) fn half_close_conns(&self) {
-        for conn in self.conns.lock().expect("conns lock").values() {
-            let _ = conn.shutdown(Shutdown::Read);
-        }
-    }
-
-    /// Sever every registered connection outright (drain budget spent).
-    pub(crate) fn force_close_conns(&self) {
-        for conn in self.conns.lock().expect("conns lock").values() {
-            let _ = conn.shutdown(Shutdown::Both);
-        }
+        })
     }
 }
 

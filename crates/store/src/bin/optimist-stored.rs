@@ -4,9 +4,10 @@
 //! `optimist-serve` daemons can share a single warm result tier. See
 //! `optimist_store::net` for the protocol.
 
-use optimist_store::net::log::{self, Level};
+use optimist_store::daemon::on_termination;
+use optimist_store::log::{self, Level};
 use optimist_store::net::StoreServer;
-use optimist_store::{Store, StoreOptions};
+use optimist_store::{log_error, log_info, log_warn, Store, StoreOptions};
 use std::net::TcpListener;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -102,36 +103,6 @@ fn parse_args() -> Result<Args, String> {
     Ok(parsed)
 }
 
-/// SIGTERM/SIGINT handling without a signal crate: a C handler flips an
-/// atomic; a watcher thread polls it and asks the server to drain. The
-/// same pattern the serving daemon uses.
-mod signal {
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    static TERM: AtomicBool = AtomicBool::new(false);
-
-    extern "C" {
-        fn signal(signum: i32, handler: usize) -> usize;
-    }
-
-    extern "C" fn on_term(_signum: i32) {
-        TERM.store(true, Ordering::SeqCst);
-    }
-
-    pub fn install() {
-        const SIGINT: i32 = 2;
-        const SIGTERM: i32 = 15;
-        unsafe {
-            signal(SIGINT, on_term as *const () as usize);
-            signal(SIGTERM, on_term as *const () as usize);
-        }
-    }
-
-    pub fn received() -> bool {
-        TERM.load(Ordering::SeqCst)
-    }
-}
-
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(args) => args,
@@ -151,17 +122,15 @@ fn main() -> ExitCode {
     ) {
         Ok(store) => store,
         Err(e) => {
-            log::log(Level::Error, &format!("cannot open store at {dir}: {e}"));
+            log_error!("cannot open store at {dir}: {e}");
             return ExitCode::FAILURE;
         }
     };
     let snap = store.snapshot();
-    log::log(
-        Level::Info,
-        &format!(
-            "store {dir}: {} entries, {} bytes recovered",
-            snap.entries, snap.file_bytes
-        ),
+    log_info!(
+        "store {dir}: {} entries, {} bytes recovered",
+        snap.entries,
+        snap.file_bytes
     );
 
     let server = Arc::new(
@@ -170,15 +139,11 @@ fn main() -> ExitCode {
             .with_drain_timeout(args.drain),
     );
 
-    signal::install();
     {
         let server = Arc::clone(&server);
-        std::thread::spawn(move || loop {
-            if signal::received() {
-                server.request_shutdown();
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(20));
+        on_termination(move || {
+            log_info!("received termination signal; draining");
+            server.request_shutdown();
         });
     }
 
@@ -190,13 +155,13 @@ fn main() -> ExitCode {
         match TcpListener::bind(&args.listen) {
             Ok(listener) => server.run_listener(listener),
             Err(e) => {
-                log::log(Level::Error, &format!("cannot bind {}: {e}", args.listen));
+                log_error!("cannot bind {}: {e}", args.listen);
                 return ExitCode::FAILURE;
             }
         }
     };
     if let Err(e) = served {
-        log::log(Level::Error, &format!("serving failed: {e}"));
+        log_error!("serving failed: {e}");
         return ExitCode::FAILURE;
     }
 
@@ -204,7 +169,7 @@ fn main() -> ExitCode {
     // flush appends to stable storage.
     server.store().quiesce();
     if let Err(e) = server.store().sync() {
-        log::log(Level::Warn, &format!("final sync failed: {e}"));
+        log_warn!("final sync failed: {e}");
     }
     ExitCode::SUCCESS
 }

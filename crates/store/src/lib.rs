@@ -12,7 +12,7 @@
 //! log-structured file** (`store.log`). Writes append a length-prefixed,
 //! checksummed record of `(key, schema_version, config_fingerprint,
 //! payload)` — see [`mod@format`] for the byte layout; payloads are opaque to
-//! this crate (the serving layer encodes them with its own JSON codec).
+//! the store (the serving layer encodes them as JSON).
 //! An in-memory index maps each key to its newest record's offset, so
 //! reads are one seek. Updating a key appends a superseding record; the
 //! old bytes become *dead* and are reclaimed by compaction.
@@ -60,12 +60,26 @@
 //! # std::fs::remove_dir_all(&dir)?;
 //! # Ok::<(), std::io::Error>(())
 //! ```
+//!
+//! ## Daemon plumbing
+//!
+//! This crate is the one both daemons link, so it also carries their
+//! shared plumbing: the JSON codec ([`mod@json`]), the leveled stderr
+//! logger ([`mod@log`]), and the accept/drain loop plus signal watcher
+//! ([`daemon`]). `optimist-stored` ([`net`]) uses them directly;
+//! `optimist-serve` re-exports the codec and logger as its own
+//! `json` and `log` modules.
 
 #![warn(missing_docs)]
 
+pub mod daemon;
 pub mod failpoint;
 pub mod format;
+pub mod json;
+pub mod log;
 pub mod net;
+
+pub use json::Json;
 
 use failpoint::{FailKind, FailpointRegistry};
 use format::{ScannedRecord, MAGIC, RECORD_HEADER_LEN, SCHEMA_VERSION};

@@ -12,7 +12,8 @@
 //! its per-peer degraded-mode tripwire, exactly as a local disk error
 //! would be.
 
-use crate::net::wire::{self, ObjWriter};
+use crate::json::{self, Json};
+use crate::net::{hex16, parse_hex16};
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
@@ -23,7 +24,8 @@ use std::time::Duration;
 pub enum StoreClientError {
     /// The socket failed (includes timeouts).
     Io(io::Error),
-    /// The daemon's response line was not valid wire format.
+    /// The daemon's response line was not valid JSON, or lacked a field
+    /// the verb answers with.
     BadResponse(String),
     /// The daemon answered `"ok":false`; payload is its `error` text.
     Refused(String),
@@ -112,9 +114,8 @@ impl StoreClient {
         Ok(())
     }
 
-    fn round_trip(&mut self, line: &str) -> Result<wire::Message, StoreClientError> {
-        let mut out = String::with_capacity(line.len() + 1);
-        out.push_str(line);
+    fn round_trip(&mut self, request: Json) -> Result<Json, StoreClientError> {
+        let mut out = request.to_string();
         out.push('\n');
         self.writer.write_all(out.as_bytes())?;
         self.writer.flush()?;
@@ -125,11 +126,12 @@ impl StoreClient {
                 "store daemon closed the connection",
             )));
         }
-        let msg = wire::parse(response.trim())
+        let msg = json::parse(response.trim())
             .map_err(|_| StoreClientError::BadResponse(response.trim().to_string()))?;
-        if msg.bool_field("ok") == Some(false) {
+        if msg.get("ok").and_then(Json::as_bool) == Some(false) {
             return Err(StoreClientError::Refused(
-                msg.str_field("error")
+                msg.get("error")
+                    .and_then(Json::as_str)
                     .unwrap_or("(no error text)")
                     .to_string(),
             ));
@@ -144,19 +146,21 @@ impl StoreClient {
     ///
     /// Transport failures, unparsable responses, and daemon refusals.
     pub fn get(&mut self, key: u64) -> Result<Option<(u64, Vec<u8>)>, StoreClientError> {
-        let mut w = ObjWriter::new();
-        w.str_field("req", "get")
-            .str_field("key", &wire::hex16(key));
-        let msg = self.round_trip(&w.finish())?;
-        if msg.bool_field("hit") != Some(true) {
+        let msg = self.round_trip(Json::obj([
+            ("req", Json::from("get")),
+            ("key", Json::from(hex16(key))),
+        ]))?;
+        if msg.get("hit").and_then(Json::as_bool) != Some(true) {
             return Ok(None);
         }
         let fingerprint = msg
-            .str_field("fp")
-            .and_then(wire::parse_hex16)
+            .get("fp")
+            .and_then(Json::as_str)
+            .and_then(parse_hex16)
             .ok_or_else(|| StoreClientError::BadResponse("hit without fp".into()))?;
         let payload = msg
-            .str_field("payload")
+            .get("payload")
+            .and_then(Json::as_str)
             .ok_or_else(|| StoreClientError::BadResponse("hit without payload".into()))?;
         Ok(Some((fingerprint, payload.as_bytes().to_vec())))
     }
@@ -181,12 +185,12 @@ impl StoreClient {
                 "store payloads must be UTF-8 on the wire",
             ))
         })?;
-        let mut w = ObjWriter::new();
-        w.str_field("req", "put")
-            .str_field("key", &wire::hex16(key))
-            .str_field("fp", &wire::hex16(fingerprint))
-            .str_field("payload", text);
-        self.round_trip(&w.finish())?;
+        self.round_trip(Json::obj([
+            ("req", Json::from("put")),
+            ("key", Json::from(hex16(key))),
+            ("fp", Json::from(hex16(fingerprint))),
+            ("payload", Json::from(text)),
+        ]))?;
         Ok(())
     }
 
@@ -205,31 +209,29 @@ impl StoreClient {
         after: Option<u64>,
         limit: Option<usize>,
     ) -> Result<ScanPage, StoreClientError> {
-        let mut w = ObjWriter::new();
-        w.str_field("req", "scan");
+        let mut request = Json::obj([("req", Json::from("scan"))]);
         if let Some(cursor) = after {
-            w.str_field("after", &wire::hex16(cursor));
+            request.push("after", Json::from(hex16(cursor)));
         }
         if let Some(limit) = limit {
-            w.u64_field("limit", limit as u64);
+            request.push("limit", Json::from(limit));
         }
-        let msg = self.round_trip(&w.finish())?;
-        let keys = match msg.get("keys") {
-            Some(wire::WireValue::Raw(raw)) => parse_key_array(raw).ok_or_else(|| {
-                StoreClientError::BadResponse(format!("unparsable scan keys: {raw}"))
-            })?,
-            _ => {
-                return Err(StoreClientError::BadResponse(
-                    "scan response without keys".into(),
-                ))
-            }
-        };
+        let msg = self.round_trip(request)?;
+        let keys = msg
+            .get("keys")
+            .and_then(Json::as_arr)
+            .ok_or_else(|| StoreClientError::BadResponse("scan response without keys".into()))?
+            .iter()
+            .map(|key| key.as_str().and_then(parse_hex16))
+            .collect::<Option<Vec<u64>>>()
+            .ok_or_else(|| StoreClientError::BadResponse("unparsable scan keys".into()))?;
         let total = msg
             .get("total")
-            .and_then(wire::WireValue::as_u64)
+            .and_then(Json::as_u64)
             .ok_or_else(|| StoreClientError::BadResponse("scan response without total".into()))?;
         let done = msg
-            .bool_field("done")
+            .get("done")
+            .and_then(Json::as_bool)
             .ok_or_else(|| StoreClientError::BadResponse("scan response without done".into()))?;
         Ok(ScanPage { keys, total, done })
     }
@@ -240,46 +242,26 @@ impl StoreClient {
     ///
     /// Transport failures and daemon refusals.
     pub fn ping(&mut self) -> Result<(), StoreClientError> {
-        let mut w = ObjWriter::new();
-        w.str_field("req", "ping");
-        self.round_trip(&w.finish())?;
+        self.verb("ping")?;
         Ok(())
     }
 
-    /// The daemon's raw `stats` response line (callers parse it with
-    /// whatever JSON tooling they have — the store protocol itself never
-    /// looks inside).
+    /// The daemon's `stats` object, as compact JSON text.
     ///
     /// # Errors
     ///
     /// Transport failures and daemon refusals.
     pub fn stats_line(&mut self) -> Result<String, StoreClientError> {
-        let mut w = ObjWriter::new();
-        w.str_field("req", "stats");
-        let msg = self.round_trip(&w.finish())?;
-        match msg.get("stats") {
-            Some(wire::WireValue::Raw(raw)) => Ok(raw.clone()),
-            _ => Err(StoreClientError::BadResponse(
-                "stats response without stats".into(),
-            )),
-        }
+        self.nested("stats")
     }
 
-    /// The daemon's raw `health` response line.
+    /// The daemon's `health` object, as compact JSON text.
     ///
     /// # Errors
     ///
     /// Transport failures and daemon refusals.
     pub fn health_line(&mut self) -> Result<String, StoreClientError> {
-        let mut w = ObjWriter::new();
-        w.str_field("req", "health");
-        let msg = self.round_trip(&w.finish())?;
-        match msg.get("health") {
-            Some(wire::WireValue::Raw(raw)) => Ok(raw.clone()),
-            _ => Err(StoreClientError::BadResponse(
-                "health response without health".into(),
-            )),
-        }
+        self.nested("health")
     }
 
     /// Ask the daemon to stop (it drains live connections first).
@@ -288,46 +270,23 @@ impl StoreClient {
     ///
     /// Transport failures and daemon refusals.
     pub fn shutdown(&mut self) -> Result<(), StoreClientError> {
-        let mut w = ObjWriter::new();
-        w.str_field("req", "shutdown");
-        self.round_trip(&w.finish())?;
+        self.verb("shutdown")?;
         Ok(())
     }
-}
 
-/// Parse a `scan` response's `["16hex",…]` array. Keys are bare hex —
-/// no escapes can occur — so splitting on commas inside the brackets is
-/// exact, not approximate.
-fn parse_key_array(raw: &str) -> Option<Vec<u64>> {
-    let inner = raw.trim().strip_prefix('[')?.strip_suffix(']')?.trim();
-    let mut keys = Vec::new();
-    if inner.is_empty() {
-        return Some(keys);
+    /// A round trip for a request with no fields besides `req`.
+    fn verb(&mut self, req: &str) -> Result<Json, StoreClientError> {
+        self.round_trip(Json::obj([("req", Json::from(req))]))
     }
-    for part in inner.split(',') {
-        let hex = part.trim().strip_prefix('"')?.strip_suffix('"')?;
-        keys.push(wire::parse_hex16(hex)?);
-    }
-    Some(keys)
-}
 
-#[cfg(test)]
-mod tests {
-    use super::parse_key_array;
-
-    #[test]
-    fn key_arrays_parse_exactly() {
-        assert_eq!(parse_key_array("[]"), Some(vec![]));
-        assert_eq!(
-            parse_key_array(r#"["0000000000000001","00000000000000aa"]"#),
-            Some(vec![1, 0xaa])
-        );
-        assert_eq!(
-            parse_key_array(r#"["ffffffffffffffff"]"#),
-            Some(vec![u64::MAX])
-        );
-        for bad in ["", "[", r#"["zz"]"#, r#"[123]"#, r#"["01" "02"]"#] {
-            assert_eq!(parse_key_array(bad), None, "{bad}");
+    /// The compact text of the object a `stats`/`health` response nests
+    /// under the verb's own name.
+    fn nested(&mut self, req: &str) -> Result<String, StoreClientError> {
+        match self.verb(req)?.get(req) {
+            Some(nested @ Json::Obj(_)) => Ok(nested.to_string()),
+            _ => Err(StoreClientError::BadResponse(format!(
+                "{req} response without {req}"
+            ))),
         }
     }
 }

@@ -21,25 +21,20 @@
 //! connection funnels through the one [`Store`] (whose index lock
 //! serializes appends). Reads run concurrently across connections.
 //!
-//! **Graceful drain** follows the serving daemon's playbook: a
-//! `shutdown` request (or SIGTERM in the binary) stops the accept loop,
-//! half-closes the read side of every live connection so in-flight
-//! requests finish and clients see a clean EOF, waits up to the drain
-//! timeout, then force-closes stragglers.
+//! **Graceful drain** is the shared [`Daemon`] loop: a `shutdown`
+//! request (or SIGTERM in the binary) stops the accept loop, half-closes
+//! the read side of every live connection so in-flight requests finish
+//! and clients see a clean EOF, waits up to the drain timeout, then
+//! force-closes stragglers.
 
-use crate::net::log::{self, Level};
-use crate::net::wire::{self, ObjWriter};
-use crate::Store;
-use std::collections::HashMap;
+use crate::daemon::Daemon;
+use crate::json::{self, Json};
+use crate::net::{hex16, parse_hex16};
+use crate::{log_info, Store};
 use std::io::{self, BufRead, BufReader, Write};
-use std::net::{Shutdown, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
-
-/// How long [`StoreServer::run_listener`] waits for live connections to
-/// finish after a shutdown request before force-closing them.
-pub const DEFAULT_DRAIN_TIMEOUT: Duration = Duration::from_secs(5);
+use std::net::{TcpListener, TcpStream};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
 
 /// Wire-facing event counts, all monotonic.
 #[derive(Debug, Default)]
@@ -60,22 +55,17 @@ impl NetCounters {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn read(counter: &AtomicU64) -> u64 {
-        counter.load(Ordering::Relaxed)
+    fn read(counter: &AtomicU64) -> Json {
+        Json::from(counter.load(Ordering::Relaxed))
     }
 }
 
 /// A [`Store`] behind a TCP front-end. All methods take `&self`; one
-/// server is shared across connection threads via `Arc`.
+/// server is shared across connection threads.
 #[derive(Debug)]
 pub struct StoreServer {
     store: Store,
-    read_timeout: Option<Duration>,
-    write_timeout: Option<Duration>,
-    drain_timeout: Duration,
-    stop: AtomicBool,
-    conns: Mutex<HashMap<u64, TcpStream>>,
-    next_conn: AtomicU64,
+    daemon: Daemon,
     counters: NetCounters,
 }
 
@@ -91,12 +81,7 @@ impl StoreServer {
     pub fn new(store: Store) -> StoreServer {
         StoreServer {
             store,
-            read_timeout: None,
-            write_timeout: None,
-            drain_timeout: DEFAULT_DRAIN_TIMEOUT,
-            stop: AtomicBool::new(false),
-            conns: Mutex::new(HashMap::new()),
-            next_conn: AtomicU64::new(0),
+            daemon: Daemon::default(),
             counters: NetCounters::default(),
         }
     }
@@ -109,14 +94,13 @@ impl StoreServer {
         read: Option<Duration>,
         write: Option<Duration>,
     ) -> StoreServer {
-        self.read_timeout = read;
-        self.write_timeout = write;
+        self.daemon = self.daemon.with_socket_timeouts(read, write);
         self
     }
 
     /// Set the drain budget for [`StoreServer::run_listener`].
     pub fn with_drain_timeout(mut self, timeout: Duration) -> StoreServer {
-        self.drain_timeout = timeout;
+        self.daemon = self.daemon.with_drain_timeout(timeout);
         self
     }
 
@@ -127,12 +111,12 @@ impl StoreServer {
 
     /// Begin shutdown: stop accepting, drain live connections.
     pub fn request_shutdown(&self) {
-        self.stop.store(true, Ordering::SeqCst);
+        self.daemon.request_shutdown();
     }
 
     /// True once shutdown has been requested.
     pub fn draining(&self) -> bool {
-        self.stop.load(Ordering::SeqCst)
+        self.daemon.draining()
     }
 
     /// Serve one request line (no trailing newline), returning the
@@ -141,19 +125,15 @@ impl StoreServer {
     /// here.
     pub fn handle_line(&self, line: &str) -> String {
         NetCounters::bump(&self.counters.requests);
-        let msg = match wire::parse(line) {
+        let msg = match json::parse(line) {
             Ok(msg) => msg,
             Err(e) => {
                 NetCounters::bump(&self.counters.malformed);
-                return error_response(&e.to_string());
+                return error_json(&e.to_string()).to_string();
             }
         };
-        match msg.str_field("req") {
-            Some("ping") => {
-                let mut w = ObjWriter::new();
-                w.bool_field("ok", true);
-                w.finish()
-            }
+        let response = match msg.get("req").and_then(Json::as_str) {
+            Some("ping") => ok_response([]),
             Some("get") => self.handle_get(&msg),
             Some("put") => self.handle_put(&msg),
             Some("scan") => self.handle_scan(&msg),
@@ -161,73 +141,63 @@ impl StoreServer {
             Some("health") => self.health_response(),
             Some("shutdown") => {
                 self.request_shutdown();
-                let mut w = ObjWriter::new();
-                w.bool_field("ok", true).bool_field("stopping", true);
-                w.finish()
+                ok_response([("stopping", Json::from(true))])
             }
-            Some(other) => error_response(&format!("unknown request `{other}`")),
+            Some(other) => error_json(&format!("unknown request `{other}`")),
             None => {
                 NetCounters::bump(&self.counters.malformed);
-                error_response("missing `req` field")
+                error_json("missing `req` field")
             }
-        }
+        };
+        response.to_string()
     }
 
-    fn handle_get(&self, msg: &wire::Message) -> String {
+    fn handle_get(&self, msg: &Json) -> Json {
         NetCounters::bump(&self.counters.gets);
-        let Some(key) = msg.str_field("key").and_then(wire::parse_hex16) else {
-            return error_response("get needs a hex `key`");
+        let Some(key) = hex_field(msg, "key") else {
+            return error_json("get needs a hex `key`");
         };
         match self.store.try_get(key) {
             Ok(Some((fingerprint, payload))) => match String::from_utf8(payload) {
                 Ok(text) => {
                     NetCounters::bump(&self.counters.get_hits);
-                    let mut w = ObjWriter::new();
-                    w.bool_field("ok", true)
-                        .bool_field("hit", true)
-                        .str_field("fp", &wire::hex16(fingerprint))
-                        .str_field("payload", &text);
-                    w.finish()
+                    ok_response([
+                        ("hit", Json::from(true)),
+                        ("fp", Json::from(hex16(fingerprint))),
+                        ("payload", Json::from(text)),
+                    ])
                 }
                 Err(_) => {
                     // Payloads are the serving tier's own JSON — never
                     // non-UTF-8 in practice. Refuse rather than mangle.
                     NetCounters::bump(&self.counters.get_errors);
-                    error_response("stored payload is not UTF-8")
+                    error_json("stored payload is not UTF-8")
                 }
             },
-            Ok(None) => {
-                let mut w = ObjWriter::new();
-                w.bool_field("ok", true).bool_field("hit", false);
-                w.finish()
-            }
+            Ok(None) => ok_response([("hit", Json::from(false))]),
             Err(e) => {
                 NetCounters::bump(&self.counters.get_errors);
-                error_response(&format!("get failed: {e}"))
+                error_json(&format!("get failed: {e}"))
             }
         }
     }
 
-    fn handle_put(&self, msg: &wire::Message) -> String {
+    fn handle_put(&self, msg: &Json) -> Json {
         NetCounters::bump(&self.counters.puts);
-        let Some(key) = msg.str_field("key").and_then(wire::parse_hex16) else {
-            return error_response("put needs a hex `key`");
+        let Some(key) = hex_field(msg, "key") else {
+            return error_json("put needs a hex `key`");
         };
-        let Some(fingerprint) = msg.str_field("fp").and_then(wire::parse_hex16) else {
-            return error_response("put needs a hex `fp`");
+        let Some(fingerprint) = hex_field(msg, "fp") else {
+            return error_json("put needs a hex `fp`");
         };
-        let Some(payload) = msg.str_field("payload") else {
-            return error_response("put needs a string `payload`");
+        let Some(payload) = msg.get("payload").and_then(Json::as_str) else {
+            return error_json("put needs a string `payload`");
         };
         match self.store.put(key, fingerprint, payload.as_bytes()) {
-            Ok(()) => {
-                let mut w = ObjWriter::new();
-                w.bool_field("ok", true);
-                w.finish()
-            }
+            Ok(()) => ok_response([]),
             Err(e) => {
                 NetCounters::bump(&self.counters.put_errors);
-                error_response(&format!("put failed: {e}"))
+                error_json(&format!("put failed: {e}"))
             }
         }
     }
@@ -238,87 +208,72 @@ impl StoreServer {
     /// [`StoreServer::MAX_SCAN_LIMIT`]) long. `done` is `true` once the
     /// page provably exhausts the space; a full page answers `false`
     /// and the caller feeds the last key back in as the next cursor.
-    fn handle_scan(&self, msg: &wire::Message) -> String {
+    fn handle_scan(&self, msg: &Json) -> Json {
         NetCounters::bump(&self.counters.scans);
-        let after = match msg.str_field("after") {
-            Some(text) => match wire::parse_hex16(text) {
+        let after = match msg.get("after").and_then(Json::as_str) {
+            Some(text) => match parse_hex16(text) {
                 Some(cursor) => Some(cursor),
-                None => return error_response("scan `after` must be a hex key"),
+                None => return error_json("scan `after` must be a hex key"),
             },
             None => None,
         };
         let limit = msg
             .get("limit")
-            .and_then(wire::WireValue::as_u64)
+            .and_then(Json::as_u64)
             .map_or(Self::DEFAULT_SCAN_LIMIT, |n| n as usize)
             .clamp(1, Self::MAX_SCAN_LIMIT);
         let (keys, total) = self.store.scan_keys(after, limit);
         let done = keys.len() < limit;
-        let mut array = String::with_capacity(keys.len() * 19 + 2);
-        array.push('[');
-        for (i, key) in keys.iter().enumerate() {
-            if i > 0 {
-                array.push(',');
-            }
-            array.push('"');
-            array.push_str(&wire::hex16(*key));
-            array.push('"');
-        }
-        array.push(']');
-        let mut w = ObjWriter::new();
-        w.bool_field("ok", true)
-            .raw_field("keys", &array)
-            .u64_field("total", total as u64)
-            .bool_field("done", done);
-        w.finish()
+        ok_response([
+            (
+                "keys",
+                Json::Arr(keys.iter().map(|&key| Json::from(hex16(key))).collect()),
+            ),
+            ("total", Json::from(total)),
+            ("done", Json::from(done)),
+        ])
     }
 
-    fn stats_response(&self) -> String {
+    fn stats_response(&self) -> Json {
         let snap = self.store.snapshot();
-        let mut store = ObjWriter::new();
-        store
-            .u64_field("entries", snap.entries as u64)
-            .u64_field("file_bytes", snap.file_bytes)
-            .u64_field("live_bytes", snap.live_bytes)
-            .u64_field("dead_bytes", snap.dead_bytes)
-            .u64_field("superseded", snap.superseded)
-            .u64_field("evicted", snap.evicted)
-            .u64_field("compactions", snap.compactions)
-            .u64_field("compaction_stalls", snap.compaction_stalls)
-            .u64_field("read_errors", snap.read_errors)
-            .u64_field("write_errors", snap.write_errors);
-        let mut net = ObjWriter::new();
-        net.u64_field("conns", NetCounters::read(&self.counters.conns))
-            .u64_field("requests", NetCounters::read(&self.counters.requests))
-            .u64_field("gets", NetCounters::read(&self.counters.gets))
-            .u64_field("get_hits", NetCounters::read(&self.counters.get_hits))
-            .u64_field("get_errors", NetCounters::read(&self.counters.get_errors))
-            .u64_field("puts", NetCounters::read(&self.counters.puts))
-            .u64_field("put_errors", NetCounters::read(&self.counters.put_errors))
-            .u64_field("scans", NetCounters::read(&self.counters.scans))
-            .u64_field("malformed", NetCounters::read(&self.counters.malformed));
-        let mut stats = ObjWriter::new();
-        stats
-            .raw_field("store", &store.finish())
-            .raw_field("net", &net.finish());
-        let mut w = ObjWriter::new();
-        w.bool_field("ok", true).raw_field("stats", &stats.finish());
-        w.finish()
+        let store = Json::obj([
+            ("entries", Json::from(snap.entries)),
+            ("file_bytes", Json::from(snap.file_bytes)),
+            ("live_bytes", Json::from(snap.live_bytes)),
+            ("dead_bytes", Json::from(snap.dead_bytes)),
+            ("superseded", Json::from(snap.superseded)),
+            ("evicted", Json::from(snap.evicted)),
+            ("compactions", Json::from(snap.compactions)),
+            ("compaction_stalls", Json::from(snap.compaction_stalls)),
+            ("read_errors", Json::from(snap.read_errors)),
+            ("write_errors", Json::from(snap.write_errors)),
+        ]);
+        let c = &self.counters;
+        let net = Json::obj([
+            ("conns", NetCounters::read(&c.conns)),
+            ("requests", NetCounters::read(&c.requests)),
+            ("gets", NetCounters::read(&c.gets)),
+            ("get_hits", NetCounters::read(&c.get_hits)),
+            ("get_errors", NetCounters::read(&c.get_errors)),
+            ("puts", NetCounters::read(&c.puts)),
+            ("put_errors", NetCounters::read(&c.put_errors)),
+            ("scans", NetCounters::read(&c.scans)),
+            ("malformed", NetCounters::read(&c.malformed)),
+        ]);
+        ok_response([("stats", Json::obj([("store", store), ("net", net)]))])
     }
 
-    fn health_response(&self) -> String {
+    fn health_response(&self) -> Json {
         let snap = self.store.snapshot();
-        let mut health = ObjWriter::new();
-        health
-            .str_field("state", if self.draining() { "draining" } else { "ok" })
-            .u64_field("entries", snap.entries as u64)
-            .u64_field("file_bytes", snap.file_bytes)
-            .u64_field("compaction_stalls", snap.compaction_stalls)
-            .u64_field("write_errors", snap.write_errors);
-        let mut w = ObjWriter::new();
-        w.bool_field("ok", true)
-            .raw_field("health", &health.finish());
-        w.finish()
+        let state = if self.draining() { "draining" } else { "ok" };
+        let health = Json::obj([
+            ("state", Json::from(state)),
+            ("entries", Json::from(snap.entries)),
+            ("file_bytes", Json::from(snap.file_bytes)),
+            ("compaction_stalls", Json::from(snap.compaction_stalls)),
+            ("write_errors", Json::from(snap.write_errors)),
+        ]);
+        ok_response([("health", health)])
     }
 
     /// Serve NDJSON over stdin/stdout-style streams until EOF or a
@@ -345,82 +300,26 @@ impl StoreServer {
         Ok(())
     }
 
-    /// Accept and serve connections until shutdown is requested, then
-    /// drain: half-close every live connection's read side, wait up to
-    /// the drain timeout for in-flight requests to finish, force-close
-    /// the rest.
+    /// Announce the bound address, then accept and serve connections on
+    /// the shared [`Daemon`] loop until shutdown is requested and the
+    /// drain completes.
     ///
     /// # Errors
     ///
     /// Propagates listener failures (bind metadata, fatal accept errors).
-    pub fn run_listener(self: &Arc<Self>, listener: TcpListener) -> io::Result<()> {
-        listener.set_nonblocking(true)?;
-        let local = listener.local_addr()?;
-        log::log(
-            Level::Info,
-            &format!("optimist-stored listening on {local}"),
-        );
-        let mut handles = Vec::new();
-        while !self.draining() {
-            match listener.accept() {
-                Ok((stream, peer)) => {
-                    let id = self.next_conn.fetch_add(1, Ordering::SeqCst);
-                    let _ = stream.set_nodelay(true);
-                    let _ = stream.set_read_timeout(self.read_timeout);
-                    let _ = stream.set_write_timeout(self.write_timeout);
-                    if let Ok(clone) = stream.try_clone() {
-                        self.conns.lock().expect("conns lock").insert(id, clone);
-                    }
-                    log::log(Level::Debug, &format!("conn {id} accepted from {peer}"));
-                    let server = Arc::clone(self);
-                    handles.push(std::thread::spawn(move || server.serve_conn(id, stream)));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-
-        // Drain: no new lines can arrive once the read halves are shut;
-        // responses already in flight still go out on the write halves.
-        let live: Vec<TcpStream> = {
-            let conns = self.conns.lock().expect("conns lock");
-            conns.values().filter_map(|c| c.try_clone().ok()).collect()
-        };
-        log::log(
-            Level::Info,
-            &format!("draining {} connection(s)", live.len()),
-        );
-        for conn in &live {
-            let _ = conn.shutdown(Shutdown::Read);
-        }
-        let deadline = Instant::now() + self.drain_timeout;
-        while Instant::now() < deadline && handles.iter().any(|h| !h.is_finished()) {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        for (_, conn) in self.conns.lock().expect("conns lock").drain() {
-            let _ = conn.shutdown(Shutdown::Both);
-        }
-        for handle in handles {
-            let _ = handle.join();
-        }
-        log::log(Level::Info, "optimist-stored drained; stopping");
-        Ok(())
+    pub fn run_listener(&self, listener: TcpListener) -> io::Result<()> {
+        log_info!("optimist-stored listening on {}", listener.local_addr()?);
+        self.daemon
+            .serve(listener, "stored", |stream| self.serve_conn(stream))
     }
 
-    fn serve_conn(&self, id: u64, stream: TcpStream) {
+    fn serve_conn(&self, stream: TcpStream) {
         NetCounters::bump(&self.counters.conns);
         let mut writer = stream;
-        let reader = match writer.try_clone() {
-            Ok(clone) => BufReader::new(clone),
-            Err(_) => {
-                self.conns.lock().expect("conns lock").remove(&id);
-                return;
-            }
+        let Ok(reader) = writer.try_clone() else {
+            return;
         };
-        let mut reader = reader;
+        let mut reader = BufReader::new(reader);
         let mut line = String::new();
         loop {
             line.clear();
@@ -450,15 +349,25 @@ impl StoreServer {
                 Err(_) => break,
             }
         }
-        self.conns.lock().expect("conns lock").remove(&id);
-        log::log(Level::Debug, &format!("conn {id} closed"));
     }
 }
 
-fn error_response(message: &str) -> String {
-    let mut w = ObjWriter::new();
-    w.bool_field("ok", false).str_field("error", message);
-    w.finish()
+/// `{"ok":true, …rest}`.
+fn ok_response<const N: usize>(rest: [(&'static str, Json); N]) -> Json {
+    let mut response = Json::obj([("ok", Json::from(true))]);
+    for (key, value) in rest {
+        response.push(key, value);
+    }
+    response
+}
+
+fn error_json(message: &str) -> Json {
+    Json::obj([("ok", Json::from(false)), ("error", Json::from(message))])
+}
+
+/// A key or fingerprint field spelled in hex.
+fn hex_field(msg: &Json, key: &str) -> Option<u64> {
+    msg.get(key).and_then(Json::as_str).and_then(parse_hex16)
 }
 
 #[cfg(test)]
@@ -494,10 +403,16 @@ mod tests {
         assert_eq!(put, r#"{"ok":true}"#);
 
         let hit = server.handle_line(r#"{"req":"get","key":"00000000000000aa"}"#);
-        let msg = wire::parse(&hit).unwrap();
-        assert_eq!(msg.bool_field("hit"), Some(true));
-        assert_eq!(msg.str_field("fp"), Some("000000000000002a"));
-        assert_eq!(msg.str_field("payload"), Some(r#"{"v":1}"#));
+        let msg = json::parse(&hit).unwrap();
+        assert_eq!(msg.get("hit").and_then(Json::as_bool), Some(true));
+        assert_eq!(
+            msg.get("fp").and_then(Json::as_str),
+            Some("000000000000002a")
+        );
+        assert_eq!(
+            msg.get("payload").and_then(Json::as_str),
+            Some(r#"{"v":1}"#)
+        );
 
         let stats = server.handle_line(r#"{"req":"stats"}"#);
         assert!(
@@ -521,7 +436,7 @@ mod tests {
         for k in [3u64, 1, 2, 0xaa] {
             let line = format!(
                 r#"{{"req":"put","key":"{}","fp":"0000000000000001","payload":"v"}}"#,
-                wire::hex16(k)
+                hex16(k)
             );
             assert_eq!(server.handle_line(&line), r#"{"ok":true}"#);
         }

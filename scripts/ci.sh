@@ -46,6 +46,14 @@ if [[ $quick -eq 0 ]]; then
     # allocation must be bit-identical at every graph_threads setting.
     echo "==> parallel-coloring equivalence under --release (full proptest case count)"
     cargo test --release -q --test par_equivalence
+
+    # Decoder fuzzing (JSON codec, serve requests, store lines, cache
+    # entries, HTTP request heads) and the crash regressions for deeply
+    # nested JSON and long blank-line HTTP preambles on live listeners.
+    echo "==> hostile-input fuzz and crash regressions under --release (full proptest case count)"
+    cargo test --release -q -p optimist-serve --test hostile_input
+    cargo test --release -q -p optimist-serve --lib http::tests
+    cargo test --release -q -p optimist-store --lib json::tests
 fi
 
 echo "==> benches compile"
@@ -363,12 +371,6 @@ for pid in "$rep_stored1_pid" "$rep_stored2_pid"; do
     fi
 done
 rep_pids=""
-
-echo "==> deprecation shims (pre-Strategy constructors compile and match)"
-# The old AllocatorConfig::chaitin/briggs spellings must keep compiling
-# (deprecated, not removed) and must stay fingerprint-identical to the
-# Strategy constructors — existing stores depend on the addresses.
-cargo test -q -p optimist-regalloc deprecated_shims_match_strategy_constructors
 
 if [[ $quick -eq 0 ]]; then
     echo "==> strategy shootout (chaitin vs briggs vs irc vs ssa over the corpus)"

@@ -7,7 +7,6 @@
 //! optimist run      FILE.ft ENTRY [ARG...] [options]    execute a driver
 //! optimist compare  FILE.ft [options]                   Chaitin vs Briggs table
 //! optimist asm      FILE.ft [options]                   allocated-code listing
-//! optimist serve    [--listen ADDR | --oneshot]         allocation daemon
 //! optimist remote   ADDR FILE.ft [options]              allocate via a daemon
 //! optimist remote   ADDR --batch DIR [options]          stream a directory
 //!                                                       through one daemon
@@ -40,33 +39,14 @@
 //!                      the machine's available parallelism)
 //!   --incremental      repair the interference graph after spilling
 //!                      instead of rebuilding it each pass
-//!   --listen ADDR      (serve) accept TCP connections on ADDR; without it
-//!                      requests are served from stdin
-//!   --oneshot          (serve) answer the first stdin request and exit
-//!   --cache-capacity N (serve) cached function results (default 4096)
-//!   --store PATH       (serve) persist results at PATH so a restarted
-//!                      daemon answers from disk, failures included
-//!   --store-max-bytes N (serve) compact the store log past N bytes
-//!                      (default 67108864; 0 = never)
-//!   --max-inflight N   (serve) concurrent work units per connection
-//!                      (default 8)
-//!   --max-load N       (serve) daemon-wide work-unit cap; past it requests
-//!                      are shed with {"err":"overloaded"} (default 1024;
-//!                      0 = unbounded)
-//!   --deadline-ms N    (serve) default compute budget per work unit; a
-//!                      request's own "deadline_ms" overrides it
-//!                      (default: unbounded)
-//!   --drain-ms N       (serve) how long shutdown waits for in-flight
-//!                      connections before force-closing them (default 5000)
-//!   --log-level LEVEL  (serve) stderr verbosity: error, warn, info, debug
-//!                      (default info)
 //!   --batch DIR        (remote) compile every .ft/.ir file in DIR and
 //!                      stream them as one batch request; item reports
 //!                      print in completion order
 //! ```
 //!
 //! Arguments to `run` are integers or floats; the entry must be an FT
-//! `FUNCTION` or `SUBROUTINE` taking scalars.
+//! `FUNCTION` or `SUBROUTINE` taking scalars. The allocation daemon that
+//! `remote` talks to is the separate `optimist-serve` binary.
 
 use optimist::prelude::*;
 use optimist::sim::AllocatedModule;
@@ -95,16 +75,6 @@ struct Options {
     thread_budget: Option<std::num::NonZeroUsize>,
     incremental: bool,
     routine: Option<String>,
-    listen: Option<String>,
-    oneshot: bool,
-    cache_capacity: usize,
-    store: Option<std::path::PathBuf>,
-    store_max_bytes: u64,
-    max_inflight: Option<usize>,
-    max_load: Option<usize>,
-    deadline_ms: Option<u64>,
-    drain_ms: Option<u64>,
-    log_level: Option<optimist::serve::log::Level>,
     batch: Option<std::path::PathBuf>,
     positional: Vec<String>,
 }
@@ -123,16 +93,6 @@ fn parse_options(args: &[String], default_opt: bool) -> Result<Options, String> 
         thread_budget: None,
         incremental: false,
         routine: None,
-        listen: None,
-        oneshot: false,
-        cache_capacity: 4096,
-        store: None,
-        store_max_bytes: 64 << 20,
-        max_inflight: None,
-        max_load: None,
-        deadline_ms: None,
-        drain_ms: None,
-        log_level: None,
         batch: None,
         positional: Vec::new(),
     };
@@ -194,48 +154,6 @@ fn parse_options(args: &[String], default_opt: bool) -> Result<Options, String> 
             }
             "--routine" => {
                 o.routine = Some(it.next().ok_or("--routine needs a value")?.clone());
-            }
-            "--listen" => {
-                o.listen = Some(it.next().ok_or("--listen needs a value")?.clone());
-            }
-            "--oneshot" => o.oneshot = true,
-            "--cache-capacity" => {
-                let v = it.next().ok_or("--cache-capacity needs a value")?;
-                o.cache_capacity = v
-                    .parse()
-                    .map_err(|_| format!("bad --cache-capacity `{v}`"))?;
-            }
-            "--store" => {
-                o.store = Some(it.next().ok_or("--store needs a value")?.into());
-            }
-            "--store-max-bytes" => {
-                let v = it.next().ok_or("--store-max-bytes needs a value")?;
-                o.store_max_bytes = v
-                    .parse()
-                    .map_err(|_| format!("bad --store-max-bytes `{v}`"))?;
-            }
-            "--max-inflight" => {
-                let v = it.next().ok_or("--max-inflight needs a value")?;
-                o.max_inflight = Some(v.parse().map_err(|_| format!("bad --max-inflight `{v}`"))?);
-            }
-            "--max-load" => {
-                let v = it.next().ok_or("--max-load needs a value")?;
-                o.max_load = Some(v.parse().map_err(|_| format!("bad --max-load `{v}`"))?);
-            }
-            "--deadline-ms" => {
-                let v = it.next().ok_or("--deadline-ms needs a value")?;
-                o.deadline_ms = Some(v.parse().map_err(|_| format!("bad --deadline-ms `{v}`"))?);
-            }
-            "--drain-ms" => {
-                let v = it.next().ok_or("--drain-ms needs a value")?;
-                o.drain_ms = Some(v.parse().map_err(|_| format!("bad --drain-ms `{v}`"))?);
-            }
-            "--log-level" => {
-                let v = it.next().ok_or("--log-level needs a value")?;
-                o.log_level = Some(
-                    optimist::serve::log::Level::parse(v)
-                        .ok_or_else(|| format!("unknown log level `{v}`"))?,
-                );
             }
             "--batch" => {
                 o.batch = Some(it.next().ok_or("--batch needs a directory")?.into());
@@ -324,7 +242,6 @@ fn real_main() -> Result<(), String> {
         "compare" => cmd_compare(rest),
         "graph" => cmd_graph(rest),
         "asm" => cmd_asm(rest),
-        "serve" => cmd_serve(rest),
         "remote" => cmd_remote(rest),
         other => Err(format!("unknown command `{other}`")),
     }
@@ -460,49 +377,6 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         result.cycles, result.insts, result.loads, result.stores
     );
     Ok(())
-}
-
-/// `optimist serve [--listen ADDR | --oneshot] [options]` — run the
-/// allocation daemon in-process (same engine as the standalone
-/// `optimist-serve` binary).
-fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let o = parse_options(args, true)?;
-    if !o.positional.is_empty() {
-        return Err("serve takes no positional arguments".into());
-    }
-    if let Some(level) = o.log_level {
-        optimist::serve::log::set_level(level);
-    }
-    let mut server = optimist::serve::Server::new(o.cache_capacity, 16);
-    if let Some(n) = o.max_inflight {
-        server = server.with_max_inflight(n);
-    }
-    if let Some(n) = o.max_load {
-        server = server.with_max_load(n);
-    }
-    if let Some(ms) = o.deadline_ms {
-        server = server.with_deadline(Some(std::time::Duration::from_millis(ms)));
-    }
-    if let Some(ms) = o.drain_ms {
-        server = server.with_drain_timeout(std::time::Duration::from_millis(ms));
-    }
-    if let Some(dir) = &o.store {
-        let options = optimist::store::StoreOptions {
-            max_bytes: o.store_max_bytes,
-        };
-        let store = optimist::store::Store::open(dir, options)
-            .map_err(|e| format!("cannot open store {}: {e}", dir.display()))?;
-        server = server.with_store(store);
-    }
-    let server = std::sync::Arc::new(server);
-    let result = match &o.listen {
-        Some(addr) => server.run_listener(addr.as_str(), |bound| {
-            eprintln!("optimist serve: listening on {bound}");
-        }),
-        None => server.run_io(std::io::stdin().lock(), std::io::stdout().lock(), o.oneshot),
-    };
-    eprintln!("{}", server.stats_json());
-    result.map_err(|e| e.to_string())
 }
 
 /// `optimist remote ADDR FILE.ft [options]` — compile locally, allocate on

@@ -133,6 +133,12 @@ fn parse_args() -> Result<Options, String> {
                 if opts.store_peers.is_empty() {
                     return Err("--store-peers needs at least one address".to_string());
                 }
+                // A repeated address would count one daemon as several
+                // replicas of every key it holds.
+                let peers = &opts.store_peers;
+                if let Some(dup) = (1..peers.len()).find(|&i| peers[..i].contains(&peers[i])) {
+                    return Err(format!("--store-peers lists {} twice", peers[dup]));
+                }
             }
             "--replicas" => {
                 opts.replicas = value("--replicas")?

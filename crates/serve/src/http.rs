@@ -29,12 +29,13 @@
 
 use crate::json::Json;
 use crate::server::{Disposition, Server};
+use optimist_store::daemon::{read_line_capped, MAX_LINE_BYTES};
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 
-/// Largest accepted request body: a module big enough to embarrass the
-/// parser long before it embarrasses this limit.
-const MAX_BODY_BYTES: usize = 64 << 20;
+/// Largest accepted request body: the same cap the NDJSON listener puts
+/// on one request line.
+const MAX_BODY_BYTES: usize = MAX_LINE_BYTES;
 
 /// Largest accepted header block — HTTP requests here carry a method, a
 /// path, and framing headers; anything bigger is not one of ours.
@@ -163,18 +164,27 @@ enum Route {
     Error(u16, &'static str),
 }
 
-/// Read and parse one request head (request line + headers).
+/// Read and parse one request head (request line + headers). No line
+/// is buffered past [`MAX_HEADER_BYTES`]: the request line alone, and
+/// the header lines together, must fit in it.
 fn read_head(reader: &mut impl BufRead) -> io::Result<Head> {
-    let mut request_line = String::new();
+    const TOO_LARGE: Head = Head::Bad(431, "header block too large");
+    let mut buf = Vec::new();
     // Tolerate stray blank lines between pipelined requests — any number
     // of them, which is why this is a loop: a client controls the count.
-    while request_line.trim_end().is_empty() {
-        request_line.clear();
-        if reader.read_line(&mut request_line)? == 0 {
-            return Ok(Head::Eof);
+    let request_line = loop {
+        match read_line_capped(reader, &mut buf, MAX_HEADER_BYTES) {
+            Ok(0) => return Ok(Head::Eof),
+            Ok(_) => {}
+            Err(e) if e.kind() == io::ErrorKind::InvalidData => return Ok(TOO_LARGE),
+            Err(e) => return Err(e),
         }
-    }
-    let mut parts = request_line.trim_end().split(' ');
+        let line = utf8(&buf)?.trim_end();
+        if !line.is_empty() {
+            break line.to_string();
+        }
+    };
+    let mut parts = request_line.split(' ');
     let (Some(method), Some(target), Some(version), None) =
         (parts.next(), parts.next(), parts.next(), parts.next())
     else {
@@ -190,15 +200,16 @@ fn read_head(reader: &mut impl BufRead) -> io::Result<Head> {
     let mut close = !http11;
     let mut header_bytes = 0usize;
     loop {
-        let mut line = String::new();
-        if reader.read_line(&mut line)? == 0 {
-            return Ok(Head::Bad(400, "connection closed mid-headers"));
+        match read_line_capped(reader, &mut buf, MAX_HEADER_BYTES - header_bytes) {
+            Ok(0) => return Ok(Head::Bad(400, "connection closed mid-headers")),
+            Ok(n) => header_bytes += n,
+            Err(e) if e.kind() == io::ErrorKind::InvalidData => return Ok(TOO_LARGE),
+            Err(e) => return Err(e),
         }
-        header_bytes += line.len();
         if header_bytes > MAX_HEADER_BYTES {
-            return Ok(Head::Bad(431, "header block too large"));
+            return Ok(TOO_LARGE);
         }
-        let line = line.trim_end();
+        let line = utf8(&buf)?.trim_end();
         if line.is_empty() {
             break;
         }
@@ -228,6 +239,11 @@ fn read_head(reader: &mut impl BufRead) -> io::Result<Head> {
         content_length,
         close,
     }))
+}
+
+/// `bytes` as text; head lines that are not UTF-8 end the connection.
+fn utf8(bytes: &[u8]) -> io::Result<&str> {
+    std::str::from_utf8(bytes).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
 fn reason_phrase(status: u16) -> &'static str {

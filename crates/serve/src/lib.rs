@@ -45,6 +45,7 @@ pub mod protocol;
 pub mod ring;
 pub mod server;
 pub mod stream;
+mod tier;
 
 /// The JSON codec and the leveled logger live in `optimist-store`, the
 /// crate both daemons link; the serving crate re-exports them under its
@@ -59,7 +60,6 @@ pub use metrics::Metrics;
 pub use persist::CacheEntry;
 pub use protocol::{BatchItem, BatchPayload, FnResult, ProtocolError, Request};
 pub use ring::HashRing;
-pub use server::{
-    Disposition, Server, DEFAULT_MAX_INFLIGHT, DEFAULT_PEER_TIMEOUT, DEFAULT_REPLICAS,
-};
+pub use server::{Disposition, Server, DEFAULT_MAX_INFLIGHT};
 pub use stream::{run_stream, StreamOpts};
+pub use tier::{DEFAULT_PEER_TIMEOUT, DEFAULT_REPLICAS};

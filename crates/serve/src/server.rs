@@ -2,12 +2,16 @@
 //!
 //! A [`Server`] owns the result cache tiers and the metrics registry;
 //! [`Server::handle_line`] turns one request line into one response line.
-//! The lookup path is **memory → disk → compute**: a sharded in-memory
-//! LRU in front, an optional persistent [`Store`] behind it (attached
-//! with [`Server::with_store`]), and the Build–Simplify–Color pipeline
-//! only for functions neither tier knows. Disk hits are promoted into
-//! memory; computed results (and [`NonConvergence`] failures — the
-//! negative cache) are written through to both tiers.
+//! The lookup path is **memory → store → compute**: a sharded in-memory
+//! LRU in front, an optional persistent store tier behind it — an
+//! embedded [`Store`] ([`Server::with_store`]) or `optimist-stored` peers
+//! ([`Server::with_remote_store`]) — and the Build–Simplify–Color
+//! pipeline only for functions neither tier knows. Store hits are
+//! promoted into memory; computed results (and [`NonConvergence`]
+//! failures — the negative cache) are written through to both tiers.
+//! The store tier itself — routing, failover, replication and degraded
+//! mode — lives in `tier.rs`; this module keeps only the glue between it
+//! and the cache (`store_lookup`, `insert_both_tiers`).
 //!
 //! The front-ends are thin: `run_io` reads lines from a reader,
 //! `run_listener` accepts TCP connections on the shared
@@ -16,7 +20,7 @@
 //!
 //! ## Hardening
 //!
-//! Three production concerns live here too (see DESIGN.md §11):
+//! Two production concerns live here too (see DESIGN.md §11):
 //!
 //! * **Deadlines** — every work unit races a cooperative
 //!   [`Deadline`] (per-request
@@ -25,19 +29,11 @@
 //! * **Admission control** — a daemon-wide unit cap
 //!   ([`Server::with_max_load`]); over it, requests are shed immediately
 //!   with `{"err":"overloaded","retry_after_ms":N}`.
-//! * **Degraded mode** — persistent-store I/O errors trip the disk tier
-//!   out of the serving path after a few consecutive failures; the daemon
-//!   keeps answering memory-only and re-probes the store periodically.
-//!   The `health` request reports `ok`/`degraded`/`draining`.
-//! * **Replication** — in sharded mode every key lives on
-//!   [`Server::with_replicas`] peers (the ring's successor list): puts
-//!   fan out to all live replicas, gets fail over down the chain (and
-//!   read-repair an earlier replica that was up but missing the key),
-//!   writes owed to a tripwired peer queue as bounded hinted handoff,
-//!   and a peer that revives *empty* is repopulated by an anti-entropy
-//!   sweep over a live replica's `scan` pages. Results are
-//!   content-addressed and immutable, so replication needs no version
-//!   vectors — any replica's answer is the answer. See DESIGN.md §16.
+//!
+//! The third, store **degraded mode**, is the tier's: a peer whose I/O
+//! keeps failing leaves the serving path and the daemon answers from
+//! memory and compute until a probe brings it back. The `health` request
+//! reports `ok`/`degraded`/`draining`.
 //!
 //! [`NonConvergence`]: optimist_regalloc::AllocError::NonConvergence
 
@@ -46,55 +42,23 @@ use crate::json::Json;
 use crate::metrics::Metrics;
 use crate::persist::{self, CacheEntry};
 use crate::protocol::{BatchItem, BatchPayload, FnResult, Request};
-use crate::ring::HashRing;
 use crate::stream::StreamOpts;
-use crate::{log_info, log_warn};
+use crate::tier::StoreTier;
 use optimist_ir::parse_module;
 use optimist_regalloc::{default_threads, AllocError, AllocatorConfig, Deadline, WorkerPool};
-use optimist_store::daemon::Daemon;
-use optimist_store::net::{StoreClient, StoreClientError};
+use optimist_store::daemon::{read_line_capped, Daemon, MAX_LINE_BYTES};
 use optimist_store::Store;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufReader, Write};
 use std::net::{TcpListener, ToSocketAddrs};
 use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Default bound on concurrently-executing work units per connection when
 /// the server is not configured otherwise (see
 /// [`Server::with_max_inflight`]).
 pub const DEFAULT_MAX_INFLIGHT: usize = 8;
-
-/// Consecutive store I/O failures before the disk tier trips into
-/// memory-only degraded mode.
-const DEGRADE_THRESHOLD: u32 = 3;
-
-/// How long a degraded store waits between recovery probes unless
-/// [`Server::with_store_probe_interval`] says otherwise.
-const DEFAULT_PROBE_INTERVAL: Duration = Duration::from_secs(5);
-
-/// Default read/write timeout on remote store-peer sockets: long enough
-/// for a loaded daemon, short enough that a hung one trips the per-peer
-/// degraded tripwire instead of pinning request threads.
-pub const DEFAULT_PEER_TIMEOUT: Duration = Duration::from_secs(2);
-
-/// How many peers hold each key in sharded mode unless
-/// [`Server::with_replicas`] says otherwise. Two replicas survive any
-/// single store-daemon death — the fleet's availability target.
-pub const DEFAULT_REPLICAS: usize = 2;
-
-/// Default cap on hinted-handoff queue length per tripwired peer.
-pub const DEFAULT_HINT_MAX_ENTRIES: usize = 4096;
-
-/// Default cap on hinted-handoff queue payload bytes per tripwired peer.
-pub const DEFAULT_HINT_MAX_BYTES: usize = 16 << 20;
-
-/// Reserved content address used by degraded-mode recovery probes. A real
-/// key is a 64-bit FNV-1a hash, so colliding with the all-ones sentinel is
-/// no likelier than any other single-key collision the cache already
-/// tolerates.
-const PROBE_KEY: u64 = u64::MAX;
 
 /// How a handled request affects the serving loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -133,366 +97,6 @@ pub struct Server {
     pub(crate) daemon: Daemon,
 }
 
-/// The persistent tier plus its degraded-mode tripwires. Three backends
-/// share one contract — `get`/`put` keyed records, failures reported as
-/// `io::Error` — so the lookup path never cares where the bytes live:
-///
-/// * **Local** — the embedded [`Store`] log from the single-daemon
-///   deployment; this process owns the directory.
-/// * **Remote** — one shared `optimist-stored` daemon on the network.
-/// * **Sharded** — several daemons, each owning the slice of the key
-///   space a consistent-hash [`HashRing`] assigns it.
-///
-/// Degraded mode is **per peer**: after [`DEGRADE_THRESHOLD`]
-/// consecutive failures a peer drops out of the serving path and only
-/// periodic sentinel probes touch it until one succeeds. In sharded mode
-/// the other peers keep serving their shares — and with `replicas ≥ 2`
-/// a dead store daemon costs nothing warm at all: every key it owned
-/// still has a live replica down its chain, writes owed to it queue as
-/// hinted handoff, and revival (drained hints, or an anti-entropy sweep
-/// when it comes back empty) restores it to full membership.
-#[derive(Debug)]
-struct StoreTier {
-    backend: Backend,
-    probe_interval: Duration,
-    /// Peers per key in sharded mode (clamped to the peer count when
-    /// routing); local/remote backends always have exactly one.
-    replicas: usize,
-    /// Per-peer hinted-handoff caps (entries / payload bytes).
-    hint_max_entries: usize,
-    hint_max_bytes: usize,
-}
-
-/// Where the persistent tier's bytes live (see [`StoreTier`]).
-#[derive(Debug)]
-enum Backend {
-    Local {
-        store: Store,
-        state: PeerState,
-    },
-    Remote(RemotePeer),
-    Sharded {
-        ring: HashRing,
-        peers: Vec<RemotePeer>,
-    },
-}
-
-/// One peer's degraded-mode tripwire (PR 5's design, now per peer).
-#[derive(Debug)]
-struct PeerState {
-    degraded: AtomicBool,
-    consecutive_errors: AtomicU32,
-    /// Earliest instant the next recovery probe may run (degraded only).
-    next_probe: Mutex<Instant>,
-}
-
-impl PeerState {
-    fn new() -> PeerState {
-        PeerState {
-            degraded: AtomicBool::new(false),
-            consecutive_errors: AtomicU32::new(0),
-            next_probe: Mutex::new(Instant::now()),
-        }
-    }
-}
-
-/// One write owed to a tripwired replica, parked in its hint queue.
-#[derive(Debug)]
-struct Hint {
-    key: u64,
-    fingerprint: u64,
-    payload: Vec<u8>,
-}
-
-/// A bounded FIFO of writes owed to one tripwired peer (hinted
-/// handoff). Values are content-addressed and immutable, so a re-queued
-/// key *replaces* its older hint instead of duplicating it, and
-/// overflow past either cap discards oldest-first — the dropped keys
-/// are exactly what the anti-entropy sweep exists to repair.
-#[derive(Debug, Default)]
-struct HintQueue {
-    hints: std::collections::VecDeque<Hint>,
-    bytes: usize,
-}
-
-impl HintQueue {
-    /// Queue `hint` under the given caps. Returns how many older hints
-    /// were discarded to make room (0 when the queue had space).
-    fn push(&mut self, hint: Hint, max_entries: usize, max_bytes: usize) -> u64 {
-        if let Some(at) = self.hints.iter().position(|h| h.key == hint.key) {
-            let old = self.hints.remove(at).expect("indexed hint exists");
-            self.bytes -= old.payload.len();
-        }
-        self.bytes += hint.payload.len();
-        self.hints.push_back(hint);
-        let mut dropped = 0;
-        while self.hints.len() > max_entries || self.bytes > max_bytes {
-            let Some(old) = self.hints.pop_front() else {
-                break;
-            };
-            self.bytes -= old.payload.len();
-            dropped += 1;
-        }
-        dropped
-    }
-
-    /// Pop the oldest hint, keeping the byte total honest.
-    fn pop_adjusting(&mut self) -> Option<Hint> {
-        let hint = self.hints.pop_front()?;
-        self.bytes -= hint.payload.len();
-        Some(hint)
-    }
-
-    /// Re-park a hint whose delivery failed, at the front so the drain
-    /// resumes where it stopped.
-    fn push_front_adjusting(&mut self, hint: Hint) {
-        self.bytes += hint.payload.len();
-        self.hints.push_front(hint);
-    }
-
-    fn len(&self) -> usize {
-        self.hints.len()
-    }
-}
-
-/// One network store peer: its address, its single lazily-dialed
-/// connection, its tripwire, its hinted-handoff queue, and its per-peer
-/// counters (surfaced under `stats.store.peers`).
-#[derive(Debug)]
-struct RemotePeer {
-    addr: String,
-    /// The one blocking connection to this daemon. Dialed on first use,
-    /// dropped on transport error, re-dialed by the next call or probe.
-    /// The mutex serializes this daemon's requests to the peer — the
-    /// same single-channel shape the local log's writer lock imposes.
-    conn: Mutex<Option<StoreClient>>,
-    timeout: Option<Duration>,
-    state: PeerState,
-    /// Writes owed to this peer while it is tripwired.
-    hints: Mutex<HintQueue>,
-    /// True while an anti-entropy sweep is repopulating this peer.
-    resyncing: AtomicBool,
-    gets: AtomicU64,
-    puts: AtomicU64,
-    errors: AtomicU64,
-    /// Transport errors absorbed by the one-shot reconnect-and-retry on
-    /// idempotent verbs (each would otherwise have been a tripwire
-    /// strike).
-    retries: AtomicU64,
-    /// Reads this peer served for keys whose earlier replicas could not
-    /// (the failover hits, counted at the peer that answered).
-    failovers: AtomicU64,
-    hints_queued: AtomicU64,
-    hints_dropped: AtomicU64,
-    hints_drained: AtomicU64,
-}
-
-impl RemotePeer {
-    fn new(addr: String, timeout: Option<Duration>) -> RemotePeer {
-        RemotePeer {
-            addr,
-            conn: Mutex::new(None),
-            timeout,
-            state: PeerState::new(),
-            hints: Mutex::new(HintQueue::default()),
-            resyncing: AtomicBool::new(false),
-            gets: AtomicU64::new(0),
-            puts: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
-            failovers: AtomicU64::new(0),
-            hints_queued: AtomicU64::new(0),
-            hints_dropped: AtomicU64::new(0),
-            hints_drained: AtomicU64::new(0),
-        }
-    }
-
-    /// Run one operation over the peer's connection, dialing first if
-    /// needed. Transport failures and protocol garbage drop the cached
-    /// connection so the next call re-dials from scratch; a well-formed
-    /// refusal keeps it — the daemon is up, its store said no.
-    fn run_op<T>(
-        &self,
-        op: &mut impl FnMut(&mut StoreClient) -> Result<T, StoreClientError>,
-    ) -> Result<T, StoreClientError> {
-        let mut slot = self.conn.lock().expect("peer conn lock");
-        if slot.is_none() {
-            let client = StoreClient::connect(self.addr.as_str())?;
-            client.set_timeout(self.timeout)?;
-            *slot = Some(client);
-        }
-        let client = slot.as_mut().expect("connection just established");
-        match op(client) {
-            Ok(value) => Ok(value),
-            Err(e) => {
-                if e.is_transport() {
-                    *slot = None;
-                }
-                Err(e)
-            }
-        }
-    }
-
-    /// [`RemotePeer::run_op`] flattened into `io::Result` — the shape
-    /// the tripwire consumes. No retry: used for non-idempotent traffic
-    /// (puts) and probes, where the caller owns failure policy.
-    fn with_conn<T>(
-        &self,
-        mut op: impl FnMut(&mut StoreClient) -> Result<T, StoreClientError>,
-    ) -> io::Result<T> {
-        self.run_op(&mut op).map_err(StoreClientError::into_io)
-    }
-
-    /// [`RemotePeer::with_conn`] with one immediate reconnect-and-retry
-    /// on transport failure, for idempotent verbs (get/scan/ping): a
-    /// single dropped connection — an idle-timeout reap, a daemon
-    /// restart between requests — costs one extra round trip instead of
-    /// a third of the way to degraded mode. The retry is counted per
-    /// peer; a refusal (the daemon answered `"ok":false`) is never
-    /// retried, it would refuse identically again.
-    fn with_conn_retry<T>(
-        &self,
-        mut op: impl FnMut(&mut StoreClient) -> Result<T, StoreClientError>,
-    ) -> io::Result<T> {
-        match self.run_op(&mut op) {
-            Err(e) if e.is_transport() => {
-                self.retries.fetch_add(1, Ordering::Relaxed);
-                self.run_op(&mut op).map_err(StoreClientError::into_io)
-            }
-            other => other.map_err(StoreClientError::into_io),
-        }
-    }
-
-    /// The queued-hint depth (for stats/health).
-    fn hint_depth(&self) -> usize {
-        self.hints.lock().expect("hint lock").len()
-    }
-
-    /// The peer's replica-sync state as shown in stats/health:
-    /// `resyncing` while an anti-entropy sweep runs, `hinted` while
-    /// handoff hints are parked for it, else `in_sync`.
-    fn sync_state(&self) -> &'static str {
-        if self.resyncing.load(Ordering::Relaxed) {
-            "resyncing"
-        } else if self.hint_depth() > 0 {
-            "hinted"
-        } else {
-            "in_sync"
-        }
-    }
-}
-
-/// A borrowed view of the peer a given key routes to — the unit the
-/// tripwire, probe, and I/O paths all operate on.
-enum PeerRef<'a> {
-    Local(&'a Store, &'a PeerState),
-    Remote(&'a RemotePeer),
-}
-
-impl<'a> PeerRef<'a> {
-    fn state(&self) -> &'a PeerState {
-        match self {
-            PeerRef::Local(_, state) => state,
-            PeerRef::Remote(peer) => &peer.state,
-        }
-    }
-
-    /// The peer's name in logs and health topology.
-    fn label(&self) -> &'a str {
-        match self {
-            PeerRef::Local(..) => "local",
-            PeerRef::Remote(peer) => &peer.addr,
-        }
-    }
-
-    fn try_get(&self, key: u64) -> io::Result<Option<(u64, Vec<u8>)>> {
-        match self {
-            PeerRef::Local(store, _) => store.try_get(key),
-            PeerRef::Remote(peer) => {
-                peer.gets.fetch_add(1, Ordering::Relaxed);
-                peer.with_conn_retry(|client| client.get(key))
-            }
-        }
-    }
-
-    fn put(&self, key: u64, fingerprint: u64, payload: &[u8]) -> io::Result<()> {
-        match self {
-            PeerRef::Local(store, _) => store.put(key, fingerprint, payload),
-            PeerRef::Remote(peer) => {
-                peer.puts.fetch_add(1, Ordering::Relaxed);
-                peer.with_conn(|client| client.put(key, fingerprint, payload))
-            }
-        }
-    }
-
-    fn note_error(&self) {
-        if let PeerRef::Remote(peer) = self {
-            peer.errors.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// One recovery round trip: a sentinel put+get exercising the full
-    /// write and read path of this peer (not just liveness).
-    fn probe(&self) -> bool {
-        const PROBE_PAYLOAD: &[u8] = b"optimist degraded-mode probe";
-        match self {
-            PeerRef::Local(store, _) => store
-                .put(PROBE_KEY, 0, PROBE_PAYLOAD)
-                .and_then(|()| store.try_get(PROBE_KEY).map(drop))
-                .is_ok(),
-            PeerRef::Remote(peer) => peer
-                .with_conn(|client| {
-                    client.put(PROBE_KEY, 0, PROBE_PAYLOAD)?;
-                    client.get(PROBE_KEY).map(drop)
-                })
-                .is_ok(),
-        }
-    }
-}
-
-impl StoreTier {
-    /// The peers that hold `key`, owner first: the only peer in
-    /// local/remote mode, the ring's successor list in sharded mode.
-    /// Every serving daemon computes the same chain, so a key's reads
-    /// and writes meet at the same stores in the same order.
-    fn replica_chain(&self, key: u64) -> Vec<PeerRef<'_>> {
-        match &self.backend {
-            Backend::Local { store, state } => vec![PeerRef::Local(store, state)],
-            Backend::Remote(peer) => vec![PeerRef::Remote(peer)],
-            Backend::Sharded { ring, peers } => ring
-                .route_n(key, self.replicas)
-                .into_iter()
-                .map(|i| PeerRef::Remote(&peers[i]))
-                .collect(),
-        }
-    }
-
-    /// The replication factor actually in effect: `replicas` clamped to
-    /// the peer count in sharded mode, 1 everywhere else.
-    fn effective_replicas(&self) -> usize {
-        match &self.backend {
-            Backend::Sharded { peers, .. } => self.replicas.min(peers.len()).max(1),
-            _ => 1,
-        }
-    }
-
-    /// Every peer, for health topology and degraded-mode re-probes.
-    fn peers(&self) -> Vec<PeerRef<'_>> {
-        match &self.backend {
-            Backend::Local { store, state } => vec![PeerRef::Local(store, state)],
-            Backend::Remote(peer) => vec![PeerRef::Remote(peer)],
-            Backend::Sharded { peers, .. } => peers.iter().map(PeerRef::Remote).collect(),
-        }
-    }
-
-    /// True if any peer is tripped out of the serving path.
-    fn degraded(&self) -> bool {
-        self.peers()
-            .iter()
-            .any(|peer| peer.state().degraded.load(Ordering::Relaxed))
-    }
-}
-
 /// One memoized response: the prebuilt reply and how many functions it
 /// answers (so a memo hit keeps the per-function counters honest).
 #[derive(Debug)]
@@ -527,62 +131,30 @@ impl Server {
     /// that miss the in-memory LRU consult the store before computing;
     /// computed results are written through to it.
     pub fn with_store(mut self, store: Store) -> Self {
-        self.store = Some(StoreTier {
-            backend: Backend::Local {
-                store,
-                state: PeerState::new(),
-            },
-            probe_interval: DEFAULT_PROBE_INTERVAL,
-            replicas: DEFAULT_REPLICAS,
-            hint_max_entries: DEFAULT_HINT_MAX_ENTRIES,
-            hint_max_bytes: DEFAULT_HINT_MAX_BYTES,
-        });
+        self.store = Some(StoreTier::local(store));
         self
     }
 
     /// Attach one or more `optimist-stored` daemons as the second cache
     /// tier instead of an embedded log. One address is a plain remote
-    /// store; several are sharded by consistent hash ([`HashRing`]), so
-    /// every serving daemon sends a given key to the same store peer.
-    /// Connections are dialed lazily and round trips are bounded by
-    /// [`DEFAULT_PEER_TIMEOUT`] (see [`Server::with_store_peer_timeout`]).
+    /// store; several are sharded by consistent hash
+    /// ([`HashRing`](crate::HashRing)), so every serving daemon sends a
+    /// given key to the same store peer. Connections are dialed lazily
+    /// and round trips are bounded by [`crate::DEFAULT_PEER_TIMEOUT`]
+    /// (see [`Server::with_store_peer_timeout`]).
     pub fn with_remote_store<S: AsRef<str>>(mut self, addrs: &[S]) -> Self {
-        assert!(
-            !addrs.is_empty(),
-            "remote store tier needs at least one peer"
-        );
-        let timeout = Some(DEFAULT_PEER_TIMEOUT);
-        let backend = if addrs.len() == 1 {
-            Backend::Remote(RemotePeer::new(addrs[0].as_ref().to_string(), timeout))
-        } else {
-            Backend::Sharded {
-                ring: HashRing::new(addrs),
-                peers: addrs
-                    .iter()
-                    .map(|a| RemotePeer::new(a.as_ref().to_string(), timeout))
-                    .collect(),
-            }
-        };
-        self.store = Some(StoreTier {
-            backend,
-            probe_interval: DEFAULT_PROBE_INTERVAL,
-            replicas: DEFAULT_REPLICAS,
-            hint_max_entries: DEFAULT_HINT_MAX_ENTRIES,
-            hint_max_bytes: DEFAULT_HINT_MAX_BYTES,
-        });
+        self.store = Some(StoreTier::remote(addrs));
         self
     }
 
     /// How many store peers hold each key in sharded mode (default
-    /// [`DEFAULT_REPLICAS`], clamped to at least 1 and at most the peer
-    /// count when routing). A deployment knob, not a request field: the
-    /// result fingerprint never sees it, so responses are byte-identical
-    /// across replication factors. No effect on local or single-remote
-    /// tiers, which always have exactly one copy.
+    /// [`crate::DEFAULT_REPLICAS`], clamped to at least 1 and at most the
+    /// peer count when routing). A deployment knob, not a request field:
+    /// the result fingerprint never sees it, so responses are
+    /// byte-identical across replication factors. No effect on local or
+    /// single-remote tiers, which always have exactly one copy.
     pub fn with_replicas(mut self, replicas: usize) -> Self {
-        if let Some(tier) = &mut self.store {
-            tier.replicas = replicas.max(1);
-        }
+        self.store = self.store.map(|tier| tier.with_replicas(replicas));
         self
     }
 
@@ -590,10 +162,9 @@ impl Server {
     /// payload bytes). Overflow discards oldest-first and counts the
     /// drops; the anti-entropy sweep repairs whatever the caps lost.
     pub fn with_hint_limits(mut self, max_entries: usize, max_bytes: usize) -> Self {
-        if let Some(tier) = &mut self.store {
-            tier.hint_max_entries = max_entries.max(1);
-            tier.hint_max_bytes = max_bytes.max(1);
-        }
+        self.store = self
+            .store
+            .map(|tier| tier.with_hint_limits(max_entries, max_bytes));
         self
     }
 
@@ -602,17 +173,7 @@ impl Server {
     /// threads; `None` leaves the sockets blocking. No effect on a local
     /// store tier.
     pub fn with_store_peer_timeout(mut self, timeout: Option<Duration>) -> Self {
-        if let Some(tier) = &mut self.store {
-            match &mut tier.backend {
-                Backend::Local { .. } => {}
-                Backend::Remote(peer) => peer.timeout = timeout,
-                Backend::Sharded { peers, .. } => {
-                    for peer in peers {
-                        peer.timeout = timeout;
-                    }
-                }
-            }
-        }
+        self.store = self.store.map(|tier| tier.with_peer_timeout(timeout));
         self
     }
 
@@ -620,9 +181,7 @@ impl Server {
     /// Tests shrink this to exercise the recovery path without waiting
     /// out the production interval.
     pub fn with_store_probe_interval(mut self, interval: Duration) -> Self {
-        if let Some(tier) = &mut self.store {
-            tier.probe_interval = interval;
-        }
+        self.store = self.store.map(|tier| tier.with_probe_interval(interval));
         self
     }
 
@@ -706,10 +265,7 @@ impl Server {
     /// only); a remote or sharded tier lives in other processes and has
     /// no `Store` to hand out.
     pub fn store(&self) -> Option<&Store> {
-        match self.store.as_ref().map(|tier| &tier.backend) {
-            Some(Backend::Local { store, .. }) => Some(store),
-            _ => None,
-        }
+        self.store.as_ref().and_then(StoreTier::local_store)
     }
 
     /// True while any store peer is tripped out of the serving path.
@@ -784,17 +340,9 @@ impl Server {
     /// The `health` response: serving state plus the counters an operator
     /// (or an orchestrator's probe) needs to decide whether to route here.
     pub fn health_json(&self) -> Json {
-        // A degraded peer re-probes on store traffic, but a memo-warm
-        // daemon may not touch the store for minutes — so a health poll
-        // counts as traffic too. The probe gate still rate-limits to one
-        // sentinel round trip per peer per probe interval.
         if let Some(tier) = &self.store {
             if !self.draining() {
-                for peer in tier.peers() {
-                    if peer.state().degraded.load(Ordering::SeqCst) {
-                        self.peer_available(tier, &peer);
-                    }
-                }
+                tier.reprobe(&self.metrics);
             }
         }
         let state = if self.draining() {
@@ -820,369 +368,12 @@ impl Server {
             ("store_probes", Json::from(m.store_probes.get())),
             ("store_recoveries", Json::from(m.store_recoveries.get())),
         ]);
-        health.push("store", self.store_topology_json());
+        let topology = self.store.as_ref().map_or_else(
+            || Json::obj([("mode", Json::from("none"))]),
+            StoreTier::topology_json,
+        );
+        health.push("store", topology);
         Json::obj([("ok", Json::from(true)), ("health", health)])
-    }
-
-    /// The store-tier topology an operator sees in `health`: which mode
-    /// the tier runs in, the consistent-hash ring size, and each peer's
-    /// address and tripwire state.
-    fn store_topology_json(&self) -> Json {
-        let Some(tier) = &self.store else {
-            return Json::obj([("mode", Json::from("none"))]);
-        };
-        let mode = match &tier.backend {
-            Backend::Local { .. } => "local",
-            Backend::Remote(_) => "remote",
-            Backend::Sharded { .. } => "sharded",
-        };
-        let mut obj = Json::obj([("mode", Json::from(mode))]);
-        if let Backend::Sharded { ring, .. } = &tier.backend {
-            obj.push("ring_points", Json::from(ring.point_count() as u64));
-            obj.push("replicas", Json::from(tier.effective_replicas() as u64));
-        }
-        let peers: Vec<Json> = tier
-            .peers()
-            .iter()
-            .map(|peer| {
-                let state = if peer.state().degraded.load(Ordering::Relaxed) {
-                    "degraded"
-                } else {
-                    "ok"
-                };
-                let mut entry = Json::obj([
-                    ("addr", Json::from(peer.label())),
-                    ("state", Json::from(state)),
-                ]);
-                if let PeerRef::Remote(remote) = peer {
-                    entry.push("sync", Json::from(remote.sync_state()));
-                    entry.push("hint_depth", Json::from(remote.hint_depth() as u64));
-                }
-                entry
-            })
-            .collect();
-        obj.push("peers", Json::Arr(peers));
-        obj
-    }
-
-    /// One store I/O failure on `peer`: count it toward that peer's
-    /// degraded-mode tripwire and trip if the threshold is reached.
-    fn note_peer_error(&self, tier: &StoreTier, peer: &PeerRef<'_>) {
-        peer.note_error();
-        let state = peer.state();
-        let run = state.consecutive_errors.fetch_add(1, Ordering::SeqCst) + 1;
-        if run >= DEGRADE_THRESHOLD && !state.degraded.swap(true, Ordering::SeqCst) {
-            self.metrics.store_degraded.raise(1);
-            *state.next_probe.lock().expect("probe lock") = Instant::now() + tier.probe_interval;
-            log_warn!(
-                "store[{}]: {run} consecutive I/O errors; peer leaves the serving path \
-                 (re-probing every {:?})",
-                peer.label(),
-                tier.probe_interval
-            );
-        }
-    }
-
-    /// Whether `peer` may be used right now. A healthy peer always may; a
-    /// degraded one only probes — at most once per probe interval, a
-    /// sentinel put+get — and recovers if the probe succeeds.
-    fn peer_available(&self, tier: &StoreTier, peer: &PeerRef<'_>) -> bool {
-        let state = peer.state();
-        if !state.degraded.load(Ordering::SeqCst) {
-            return true;
-        }
-        {
-            let mut next = state.next_probe.lock().expect("probe lock");
-            if Instant::now() < *next {
-                return false;
-            }
-            *next = Instant::now() + tier.probe_interval;
-        }
-        self.metrics.store_probes.inc();
-        let recovered = peer.probe();
-        if recovered {
-            state.consecutive_errors.store(0, Ordering::SeqCst);
-            state.degraded.store(false, Ordering::SeqCst);
-            self.metrics.store_degraded.lower(1);
-            self.metrics.store_recoveries.inc();
-            log_info!(
-                "store[{}]: recovery probe succeeded; peer rejoins the serving path",
-                peer.label()
-            );
-            if let PeerRef::Remote(remote) = peer {
-                // Drain first: a peer that revived with its log intact
-                // (or is refilled by its own hints) then fails the
-                // resync emptiness gate, suppressing a pointless sweep.
-                self.drain_hints(tier, remote);
-                self.resync_peer(tier, remote);
-            }
-        }
-        recovered
-    }
-
-    /// Read `key` from its replica chain, owner first, feeding each
-    /// peer's degraded-mode tripwire. A hit past the owner counts as a
-    /// failover and **read-repairs** every earlier replica that was up
-    /// but answered a clean miss (a recovered owner gets its warmth back
-    /// on the first read, not only via the anti-entropy sweep). Degraded
-    /// or failing reads down the whole chain are served as misses — the
-    /// caller falls through to compute.
-    fn store_get(&self, key: u64) -> Option<(u64, Vec<u8>)> {
-        let tier = self.store.as_ref()?;
-        // Earlier replicas that answered a clean miss: read-repair
-        // targets if a later replica hits. Peers that were tripwired or
-        // errored don't get repaired inline (the write would fail too) —
-        // hinted handoff and the anti-entropy sweep cover them.
-        let mut missed: Vec<PeerRef<'_>> = Vec::new();
-        let mut passed_over = false;
-        for peer in tier.replica_chain(key) {
-            if !self.peer_available(tier, &peer) {
-                passed_over = true;
-                continue;
-            }
-            match peer.try_get(key) {
-                Ok(Some(found)) => {
-                    peer.state().consecutive_errors.store(0, Ordering::SeqCst);
-                    if passed_over || !missed.is_empty() {
-                        self.metrics.store_failovers.inc();
-                        if let PeerRef::Remote(remote) = &peer {
-                            remote.failovers.fetch_add(1, Ordering::Relaxed);
-                        }
-                        self.read_repair(tier, key, &found, &missed);
-                    }
-                    return Some(found);
-                }
-                Ok(None) => {
-                    peer.state().consecutive_errors.store(0, Ordering::SeqCst);
-                    missed.push(peer);
-                }
-                Err(e) => {
-                    self.metrics.store_get_errors.inc();
-                    self.metrics.store_errors.inc();
-                    log_warn!("store[{}]: get {key:016x} failed: {e}", peer.label());
-                    self.note_peer_error(tier, &peer);
-                    passed_over = true;
-                }
-            }
-        }
-        None
-    }
-
-    /// Copy a value a later replica served back to the earlier replicas
-    /// that missed it. Values are immutable, so repair is a plain put.
-    fn read_repair(
-        &self,
-        tier: &StoreTier,
-        key: u64,
-        found: &(u64, Vec<u8>),
-        missed: &[PeerRef<'_>],
-    ) {
-        let (fingerprint, payload) = found;
-        for peer in missed {
-            match peer.put(key, *fingerprint, payload) {
-                Ok(()) => {
-                    peer.state().consecutive_errors.store(0, Ordering::SeqCst);
-                    self.metrics.store_read_repairs.inc();
-                }
-                Err(e) => {
-                    self.metrics.store_put_errors.inc();
-                    self.metrics.store_errors.inc();
-                    log_warn!(
-                        "store[{}]: read-repair {key:016x} failed: {e}",
-                        peer.label()
-                    );
-                    self.note_peer_error(tier, peer);
-                }
-            }
-        }
-    }
-
-    /// Write through to every replica of `key`, feeding each peer's
-    /// degraded-mode tripwire. A replica that is tripwired (or fails the
-    /// write) gets the record parked in its bounded hinted-handoff queue
-    /// instead, to be drained when its recovery probe succeeds. Failures
-    /// are counted and logged, never raised: the response already holds
-    /// the result.
-    fn store_put(&self, key: u64, fingerprint: u64, payload: &[u8]) {
-        let Some(tier) = self.store.as_ref() else {
-            return;
-        };
-        for peer in tier.replica_chain(key) {
-            if !self.peer_available(tier, &peer) {
-                self.queue_hint(tier, &peer, key, fingerprint, payload);
-                continue;
-            }
-            match peer.put(key, fingerprint, payload) {
-                Ok(()) => peer.state().consecutive_errors.store(0, Ordering::SeqCst),
-                Err(e) => {
-                    self.metrics.store_put_errors.inc();
-                    self.metrics.store_errors.inc();
-                    log_warn!("store[{}]: put {key:016x} failed: {e}", peer.label());
-                    self.note_peer_error(tier, &peer);
-                    self.queue_hint(tier, &peer, key, fingerprint, payload);
-                }
-            }
-        }
-    }
-
-    /// Park a write owed to an unavailable replica in its hint queue
-    /// (bounded by the tier's caps; overflow drops oldest-first and is
-    /// counted). Local peers have no queue — the local backend has no
-    /// other replica to drain from, so degraded-mode misses there are
-    /// simply recomputed.
-    fn queue_hint(
-        &self,
-        tier: &StoreTier,
-        peer: &PeerRef<'_>,
-        key: u64,
-        fingerprint: u64,
-        payload: &[u8],
-    ) {
-        let PeerRef::Remote(remote) = peer else {
-            return;
-        };
-        let dropped = remote.hints.lock().expect("hint lock").push(
-            Hint {
-                key,
-                fingerprint,
-                payload: payload.to_vec(),
-            },
-            tier.hint_max_entries,
-            tier.hint_max_bytes,
-        );
-        remote.hints_queued.fetch_add(1, Ordering::Relaxed);
-        self.metrics.store_hints_queued.inc();
-        if dropped > 0 {
-            remote.hints_dropped.fetch_add(dropped, Ordering::Relaxed);
-            self.metrics.store_hints_dropped.add(dropped);
-        }
-    }
-
-    /// Deliver a freshly-recovered peer the writes parked for it. Hints
-    /// pop before they send, so each retained hint is delivered at most
-    /// once; a delivery failure re-parks the hint and stops the drain
-    /// (the tripwire decides when to try again). Values are immutable,
-    /// so even a hint that *was* sent but whose ack was lost would
-    /// supersede identical bytes.
-    fn drain_hints(&self, tier: &StoreTier, remote: &RemotePeer) {
-        loop {
-            let Some(hint) = remote.hints.lock().expect("hint lock").pop_adjusting() else {
-                return;
-            };
-            remote.puts.fetch_add(1, Ordering::Relaxed);
-            let sent =
-                remote.with_conn(|client| client.put(hint.key, hint.fingerprint, &hint.payload));
-            match sent {
-                Ok(()) => {
-                    remote.hints_drained.fetch_add(1, Ordering::Relaxed);
-                    self.metrics.store_hints_drained.inc();
-                }
-                Err(e) => {
-                    log_warn!(
-                        "store[{}]: hint drain {:016x} failed: {e}",
-                        remote.addr,
-                        hint.key
-                    );
-                    remote
-                        .hints
-                        .lock()
-                        .expect("hint lock")
-                        .push_front_adjusting(hint);
-                    self.metrics.store_put_errors.inc();
-                    self.metrics.store_errors.inc();
-                    self.note_peer_error(tier, &PeerRef::Remote(remote));
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Repopulate a replica that revived **empty** (disk loss) by
-    /// walking every live peer's key space via paginated `scan` and
-    /// copying over the keys whose replica chain includes the revived
-    /// peer. Gated on sharded mode with replication (otherwise there is
-    /// no second copy to sweep from) and on the revived store actually
-    /// being empty — a peer that came back with its log intact (or was
-    /// just refilled by its hint drain) needs nothing. Runs
-    /// synchronously in the recovery path; fleet peers are loopback or
-    /// LAN, and the sweep is one-time per revival.
-    fn resync_peer(&self, tier: &StoreTier, revived: &RemotePeer) {
-        let Backend::Sharded { ring, peers } = &tier.backend else {
-            return;
-        };
-        let replicas = tier.effective_replicas();
-        if replicas < 2 {
-            return;
-        }
-        let Some(revived_idx) = peers.iter().position(|p| p.addr == revived.addr) else {
-            return;
-        };
-        // Emptiness gate: the recovery probe already wrote its sentinel,
-        // so a store holding only that (or nothing) is "empty".
-        match revived.with_conn_retry(|client| client.scan(None, Some(2))) {
-            Ok(page) if page.total <= 1 => {}
-            _ => return,
-        }
-        revived.resyncing.store(true, Ordering::SeqCst);
-        self.metrics.store_resyncs.inc();
-        let mut copied = 0u64;
-        let mut seen = std::collections::HashSet::new();
-        'sweep: for (idx, source) in peers.iter().enumerate() {
-            if idx == revived_idx || source.state.degraded.load(Ordering::SeqCst) {
-                continue;
-            }
-            let mut cursor = None;
-            loop {
-                let page = match source.with_conn_retry(|c| c.scan(cursor, None)) {
-                    Ok(page) => page,
-                    Err(e) => {
-                        log_warn!("store[{}]: resync scan failed: {e}", source.addr);
-                        self.note_peer_error(tier, &PeerRef::Remote(source));
-                        break;
-                    }
-                };
-                cursor = page.keys.last().copied();
-                for key in page.keys {
-                    if key == PROBE_KEY
-                        || !seen.insert(key)
-                        || !ring.route_n(key, replicas).contains(&revived_idx)
-                    {
-                        continue;
-                    }
-                    source.gets.fetch_add(1, Ordering::Relaxed);
-                    let found = match source.with_conn_retry(|c| c.get(key)) {
-                        Ok(found) => found,
-                        Err(e) => {
-                            log_warn!("store[{}]: resync get {key:016x} failed: {e}", source.addr);
-                            self.note_peer_error(tier, &PeerRef::Remote(source));
-                            break;
-                        }
-                    };
-                    let Some((fp, payload)) = found else {
-                        continue; // evicted between scan and get
-                    };
-                    revived.puts.fetch_add(1, Ordering::Relaxed);
-                    if let Err(e) = revived.with_conn(|c| c.put(key, fp, &payload)) {
-                        log_warn!(
-                            "store[{}]: resync put {key:016x} failed: {e}; sweep aborted",
-                            revived.addr
-                        );
-                        self.note_peer_error(tier, &PeerRef::Remote(revived));
-                        break 'sweep;
-                    }
-                    copied += 1;
-                }
-                if page.done {
-                    break;
-                }
-            }
-        }
-        self.metrics.store_resync_keys.add(copied);
-        revived.resyncing.store(false, Ordering::SeqCst);
-        log_info!(
-            "store[{}]: anti-entropy sweep restored {copied} keys",
-            revived.addr
-        );
     }
 
     /// Handle one request line, returning the response text (no trailing
@@ -1304,97 +495,7 @@ impl Server {
             ]),
         );
         if let Some(tier) = &self.store {
-            let mut store = Json::obj([
-                ("hits", Json::from(self.metrics.store_hits.get())),
-                ("misses", Json::from(self.metrics.store_misses.get())),
-                ("errors", Json::from(self.metrics.store_errors.get())),
-            ]);
-            match &tier.backend {
-                Backend::Local { store: log, state } => {
-                    let snap = log.snapshot();
-                    store.push("entries", Json::from(snap.entries as u64));
-                    store.push("file_bytes", Json::from(snap.file_bytes));
-                    store.push("live_bytes", Json::from(snap.live_bytes));
-                    store.push("dead_bytes", Json::from(snap.dead_bytes));
-                    store.push("recovered_entries", Json::from(snap.recovered_entries));
-                    store.push("dropped_corrupt", Json::from(snap.dropped_corrupt));
-                    store.push("dropped_torn", Json::from(snap.dropped_torn));
-                    store.push("dropped_stale", Json::from(snap.dropped_stale));
-                    store.push("superseded", Json::from(snap.superseded));
-                    store.push("evicted", Json::from(snap.evicted));
-                    store.push("compactions", Json::from(snap.compactions));
-                    store.push("compaction_stalls", Json::from(snap.compaction_stalls));
-                    store.push("last_compaction_us", Json::from(snap.last_compaction_us));
-                    store.push("read_errors", Json::from(snap.read_errors));
-                    store.push("write_errors", Json::from(snap.write_errors));
-                    store.push("removed_tmp", Json::from(snap.removed_tmp));
-                    store.push(
-                        "degraded",
-                        Json::from(state.degraded.load(Ordering::Relaxed)),
-                    );
-                }
-                Backend::Remote(_) | Backend::Sharded { .. } => {
-                    let mode = match &tier.backend {
-                        Backend::Remote(_) => "remote",
-                        _ => "sharded",
-                    };
-                    store.push("mode", Json::from(mode));
-                    store.push("replicas", Json::from(tier.effective_replicas() as u64));
-                    let peers: Vec<Json> = tier
-                        .peers()
-                        .iter()
-                        .map(|peer| {
-                            let PeerRef::Remote(remote) = peer else {
-                                unreachable!("remote tiers hold remote peers");
-                            };
-                            Json::obj([
-                                ("addr", Json::from(remote.addr.as_str())),
-                                ("gets", Json::from(remote.gets.load(Ordering::Relaxed))),
-                                ("puts", Json::from(remote.puts.load(Ordering::Relaxed))),
-                                ("errors", Json::from(remote.errors.load(Ordering::Relaxed))),
-                                (
-                                    "degraded",
-                                    Json::from(remote.state.degraded.load(Ordering::Relaxed)),
-                                ),
-                                (
-                                    "retries",
-                                    Json::from(remote.retries.load(Ordering::Relaxed)),
-                                ),
-                                (
-                                    "failovers",
-                                    Json::from(remote.failovers.load(Ordering::Relaxed)),
-                                ),
-                                (
-                                    "hints",
-                                    Json::obj([
-                                        (
-                                            "queued",
-                                            Json::from(remote.hints_queued.load(Ordering::Relaxed)),
-                                        ),
-                                        (
-                                            "dropped",
-                                            Json::from(
-                                                remote.hints_dropped.load(Ordering::Relaxed),
-                                            ),
-                                        ),
-                                        (
-                                            "drained",
-                                            Json::from(
-                                                remote.hints_drained.load(Ordering::Relaxed),
-                                            ),
-                                        ),
-                                        ("depth", Json::from(remote.hint_depth() as u64)),
-                                    ]),
-                                ),
-                                ("sync", Json::from(remote.sync_state())),
-                            ])
-                        })
-                        .collect();
-                    store.push("peers", Json::Arr(peers));
-                }
-            }
-            store.push("read_latency", self.metrics.store_read_latency.to_json());
-            stats.push("store", store);
+            stats.push("store", tier.stats_json(&self.metrics));
         }
         stats
     }
@@ -1404,9 +505,9 @@ impl Server {
     /// the expected fingerprint is a miss (and, where it indicates damage,
     /// a `store_errors` tick) — corrupt data is never served.
     fn store_lookup(&self, key: u64, fingerprint: u64) -> Option<Arc<CacheEntry>> {
-        self.store.as_ref()?;
+        let tier = self.store.as_ref()?;
         let read_started = Instant::now();
-        let found = self.store_get(key);
+        let found = tier.get(&self.metrics, key);
         self.metrics
             .store_read_latency
             .record(read_started.elapsed());
@@ -1461,16 +562,15 @@ impl Server {
 
     /// Insert a computed entry into the in-memory cache and write it
     /// through to the persistent tier (when attached). Write failures are
-    /// counted, logged, and strike toward degraded mode
-    /// ([`Server::store_put`]) — never raised: the response already holds
-    /// the result.
+    /// counted, logged, and strike toward degraded mode — never raised:
+    /// the response already holds the result.
     fn insert_both_tiers(&self, key: u64, fingerprint: u64, entry: &Arc<CacheEntry>) {
         if self.cache.insert(key, Arc::clone(entry)) {
             self.metrics.cache_evictions.inc();
         }
-        if self.store.is_some() {
+        if let Some(tier) = &self.store {
             let payload = persist::encode_entry(entry);
-            self.store_put(key, fingerprint, payload.as_bytes());
+            tier.put(&self.metrics, key, fingerprint, payload.as_bytes());
         }
     }
 
@@ -1771,19 +871,35 @@ impl Server {
 
     /// Serve newline-delimited requests from `input`, writing one response
     /// line each to `output`. Stops at EOF, after a `shutdown` request, or
-    /// after the first request if `oneshot` is set.
+    /// after the first request if `oneshot` is set. A line longer than
+    /// [`MAX_LINE_BYTES`] is answered `{"ok":false,"error":"line too
+    /// long"}` and ends the stream with that error.
     pub fn run_io(
         &self,
         input: impl io::Read,
         mut output: impl Write,
         oneshot: bool,
     ) -> io::Result<()> {
-        for line in BufReader::new(input).lines() {
-            let line = line?;
+        let mut reader = BufReader::new(input);
+        let mut buf = Vec::new();
+        loop {
+            match read_line_capped(&mut reader, &mut buf, MAX_LINE_BYTES) {
+                Ok(0) => break,
+                Ok(_) => {}
+                Err(e) => {
+                    if e.kind() == io::ErrorKind::InvalidData {
+                        let refusal = format!("{}\n", error_response("line too long"));
+                        output.write_all(refusal.as_bytes())?;
+                    }
+                    return Err(e);
+                }
+            }
+            let line = std::str::from_utf8(&buf)
+                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
             if line.trim().is_empty() {
                 continue;
             }
-            let (mut resp, disposition) = self.handle_line(&line);
+            let (mut resp, disposition) = self.handle_line(line);
             resp.push('\n');
             // One write per response: a formatted write into a raw socket
             // would emit a syscall per fragment and stall on Nagle.
@@ -1826,7 +942,7 @@ impl Server {
     }
 }
 
-fn error_response(message: &str) -> Json {
+pub(crate) fn error_response(message: &str) -> Json {
     Json::obj([("ok", Json::from(false)), ("error", Json::from(message))])
 }
 
@@ -1850,39 +966,6 @@ mod tests {
     use super::*;
 
     const FUNC: &str = "func double(v0:int) -> int {\nb0:\n    v1 = add.i v0, v0\n    ret v1\n}\n";
-
-    #[test]
-    fn hint_queue_dedups_and_enforces_both_caps() {
-        let hint = |key: u64, len: usize| Hint {
-            key,
-            fingerprint: 1,
-            payload: vec![b'x'; len],
-        };
-        let mut q = HintQueue::default();
-        // Entry cap: four pushes under a cap of 3 drop the oldest.
-        for k in 0..4 {
-            let dropped = q.push(hint(k, 10), 3, 1000);
-            assert_eq!(dropped, u64::from(k == 3));
-        }
-        assert_eq!(q.len(), 3);
-        assert_eq!(q.bytes, 30);
-        assert_eq!(q.hints.front().unwrap().key, 1, "oldest dropped first");
-        // Dedup: re-queueing a key replaces its hint (moving it to the
-        // back) instead of growing the queue.
-        assert_eq!(q.push(hint(2, 20), 3, 1000), 0);
-        assert_eq!(q.len(), 3);
-        assert_eq!(q.bytes, 40);
-        assert_eq!(q.hints.back().unwrap().key, 2);
-        // Byte cap: one oversized push evicts until it fits.
-        assert_eq!(q.push(hint(9, 35), 10, 60), 2);
-        assert_eq!(q.len(), 2);
-        assert!(q.bytes <= 60);
-        // Pop/push-front keep the byte total honest.
-        let h = q.pop_adjusting().unwrap();
-        let bytes = q.bytes;
-        q.push_front_adjusting(h);
-        assert_eq!(q.bytes, bytes + 20);
-    }
 
     fn alloc_line(ir: &str) -> String {
         let mut req = Json::obj([("req", Json::from("alloc"))]);

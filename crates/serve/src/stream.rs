@@ -29,9 +29,10 @@
 use crate::json::Json;
 use crate::log_warn;
 use crate::protocol::Request;
-use crate::server::{done_record, Disposition, Server, DEFAULT_MAX_INFLIGHT};
+use crate::server::{done_record, error_response, Disposition, Server, DEFAULT_MAX_INFLIGHT};
+use optimist_store::daemon::{read_line_capped, MAX_LINE_BYTES};
 use std::collections::BTreeMap;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufReader, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -135,10 +136,27 @@ pub fn run_stream(
     std::thread::scope(|s| {
         let writer = s.spawn(|| write_loop(server, rx, &window, output));
 
+        let mut reader = BufReader::new(input);
+        let mut buf = Vec::new();
         let mut seq = 0u64;
-        for line in BufReader::new(input).lines() {
-            let line = match line {
-                Ok(l) => l,
+        loop {
+            let line = match read_line_capped(&mut reader, &mut buf, MAX_LINE_BYTES) {
+                Ok(0) => break,
+                Ok(_) => match std::str::from_utf8(&buf) {
+                    Ok(line) => line,
+                    Err(_) => break, // not NDJSON; drain and leave
+                },
+                // The rest of the line is still unread, so the stream
+                // cannot resynchronize: answer and close.
+                Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+                    let line = error_response("line too long").to_string();
+                    let _ = tx.send(Emit::Ordered {
+                        seq,
+                        line,
+                        permit: false,
+                    });
+                    break;
+                }
                 Err(e) => {
                     // A read timeout means the client sat silent past the
                     // socket's idle budget: reap the connection (in-flight
@@ -163,7 +181,7 @@ pub fn run_stream(
             // executed concurrently below; everything else — control
             // requests and unparsable lines — goes through the ordinary
             // serial path (which owns the request/parse-error counters).
-            let req = Request::parse(&line);
+            let req = Request::parse(line);
             match req {
                 Ok(Request::Alloc {
                     ir,
@@ -264,7 +282,7 @@ pub fn run_stream(
                 _ => {
                     // ping / stats / shutdown / parse error: cheap and
                     // synchronous, so answer inline and emit in order.
-                    let (resp, disposition) = server.handle_line(&line);
+                    let (resp, disposition) = server.handle_line(line);
                     let _ = tx.send(Emit::Ordered {
                         seq: my_seq,
                         line: resp,

@@ -263,6 +263,129 @@ fn distinct_requests(n: usize) -> Vec<String> {
         .collect()
 }
 
+/// `v` with its counters and latencies masked: every number becomes 0
+/// and histogram bucket lists empty, except the replica count and ring
+/// size, which are topology rather than traffic.
+fn masked(v: &Json) -> Json {
+    match v {
+        Json::Num(_) => Json::from(0u64),
+        Json::Arr(items) => Json::Arr(items.iter().map(masked).collect()),
+        Json::Obj(pairs) => Json::Obj(
+            pairs
+                .iter()
+                .map(|(k, v)| {
+                    let v = match k.as_str() {
+                        "replicas" | "ring_points" => v.clone(),
+                        k if k.starts_with("buckets") => Json::Arr(Vec::new()),
+                        _ => masked(v),
+                    };
+                    (k.clone(), v)
+                })
+                .collect(),
+        ),
+        other => other.clone(),
+    }
+}
+
+/// `stats.store` and `health.store` after one request, masked, with each
+/// peer address replaced by its index.
+fn store_surface(server: &Server, peers: &[String]) -> (String, String) {
+    assert_all_ok(server, &distinct_requests(1), false);
+    let render = |v: Option<&Json>| {
+        let mut text = masked(v.expect("store section")).to_string();
+        for (i, addr) in peers.iter().enumerate() {
+            text = text.replace(addr.as_str(), &format!("peer{i}"));
+        }
+        text
+    };
+    let stats = server.stats_json();
+    let health = server.health_json();
+    (
+        render(stats.get("store")),
+        render(health.get("health").and_then(|h| h.get("store"))),
+    )
+}
+
+#[test]
+fn store_stats_and_health_keep_their_shape_for_every_tier() {
+    const LATENCY: &str =
+        r#""read_latency":{"count":0,"total_us":0,"mean_us":0,"max_us":0,"buckets_log2_us":[]}"#;
+
+    let dir = scratch("surface-local");
+    let local = Server::new(64, 1).with_store(Store::open(&dir, StoreOptions::default()).unwrap());
+    let (stats, health) = store_surface(&local, &[]);
+    assert_eq!(
+        stats,
+        format!(
+            "{}{LATENCY}}}",
+            concat!(
+                r#"{"hits":0,"misses":0,"errors":0,"entries":0,"file_bytes":0,"live_bytes":0,"#,
+                r#""dead_bytes":0,"recovered_entries":0,"dropped_corrupt":0,"dropped_torn":0,"#,
+                r#""dropped_stale":0,"superseded":0,"evicted":0,"compactions":0,"#,
+                r#""compaction_stalls":0,"last_compaction_us":0,"read_errors":0,"#,
+                r#""write_errors":0,"removed_tmp":0,"degraded":false,"#,
+            )
+        )
+    );
+    assert_eq!(
+        health,
+        r#"{"mode":"local","peers":[{"addr":"local","state":"ok"}]}"#
+    );
+
+    let peer = |i: usize| {
+        format!(
+            r#"{{"addr":"peer{i}","gets":0,"puts":0,"errors":0,"degraded":false,"retries":0,"failovers":0,"hints":{{"queued":0,"dropped":0,"drained":0,"depth":0}},"sync":"in_sync"}}"#
+        )
+    };
+    let topology_peer =
+        |i: usize| format!(r#"{{"addr":"peer{i}","state":"ok","sync":"in_sync","hint_depth":0}}"#);
+
+    let daemon = StoreDaemon::spawn(scratch("surface-remote"));
+    let addrs = [daemon.addr.to_string()];
+    let remote = Server::new(64, 1).with_remote_store(&addrs);
+    let (stats, health) = store_surface(&remote, &addrs);
+    assert_eq!(
+        stats,
+        format!(
+            r#"{{"hits":0,"misses":0,"errors":0,"mode":"remote","replicas":1,"peers":[{}],{LATENCY}}}"#,
+            peer(0)
+        )
+    );
+    assert_eq!(
+        health,
+        format!(r#"{{"mode":"remote","peers":[{}]}}"#, topology_peer(0))
+    );
+
+    let shards: Vec<StoreDaemon> = (0..3)
+        .map(|i| StoreDaemon::spawn(scratch(&format!("surface-shard{i}"))))
+        .collect();
+    let addrs: Vec<String> = shards.iter().map(|d| d.addr.to_string()).collect();
+    let sharded = Server::new(64, 1).with_remote_store(&addrs);
+    let (stats, health) = store_surface(&sharded, &addrs);
+    assert_eq!(
+        stats,
+        format!(
+            r#"{{"hits":0,"misses":0,"errors":0,"mode":"sharded","replicas":2,"peers":[{},{},{}],{LATENCY}}}"#,
+            peer(0),
+            peer(1),
+            peer(2)
+        )
+    );
+    assert_eq!(
+        health,
+        format!(
+            r#"{{"mode":"sharded","ring_points":384,"replicas":2,"peers":[{},{},{}]}}"#,
+            topology_peer(0),
+            topology_peer(1),
+            topology_peer(2)
+        )
+    );
+    drop((daemon, shards));
+    for name in ["local", "remote", "shard0", "shard1", "shard2"] {
+        let _ = std::fs::remove_dir_all(scratch(&format!("surface-{name}")));
+    }
+}
+
 #[test]
 fn hinted_handoff_is_bounded_and_drains_exactly_once() {
     let d0 = StoreDaemon::spawn(scratch("hints0"));
@@ -313,4 +436,24 @@ fn hinted_handoff_is_bounded_and_drains_exactly_once() {
     let stats = a.stats_json().to_string();
     assert!(stats.contains(r#""sync":"in_sync""#), "{stats}");
     drop(revived);
+}
+
+#[test]
+fn a_repeated_store_peer_is_a_usage_error() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_optimist-serve"))
+        .args([
+            "--store-peers",
+            "127.0.0.1:7900,127.0.0.1:7901,127.0.0.1:7900",
+            "--replicas",
+            "2",
+        ])
+        .stdin(std::process::Stdio::null())
+        .output()
+        .expect("optimist-serve runs");
+    assert!(!out.status.success(), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--store-peers lists 127.0.0.1:7900 twice"),
+        "{stderr}"
+    );
 }

@@ -8,6 +8,13 @@
 //!   the request after the preamble) and leave the connection usable; a
 //!   decoder that recursed per byte would instead overflow a connection
 //!   thread's stack and abort the whole process.
+//! * **Unbounded lines** — an NDJSON line one byte past
+//!   `MAX_LINE_BYTES` (serving and store daemons) and an HTTP request
+//!   line one byte past the 16 KiB head cap, neither ever terminated.
+//!   Each must be refused and closed, not buffered while the reader
+//!   waits for a newline, and the daemon must still answer a fresh
+//!   connection. The client sockets time out, so a daemon that buffers
+//!   fails the test instead of hanging it.
 //! * **Decoder fuzzing** with the vendored proptest shim — truncations,
 //!   byte flips and random bytes of valid serve requests, store
 //!   request/response lines and cache-entry payloads must never panic
@@ -24,6 +31,7 @@ use optimist_machine::Target;
 use optimist_regalloc::{allocate, AllocatorConfig};
 use optimist_serve::persist::{decode_entry, encode_entry};
 use optimist_serve::{json, run_http, CacheEntry, FnResult, Json, Request, Server};
+use optimist_store::daemon::MAX_LINE_BYTES;
 use optimist_store::net::StoreServer;
 use optimist_store::{Store, StoreOptions};
 use proptest::prelude::*;
@@ -32,6 +40,7 @@ use serve_test_util::{corpus_modules, scratch, TestDaemon};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::{mpsc, Arc, OnceLock};
+use std::time::Duration;
 
 const FUNC: &str = "func double(v0:int) -> int {\nb0:\n    v1 = add.i v0, v0\n    ret v1\n}\n";
 
@@ -165,6 +174,82 @@ fn a_deeply_nested_store_field_is_refused_and_the_connection_survives() {
     exchange(&mut conn, r#"{"req":"shutdown"}"#);
     handle.join().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A client socket that gives up after `secs` instead of hanging on a
+/// daemon that never answers.
+fn timed_connect(addr: SocketAddr, secs: u64) -> TcpStream {
+    let conn = TcpStream::connect(addr).unwrap();
+    let timeout = Some(Duration::from_secs(secs));
+    conn.set_read_timeout(timeout).unwrap();
+    conn.set_write_timeout(timeout).unwrap();
+    conn
+}
+
+/// Send `prefix` padded with `x` to `len` bytes, with no newline, then
+/// read until the daemon closes the connection.
+fn endless_line(mut conn: TcpStream, prefix: &[u8], len: usize) -> Vec<u8> {
+    conn.write_all(prefix).unwrap();
+    let chunk = [b'x'; 64 << 10];
+    let mut left = len - prefix.len();
+    while left > 0 {
+        let n = left.min(chunk.len());
+        conn.write_all(&chunk[..n]).unwrap();
+        left -= n;
+    }
+    let mut answer = Vec::new();
+    conn.read_to_end(&mut answer)
+        .expect("the daemon answers and closes instead of buffering forever");
+    answer
+}
+
+#[test]
+fn an_ndjson_line_past_the_cap_is_refused_and_closed() {
+    let serve = TestDaemon::spawn(Server::new(16, 1));
+    let dir = scratch("optimist-hostile", "stored-cap");
+    let stored = Arc::new(StoreServer::new(
+        Store::open(&dir, StoreOptions::default()).unwrap(),
+    ));
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let stored_addr = listener.local_addr().unwrap();
+    let stored_thread = {
+        let stored = Arc::clone(&stored);
+        std::thread::spawn(move || stored.run_listener(listener).unwrap())
+    };
+    for addr in [serve.addr(), stored_addr] {
+        // Exactly one byte past the cap, so the daemon reads all of it.
+        let answer = endless_line(timed_connect(addr, 60), b"", MAX_LINE_BYTES + 1);
+        assert_eq!(
+            String::from_utf8_lossy(&answer),
+            "{\"ok\":false,\"error\":\"line too long\"}\n"
+        );
+        let mut conn = BufReader::new(timed_connect(addr, 10));
+        let pong = exchange(&mut conn, r#"{"req":"ping"}"#);
+        assert!(pong.starts_with(r#"{"ok":true"#), "{pong}");
+    }
+    stored.request_shutdown();
+    stored_thread.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_http_request_line_past_the_header_cap_is_refused_and_closed() {
+    // The HTTP front-end caps a head at 16 KiB.
+    const MAX_HEADER_BYTES: usize = 16 << 10;
+    let server = Arc::new(Server::new(16, 1));
+    let (addr, handle) = spawn_http(&server);
+    let answer = endless_line(timed_connect(addr, 10), b"GET /", MAX_HEADER_BYTES + 1);
+    let answer = String::from_utf8_lossy(&answer);
+    assert!(
+        answer.starts_with("HTTP/1.1 431 Request Header Fields Too Large\r\n"),
+        "{answer}"
+    );
+    assert!(answer.contains("Connection: close\r\n"), "{answer}");
+    let mut conn = BufReader::new(timed_connect(addr, 10));
+    let (status, body) = http_exchange(&mut conn, b"GET /v1/health HTTP/1.1\r\nHost: t\r\n\r\n");
+    assert_eq!(status, 200, "{body}");
+    server.request_shutdown();
+    handle.join().unwrap();
 }
 
 // ---------------------------------------------------------------------

@@ -20,11 +20,12 @@
 //!
 //! [`on_termination`] is the matching SIGTERM/SIGINT watcher: a
 //! flag-setting C handler plus a thread that turns the flag into a
-//! caller-supplied shutdown request.
+//! caller-supplied shutdown request, and [`read_line_capped`] the line
+//! reader every handler frames its requests with.
 
 use crate::{log_debug, log_info, log_warn};
 use std::collections::HashMap;
-use std::io;
+use std::io::{self, BufRead, Read};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -34,6 +35,41 @@ use std::time::{Duration, Instant};
 /// How long a drain waits for live connections unless
 /// [`Daemon::with_drain_timeout`] says otherwise.
 pub const DEFAULT_DRAIN_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Longest request line a daemon buffers (and the HTTP front-end's body
+/// cap): far beyond any module a client sends, yet a line that never ends
+/// cannot grow a connection's memory without bound.
+pub const MAX_LINE_BYTES: usize = 64 << 20;
+
+/// Read one line into `buf` (cleared first) without its `\n` or `\r\n`
+/// terminator, buffering at most `max` bytes of it. Returns the bytes
+/// consumed, terminator included; 0 means end of input, and a last line
+/// with no newline comes back as it is.
+///
+/// # Errors
+///
+/// A line longer than `max` bytes is an [`io::ErrorKind::InvalidData`]
+/// error ("line too long") that leaves the rest of the line unread, so
+/// the caller answers and closes the connection. Read errors pass
+/// through.
+pub fn read_line_capped(
+    reader: &mut impl BufRead,
+    buf: &mut Vec<u8>,
+    max: usize,
+) -> io::Result<usize> {
+    buf.clear();
+    let limit = u64::try_from(max).map_or(u64::MAX, |max| max.saturating_add(1));
+    let n = reader.by_ref().take(limit).read_until(b'\n', buf)?;
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+    } else if n > max {
+        return Err(io::Error::new(io::ErrorKind::InvalidData, "line too long"));
+    }
+    Ok(n)
+}
 
 /// A daemon's stop flag, connection registry, socket timeouts and drain
 /// budget. All methods take `&self`; one value is shared by every
@@ -277,6 +313,46 @@ mod tests {
                 return;
             }
         }
+    }
+
+    #[test]
+    fn capped_lines_strip_terminators_and_refuse_overruns() {
+        let mut reader = BufReader::with_capacity(3, "ab\ncd\r\n\nwxyz\nlast".as_bytes());
+        let mut buf = Vec::new();
+        let mut next = |max| read_line_capped(&mut reader, &mut buf, max).map(|n| (n, buf.clone()));
+        assert_eq!(next(4).unwrap(), (3, b"ab".to_vec()));
+        assert_eq!(next(4).unwrap(), (4, b"cd".to_vec()));
+        assert_eq!(
+            next(0).unwrap(),
+            (1, Vec::new()),
+            "an empty line fits any cap"
+        );
+        assert_eq!(
+            next(4).unwrap(),
+            (5, b"wxyz".to_vec()),
+            "the cap excludes the newline"
+        );
+        assert_eq!(
+            next(4).unwrap(),
+            (4, b"last".to_vec()),
+            "no newline at the end"
+        );
+        assert_eq!(next(4).unwrap(), (0, Vec::new()), "end of input");
+
+        for (input, max) in [("abcde\n", 4), ("abcde", 4), ("ab\r\n", 2), ("x", 0)] {
+            let err = read_line_capped(&mut input.as_bytes(), &mut Vec::new(), max).unwrap_err();
+            assert_eq!(
+                err.kind(),
+                io::ErrorKind::InvalidData,
+                "{input:?} under {max}"
+            );
+            assert_eq!(err.to_string(), "line too long");
+        }
+        // An overrun leaves the rest of the line unread: at most `max + 1`
+        // bytes were taken.
+        let mut rest = "abcdefgh\n".as_bytes();
+        assert!(read_line_capped(&mut rest, &mut Vec::new(), 2).is_err());
+        assert_eq!(rest, b"defgh\n");
     }
 
     #[test]

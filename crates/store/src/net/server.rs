@@ -27,7 +27,7 @@
 //! and clients see a clean EOF, waits up to the drain timeout, then
 //! force-closes stragglers.
 
-use crate::daemon::Daemon;
+use crate::daemon::{read_line_capped, Daemon, MAX_LINE_BYTES};
 use crate::json::{self, Json};
 use crate::net::{hex16, parse_hex16};
 use crate::{log_info, Store};
@@ -282,10 +282,26 @@ impl StoreServer {
     ///
     /// # Errors
     ///
-    /// Propagates transport failures.
-    pub fn run_io(&self, reader: impl BufRead, mut writer: impl Write) -> io::Result<()> {
-        for line in reader.lines() {
-            let line = line?;
+    /// Propagates transport failures and non-UTF-8 input. A line longer
+    /// than [`MAX_LINE_BYTES`] is answered
+    /// `{"ok":false,"error":"line too long"}` and then returned as an
+    /// error.
+    pub fn run_io(&self, mut reader: impl BufRead, mut writer: impl Write) -> io::Result<()> {
+        let mut buf = Vec::new();
+        loop {
+            match read_line_capped(&mut reader, &mut buf, MAX_LINE_BYTES) {
+                Ok(0) => return Ok(()),
+                Ok(_) => {}
+                Err(e) => {
+                    if e.kind() == io::ErrorKind::InvalidData {
+                        writer
+                            .write_all(format!("{}\n", error_json("line too long")).as_bytes())?;
+                    }
+                    return Err(e);
+                }
+            }
+            let line = std::str::from_utf8(&buf)
+                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
             if line.trim().is_empty() {
                 continue;
             }
@@ -294,10 +310,9 @@ impl StoreServer {
             writer.write_all(response.as_bytes())?;
             writer.flush()?;
             if self.draining() {
-                break;
+                return Ok(());
             }
         }
-        Ok(())
     }
 
     /// Announce the bound address, then accept and serve connections on
@@ -320,12 +335,14 @@ impl StoreServer {
             return;
         };
         let mut reader = BufReader::new(reader);
-        let mut line = String::new();
+        let mut buf = Vec::new();
         loop {
-            line.clear();
-            match reader.read_line(&mut line) {
+            match read_line_capped(&mut reader, &mut buf, MAX_LINE_BYTES) {
                 Ok(0) => break,
                 Ok(_) => {
+                    let Ok(line) = std::str::from_utf8(&buf) else {
+                        break;
+                    };
                     let trimmed = line.trim();
                     if trimmed.is_empty() {
                         continue;
@@ -335,6 +352,13 @@ impl StoreServer {
                     if writer.write_all(response.as_bytes()).is_err() {
                         break;
                     }
+                }
+                // The rest of the line is still unread, so the stream
+                // cannot resynchronize: answer and close.
+                Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+                    let _ =
+                        writer.write_all(format!("{}\n", error_json("line too long")).as_bytes());
+                    break;
                 }
                 Err(e)
                     if e.kind() == io::ErrorKind::WouldBlock

@@ -49,11 +49,16 @@ if [[ $quick -eq 0 ]]; then
 
     # Decoder fuzzing (JSON codec, serve requests, store lines, cache
     # entries, HTTP request heads) and the crash regressions for deeply
-    # nested JSON and long blank-line HTTP preambles on live listeners.
+    # nested JSON, long blank-line HTTP preambles and over-long request
+    # lines on live listeners.
     echo "==> hostile-input fuzz and crash regressions under --release (full proptest case count)"
     cargo test --release -q -p optimist-serve --test hostile_input
     cargo test --release -q -p optimist-serve --lib http::tests
     cargo test --release -q -p optimist-store --lib json::tests
+
+    # Store-log recovery under random truncation and byte flips.
+    echo "==> store-log recovery fuzz under --release (full proptest case count)"
+    cargo test --release -q -p optimist-store --test recovery
 fi
 
 echo "==> benches compile"

@@ -12,6 +12,7 @@
 //! | `cargo run --release -p optimist-bench --bin figure6` | Figure 6 — the quicksort register-sweep study |
 //! | `cargo run --release -p optimist-bench --bin figure7` | Figure 7 — CPU time per allocator phase per pass |
 //! | `cargo bench -p optimist-bench` | phase timings, end-to-end allocator comparisons, pure-coloring comparisons, ablations |
+//! | `cargo test --release --test codegen_golden -- --nocapture` | the strategy shootout (EXPERIMENTS.md), pinned as a golden in the root package's tests |
 //!
 //! Pass `--quick` to the binaries to use the smoke-test problem sizes.
 

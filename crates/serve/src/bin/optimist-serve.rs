@@ -13,9 +13,11 @@
 //! JSON line.
 
 use optimist_serve::log::{self, Level};
-use optimist_serve::{log_info, log_warn, Server};
+use optimist_serve::{log_error, log_info, log_warn, Server};
 use optimist_store::daemon::on_termination;
 use optimist_store::{Store, StoreOptions};
+use std::io;
+use std::net::TcpListener;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
@@ -217,6 +219,12 @@ fn parse_args() -> Result<Options, String> {
     Ok(opts)
 }
 
+/// Bind `addr`, the value of `flag`, if the flag was given.
+fn bind(flag: &str, addr: Option<&str>) -> Result<Option<TcpListener>, String> {
+    addr.map(|addr| TcpListener::bind(addr).map_err(|e| format!("cannot bind {flag} {addr}: {e}")))
+        .transpose()
+}
+
 fn main() -> ExitCode {
     let opts = match parse_args() {
         Ok(o) => o,
@@ -275,38 +283,39 @@ fn main() -> ExitCode {
         });
     }
 
+    // Bind every requested listener before serving any, so a taken
+    // address ends the process now rather than leaving one front-end
+    // silently missing.
+    let bound = (
+        bind("--listen", opts.listen.as_deref()),
+        bind("--http", opts.http.as_deref()),
+    );
+    let (ndjson, http) = match bound {
+        (Ok(ndjson), Ok(http)) => (ndjson, http),
+        (Err(e), _) | (_, Err(e)) => {
+            log_error!("{e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    // Scripts scrape these lines for the ports.
+    for (listener, front) in [(&ndjson, ""), (&http, "http ")] {
+        if let Some(addr) = listener.as_ref().and_then(|l| l.local_addr().ok()) {
+            log_info!("{front}listening on {addr}");
+        }
+    }
+
     // The HTTP front-end rides on its own thread beside the NDJSON
     // listener; given alone, it runs in the foreground. Both watch the
     // same stop flag and share the drain registry.
-    let http_thread = if let (Some(addr), Some(_)) = (&opts.http, &opts.listen) {
-        let server = Arc::clone(&server);
-        let addr = addr.clone();
-        Some(std::thread::spawn(move || {
-            optimist_serve::run_http(&server, addr.as_str(), |bound| {
-                log_info!("http listening on {bound}");
-            })
-        }))
-    } else {
-        None
-    };
-
-    let result = match (&opts.listen, &opts.http) {
-        (Some(addr), _) => server.run_listener(addr.as_str(), |bound| {
-            log_info!("listening on {bound}");
+    let result = match (ndjson, http) {
+        (Some(ndjson), Some(http)) => std::thread::scope(|scope| {
+            let http = scope.spawn(|| optimist_serve::run_http(&server, http));
+            let ndjson = server.run_listener(ndjson);
+            ndjson.and(http.join().expect("the http accept loop does not panic"))
         }),
-        (None, Some(addr)) => optimist_serve::run_http(&server, addr.as_str(), |bound| {
-            log_info!("http listening on {bound}");
-        }),
-        (None, None) => server.run_io(
-            std::io::stdin().lock(),
-            std::io::stdout().lock(),
-            opts.oneshot,
-        ),
-    };
-    let result = match http_thread.map(|t| t.join()) {
-        Some(Ok(http_result)) => result.and(http_result),
-        Some(Err(_)) => result.and(Err(std::io::Error::other("http front-end panicked"))),
-        None => result,
+        (Some(ndjson), None) => server.run_listener(ndjson),
+        (None, Some(http)) => optimist_serve::run_http(&server, http),
+        (None, None) => server.run_io(io::stdin().lock(), io::stdout().lock(), opts.oneshot),
     };
 
     // Flush the persistent tier before reporting: a drained daemon must

@@ -31,7 +31,7 @@ use crate::json::Json;
 use crate::server::{Disposition, Server};
 use optimist_store::daemon::{read_line_capped, MAX_LINE_BYTES};
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{TcpListener, TcpStream};
 
 /// Largest accepted request body: the same cap the NDJSON listener puts
 /// on one request line.
@@ -61,23 +61,17 @@ enum Head {
     Bad(u16, &'static str),
 }
 
-/// Bind `addr` and serve HTTP until shutdown is requested, mirroring
-/// [`Server::run_listener`]'s lifecycle: `on_bound` observes the real
-/// address (tests bind port 0), one thread per connection, and a
-/// graceful drain once the stop flag rises. Both front-ends may run at
-/// once — they share the stop flag and the drain registry.
+/// Serve HTTP on the bound `listener` until shutdown is requested,
+/// mirroring [`Server::run_listener`]'s lifecycle: one thread per
+/// connection and a graceful drain once the stop flag rises. Both
+/// front-ends may run at once — they share the stop flag and the drain
+/// registry.
 ///
 /// # Errors
 ///
-/// Propagates bind/accept failures; per-connection I/O errors only end
-/// that connection.
-pub fn run_http(
-    server: &Server,
-    addr: impl ToSocketAddrs,
-    on_bound: impl FnOnce(SocketAddr),
-) -> io::Result<()> {
-    let listener = TcpListener::bind(addr)?;
-    on_bound(listener.local_addr()?);
+/// Fails only if the listener cannot be polled; per-connection I/O
+/// errors only end that connection.
+pub fn run_http(server: &Server, listener: TcpListener) -> io::Result<()> {
     server.daemon.serve(listener, "http", |stream| {
         let _ = serve_connection(server, stream);
     })
@@ -296,16 +290,16 @@ fn write_error(writer: &mut impl Write, status: u16, reason: &str) -> io::Result
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use std::sync::{mpsc, Arc};
+    use std::net::SocketAddr;
+    use std::sync::Arc;
 
     const FUNC: &str = "func double(v0:int) -> int {\nb0:\n    v1 = add.i v0, v0\n    ret v1\n}\n";
 
     fn spawn_http(server: Arc<Server>) -> (SocketAddr, std::thread::JoinHandle<()>) {
-        let (tx, rx) = mpsc::channel();
-        let handle = std::thread::spawn(move || {
-            run_http(&server, "127.0.0.1:0", |addr| tx.send(addr).unwrap()).unwrap();
-        });
-        (rx.recv().unwrap(), handle)
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let handle = std::thread::spawn(move || run_http(&server, listener).unwrap());
+        (addr, handle)
     }
 
     /// A deliberately dumb test client: write the request text, parse the

@@ -30,9 +30,11 @@
 //! pool shared across connections — see the [`stream`] module docs for
 //! the ordering and backpressure rules.
 //!
-//! Front-ends: the `optimist-serve` binary (TCP `--listen`, stdio, and
-//! `--oneshot` modes), the [`client::Client`] used by `optimist remote`,
-//! and the bench harness's warm/cold corpus replay.
+//! Front-ends: the `optimist-serve` binary (TCP `--listen`, HTTP
+//! `--http`, stdio, and `--oneshot` modes) and the [`client::Client`]
+//! used by `optimist remote`. The crate's `tests/drills.rs` drives real
+//! listeners end to end: store chaos, a fleet losing a store peer, giant
+//! kernels under parallel coloring, and streamed batches.
 
 #![warn(missing_docs)]
 

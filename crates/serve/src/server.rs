@@ -49,7 +49,7 @@ use optimist_regalloc::{default_threads, AllocError, AllocatorConfig, Deadline, 
 use optimist_store::daemon::{read_line_capped, Daemon, MAX_LINE_BYTES};
 use optimist_store::Store;
 use std::io::{self, BufReader, Write};
-use std::net::{TcpListener, ToSocketAddrs};
+use std::net::TcpListener;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -912,11 +912,11 @@ impl Server {
         Ok(())
     }
 
-    /// Bind `addr` and serve TCP connections, one thread per connection,
-    /// until a `shutdown` request (or [`Server::request_shutdown`] — the
-    /// SIGTERM path) arrives. Returns the bound local address via
-    /// `on_bound` before entering the accept loop (tests bind port 0 and
-    /// need to learn the real port).
+    /// Serve NDJSON connections on the bound `listener`, one thread per
+    /// connection, until a `shutdown` request (or
+    /// [`Server::request_shutdown`] — the SIGTERM path) arrives. The
+    /// caller binds, so it learns the real port (tests bind port 0) and
+    /// reports a taken address before anything serves.
     ///
     /// Shutdown is the shared [`Daemon`] loop's **graceful drain**: the
     /// listener stops accepting, every live connection's read half is
@@ -924,13 +924,7 @@ impl Server {
     /// out), and the connection threads are joined under
     /// [`Server::with_drain_timeout`]. Stragglers past the deadline are
     /// force-closed.
-    pub fn run_listener(
-        &self,
-        addr: impl ToSocketAddrs,
-        on_bound: impl FnOnce(std::net::SocketAddr),
-    ) -> io::Result<()> {
-        let listener = TcpListener::bind(addr)?;
-        on_bound(listener.local_addr()?);
+    pub fn run_listener(&self, listener: TcpListener) -> io::Result<()> {
         let opts = StreamOpts {
             max_inflight: self.max_inflight,
         };

@@ -5,66 +5,14 @@
 mod serve_test_util;
 
 use optimist_serve::{Json, Server};
-use optimist_store::net::StoreServer;
 use optimist_store::{Store, StoreOptions};
-use serve_test_util::corpus_requests;
-use std::net::{SocketAddr, TcpListener};
+use serve_test_util::{corpus_requests, Process, StoreDaemon};
+use std::io::Read;
 use std::path::PathBuf;
-use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 fn scratch(name: &str) -> PathBuf {
     serve_test_util::scratch("optimist-fleet-tier", name)
-}
-
-/// One in-process store daemon on an ephemeral port.
-struct StoreDaemon {
-    server: Arc<StoreServer>,
-    addr: SocketAddr,
-    thread: Option<JoinHandle<()>>,
-}
-
-impl StoreDaemon {
-    fn spawn(dir: PathBuf) -> StoreDaemon {
-        let store = Store::open(dir, StoreOptions::default()).expect("store opens");
-        StoreDaemon::spawn_with_store(store, None)
-    }
-
-    /// Spawn on a specific address (the restart case) or an ephemeral one.
-    fn spawn_with_store(store: Store, addr: Option<SocketAddr>) -> StoreDaemon {
-        let server = Arc::new(StoreServer::new(store).with_drain_timeout(Duration::from_secs(5)));
-        let bind: SocketAddr = addr.unwrap_or_else(|| "127.0.0.1:0".parse().unwrap());
-        let listener = TcpListener::bind(bind).expect("store daemon binds");
-        let addr = listener.local_addr().unwrap();
-        let thread = {
-            let server = Arc::clone(&server);
-            std::thread::spawn(move || server.run_listener(listener).unwrap())
-        };
-        StoreDaemon {
-            server,
-            addr,
-            thread: Some(thread),
-        }
-    }
-
-    /// Stop the daemon, keeping its port free for a successor.
-    fn kill(mut self) -> SocketAddr {
-        self.server.request_shutdown();
-        if let Some(t) = self.thread.take() {
-            t.join().unwrap();
-        }
-        self.addr
-    }
-}
-
-impl Drop for StoreDaemon {
-    fn drop(&mut self) {
-        self.server.request_shutdown();
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
 }
 
 fn assert_all_ok(server: &Server, requests: &[String], all_cached: bool) {
@@ -87,7 +35,7 @@ fn assert_all_ok(server: &Server, requests: &[String], all_cached: bool) {
 #[test]
 fn two_daemons_share_warmth_through_one_store_peer() {
     let daemon = StoreDaemon::spawn(scratch("single"));
-    let peer = daemon.addr.to_string();
+    let peer = daemon.addr().to_string();
     let requests = corpus_requests();
 
     // Daemon A computes everything and writes through over the network.
@@ -145,7 +93,7 @@ fn wait_until_ok(server: &Server) {
 fn replicated_tier_stays_warm_through_a_peer_death_and_resyncs_an_empty_revival() {
     let d0 = StoreDaemon::spawn(scratch("shard0"));
     let d1 = StoreDaemon::spawn(scratch("shard1"));
-    let peers = [d0.addr.to_string(), d1.addr.to_string()];
+    let peers = [d0.addr().to_string(), d1.addr().to_string()];
     let requests = corpus_requests();
 
     let a = Server::new(4096, 16)
@@ -155,8 +103,8 @@ fn replicated_tier_stays_warm_through_a_peer_death_and_resyncs_an_empty_revival(
 
     // With the default replication factor of 2, every put fanned out to
     // both peers: each store holds the whole corpus.
-    let len0 = d0.server.store().len();
-    let len1 = d1.server.store().len();
+    let len0 = d0.store().len();
+    let len1 = d1.store().len();
     assert!(len0 > 0, "stores must hold the corpus");
     assert_eq!(len0, len1, "replicas=2 over 2 peers fans every key out");
 
@@ -167,7 +115,7 @@ fn replicated_tier_stays_warm_through_a_peer_death_and_resyncs_an_empty_revival(
 
     // Kill peer 1. Nothing goes cold: keys it owned fail over to their
     // replica on peer 0, and its tripwire trips after a few errors.
-    let dead_addr = d1.kill();
+    let dead_addr = d1.stop();
     let b = Server::new(4096, 16)
         .with_remote_store(&peers)
         .with_store_probe_interval(Duration::from_millis(50));
@@ -188,16 +136,13 @@ fn replicated_tier_stays_warm_through_a_peer_death_and_resyncs_an_empty_revival(
     // Resurrect the dead peer on the same address with an EMPTY store —
     // the disk-loss case. The next probe heals it, and the anti-entropy
     // sweep behind the probe repopulates it from its live replica.
-    let revived = StoreDaemon::spawn_with_store(
-        Store::open(scratch("shard1-revived"), StoreOptions::default()).unwrap(),
-        Some(dead_addr),
-    );
+    let revived = StoreDaemon::spawn_on(scratch("shard1-revived"), dead_addr);
     wait_until_ok(&b);
     assert!(!b.store_degraded());
     assert!(b.metrics().store_recoveries.get() >= 1);
     assert_eq!(b.metrics().store_resyncs.get(), 1, "one sweep, once");
     assert!(b.metrics().store_resync_keys.get() > 0);
-    let revived_len = revived.server.store().len();
+    let revived_len = revived.store().len();
     assert!(
         revived_len >= len0,
         "anti-entropy must restore the revived peer's share \
@@ -210,20 +155,17 @@ fn replicated_tier_stays_warm_through_a_peer_death_and_resyncs_an_empty_revival(
 fn failover_hits_read_repair_an_owner_that_lost_its_disk() {
     let d0 = StoreDaemon::spawn(scratch("repair0"));
     let d1 = StoreDaemon::spawn(scratch("repair1"));
-    let peers = [d0.addr.to_string(), d1.addr.to_string()];
+    let peers = [d0.addr().to_string(), d1.addr().to_string()];
     let requests = corpus_requests();
 
     let a = Server::new(4096, 16).with_remote_store(&peers);
     assert_all_ok(&a, &requests, false);
-    let full = d0.server.store().len();
+    let full = d0.store().len();
 
     // Peer 0 loses its disk but comes back immediately: alive, healthy,
     // empty. No tripwire ever trips — its misses are clean.
-    let dead_addr = d0.kill();
-    let revived = StoreDaemon::spawn_with_store(
-        Store::open(scratch("repair0-revived"), StoreOptions::default()).unwrap(),
-        Some(dead_addr),
-    );
+    let dead_addr = d0.stop();
+    let revived = StoreDaemon::spawn_on(scratch("repair0-revived"), dead_addr);
 
     // A cold daemon replays the corpus: keys the wiped peer owns miss
     // there, fail over to peer 1, and each failover hit writes the value
@@ -238,7 +180,7 @@ fn failover_hits_read_repair_an_owner_that_lost_its_disk() {
         "every failover past a clean miss must repair it"
     );
     assert!(!c.store_degraded(), "clean misses are not tripwire strikes");
-    let repaired = revived.server.store().len();
+    let repaired = revived.store().len();
     assert_eq!(
         repaired as u64, repairs,
         "read repair refills exactly the keys that failed over"
@@ -341,7 +283,7 @@ fn store_stats_and_health_keep_their_shape_for_every_tier() {
         |i: usize| format!(r#"{{"addr":"peer{i}","state":"ok","sync":"in_sync","hint_depth":0}}"#);
 
     let daemon = StoreDaemon::spawn(scratch("surface-remote"));
-    let addrs = [daemon.addr.to_string()];
+    let addrs = [daemon.addr().to_string()];
     let remote = Server::new(64, 1).with_remote_store(&addrs);
     let (stats, health) = store_surface(&remote, &addrs);
     assert_eq!(
@@ -359,7 +301,7 @@ fn store_stats_and_health_keep_their_shape_for_every_tier() {
     let shards: Vec<StoreDaemon> = (0..3)
         .map(|i| StoreDaemon::spawn(scratch(&format!("surface-shard{i}"))))
         .collect();
-    let addrs: Vec<String> = shards.iter().map(|d| d.addr.to_string()).collect();
+    let addrs: Vec<String> = shards.iter().map(|d| d.addr().to_string()).collect();
     let sharded = Server::new(64, 1).with_remote_store(&addrs);
     let (stats, health) = store_surface(&sharded, &addrs);
     assert_eq!(
@@ -389,8 +331,8 @@ fn store_stats_and_health_keep_their_shape_for_every_tier() {
 #[test]
 fn hinted_handoff_is_bounded_and_drains_exactly_once() {
     let d0 = StoreDaemon::spawn(scratch("hints0"));
-    let dead_addr = StoreDaemon::spawn(scratch("hints1")).kill();
-    let peers = [d0.addr.to_string(), dead_addr.to_string()];
+    let dead_addr = StoreDaemon::spawn(scratch("hints1")).stop();
+    let peers = [d0.addr().to_string(), dead_addr.to_string()];
     let requests = distinct_requests(12);
 
     // Every put fans out to both replicas; the dead peer's copies queue
@@ -414,19 +356,16 @@ fn hinted_handoff_is_bounded_and_drains_exactly_once() {
     // delivers the 4 retained hints — exactly once each: the revived
     // store ends with 4 entries plus the probe sentinel and zero
     // superseded records (a duplicate put would supersede).
-    let revived = StoreDaemon::spawn_with_store(
-        Store::open(scratch("hints1-revived"), StoreOptions::default()).unwrap(),
-        Some(dead_addr),
-    );
+    let revived = StoreDaemon::spawn_on(scratch("hints1-revived"), dead_addr);
     wait_until_ok(&a);
     assert_eq!(a.metrics().store_hints_drained.get(), 4);
     assert_eq!(
-        revived.server.store().len(),
+        revived.store().len(),
         4 + 1,
         "retained hints plus the probe sentinel"
     );
     assert_eq!(
-        revived.server.store().snapshot().superseded,
+        revived.store().snapshot().superseded,
         0,
         "drain must deliver each hint exactly once"
     );
@@ -456,4 +395,32 @@ fn a_repeated_store_peer_is_a_usage_error() {
         stderr.contains("--store-peers lists 127.0.0.1:7900 twice"),
         "{stderr}"
     );
+}
+
+#[test]
+fn a_taken_listen_or_http_address_fails_at_startup() {
+    let taken = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let taken = taken.local_addr().unwrap().to_string();
+    for (flag, other) in [("--http", "--listen"), ("--listen", "--http")] {
+        let mut daemon = Process(
+            std::process::Command::new(env!("CARGO_BIN_EXE_optimist-serve"))
+                .args([other, "127.0.0.1:0", flag, taken.as_str(), "--quiet"])
+                .stdin(std::process::Stdio::null())
+                .stderr(std::process::Stdio::piped())
+                .spawn()
+                .expect("optimist-serve runs"),
+        );
+        let status = daemon.exit_within(Duration::from_secs(10));
+        let mut stderr = String::new();
+        daemon
+            .0
+            .stderr
+            .take()
+            .unwrap()
+            .read_to_string(&mut stderr)
+            .unwrap();
+        let status = status.unwrap_or_else(|| panic!("{flag} {taken} kept serving: {stderr}"));
+        assert!(!status.success(), "{flag}: {status}: {stderr}");
+        assert!(stderr.contains(&format!("{flag} {taken}")), "{stderr}");
+    }
 }

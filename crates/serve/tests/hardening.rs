@@ -12,7 +12,7 @@ mod serve_test_util;
 use optimist_serve::{Client, Json, RetryPolicy, Server};
 use optimist_store::failpoint::FailKind;
 use optimist_store::{Store, StoreOptions};
-use serve_test_util::{corpus_modules, scratch, TestDaemon};
+use serve_test_util::{corpus_modules, scratch, Process, TestDaemon};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::mpsc;
@@ -320,4 +320,75 @@ fn idle_connection_is_reaped_by_the_read_timeout() {
     );
     assert!(daemon.server().metrics().idle_reaps.get() >= 1);
     daemon.shutdown_with_stats();
+}
+
+#[test]
+fn running_out_of_file_descriptors_does_not_stop_the_daemon() {
+    use std::process::{Command, Stdio};
+    use std::time::Instant;
+
+    // Each idle connection holds 3 descriptors, so 100 of them overrun a
+    // 64-descriptor limit and the accept loop starts failing.
+    let mut daemon = Process(
+        Command::new("sh")
+            .args([
+                "-c",
+                r#"ulimit -n 64 && exec "$0" --listen 127.0.0.1:0"#,
+                env!("CARGO_BIN_EXE_optimist-serve"),
+            ])
+            .stdin(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("optimist-serve runs"),
+    );
+    let (tx, rx) = mpsc::channel();
+    let stderr = daemon.0.stderr.take().unwrap();
+    let log = std::thread::spawn(move || {
+        let mut lines = Vec::new();
+        for line in BufReader::new(stderr).lines().map_while(Result::ok) {
+            let _ = tx.send(line.clone());
+            lines.push(line);
+        }
+        lines.join("\n")
+    });
+    let addr = loop {
+        let line = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the daemon announces its port");
+        if let Some((_, addr)) = line.split_once("listening on ") {
+            break addr.trim().to_string();
+        }
+    };
+
+    let held: Vec<TcpStream> = (0..100)
+        .map(|_| TcpStream::connect(addr.as_str()).expect("connect"))
+        .collect();
+    std::thread::sleep(Duration::from_secs(1));
+    drop(held);
+
+    let ask = |line: &str| -> std::io::Result<String> {
+        let mut conn = TcpStream::connect(addr.as_str())?;
+        conn.set_read_timeout(Some(Duration::from_secs(10)))?;
+        conn.write_all(format!("{line}\n").as_bytes())?;
+        let mut answer = String::new();
+        BufReader::new(conn).read_line(&mut answer)?;
+        Ok(answer)
+    };
+    // Descriptors free up as the daemon reaps the closed connections; one
+    // it accepts before then may be dropped, so a fresh client retries.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let pong = loop {
+        match ask(r#"{"req":"ping"}"#) {
+            Ok(pong) if !pong.is_empty() => break pong,
+            other => assert!(Instant::now() < deadline, "no answer: {other:?}"),
+        }
+        std::thread::sleep(Duration::from_millis(100));
+    };
+    assert!(pong.contains(r#""ok":true"#), "{pong}");
+    ask(r#"{"req":"shutdown"}"#).expect("shutdown answers");
+
+    let status = daemon.exit_within(Duration::from_secs(10));
+    let status = status.expect("the daemon exits after shutdown");
+    let log = log.join().unwrap();
+    assert!(status.success(), "{status}: {log}");
 }

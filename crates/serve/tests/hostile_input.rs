@@ -30,16 +30,16 @@ mod serve_test_util;
 use optimist_machine::Target;
 use optimist_regalloc::{allocate, AllocatorConfig};
 use optimist_serve::persist::{decode_entry, encode_entry};
-use optimist_serve::{json, run_http, CacheEntry, FnResult, Json, Request, Server};
+use optimist_serve::{json, CacheEntry, FnResult, Json, Request, Server};
 use optimist_store::daemon::MAX_LINE_BYTES;
 use optimist_store::net::StoreServer;
 use optimist_store::{Store, StoreOptions};
 use proptest::prelude::*;
 use proptest::TestRng;
-use serve_test_util::{corpus_modules, scratch, TestDaemon};
+use serve_test_util::{corpus_modules, scratch, StoreDaemon, TestDaemon};
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::{mpsc, Arc, OnceLock};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::OnceLock;
 use std::time::Duration;
 
 const FUNC: &str = "func double(v0:int) -> int {\nb0:\n    v1 = add.i v0, v0\n    ret v1\n}\n";
@@ -70,17 +70,6 @@ fn a_deeply_nested_ndjson_line_is_refused_and_the_connection_survives() {
         let pong = exchange(&mut conn, r#"{"req":"ping"}"#);
         assert!(pong.contains(r#""ok":true"#), "{pong}");
     }
-}
-
-/// An HTTP daemon on an ephemeral port; shut it down with
-/// [`Server::request_shutdown`] and join the handle.
-fn spawn_http(server: &Arc<Server>) -> (SocketAddr, std::thread::JoinHandle<()>) {
-    let (tx, rx) = mpsc::channel();
-    let server = Arc::clone(server);
-    let handle = std::thread::spawn(move || {
-        run_http(&server, "127.0.0.1:0", |addr| tx.send(addr).unwrap()).unwrap();
-    });
-    (rx.recv().unwrap(), handle)
 }
 
 /// Send raw request bytes, read one `Content-Length`-framed response.
@@ -121,24 +110,20 @@ fn post_alloc(body: &str) -> Vec<u8> {
 
 #[test]
 fn a_deeply_nested_http_body_is_refused_and_the_connection_survives() {
-    let server = Arc::new(Server::new(16, 1));
-    let (addr, handle) = spawn_http(&server);
-    let mut conn = BufReader::new(TcpStream::connect(addr).unwrap());
+    let daemon = TestDaemon::spawn(Server::new(16, 1));
+    let mut conn = BufReader::new(TcpStream::connect(daemon.http_addr()).unwrap());
     let (status, body) = http_exchange(&mut conn, &post_alloc(&deep_line()));
     assert_eq!(status, 200, "protocol errors stay in-band");
     assert!(body.starts_with(r#"{"ok":false"#), "{body}");
     let (status, body) = http_exchange(&mut conn, &post_alloc(r#"{"req":"ping"}"#));
     assert_eq!(status, 200);
     assert!(body.contains(r#""ok":true"#), "{body}");
-    server.request_shutdown();
-    handle.join().unwrap();
 }
 
 #[test]
 fn a_long_blank_line_preamble_still_reaches_the_request() {
-    let server = Arc::new(Server::new(16, 1));
-    let (addr, handle) = spawn_http(&server);
-    let mut conn = BufReader::new(TcpStream::connect(addr).unwrap());
+    let daemon = TestDaemon::spawn(Server::new(16, 1));
+    let mut conn = BufReader::new(TcpStream::connect(daemon.http_addr()).unwrap());
     let mut request = "\r\n".repeat(100_000);
     request.push_str("GET /v1/health HTTP/1.1\r\nHost: t\r\n\r\n");
     let (status, body) = http_exchange(&mut conn, request.as_bytes());
@@ -147,23 +132,13 @@ fn a_long_blank_line_preamble_still_reaches_the_request() {
     // Same connection, next request.
     let (status, _) = http_exchange(&mut conn, b"GET /v1/stats HTTP/1.1\r\nHost: t\r\n\r\n");
     assert_eq!(status, 200);
-    server.request_shutdown();
-    handle.join().unwrap();
 }
 
 #[test]
 fn a_deeply_nested_store_field_is_refused_and_the_connection_survives() {
     let dir = scratch("optimist-hostile", "stored");
-    let server = Arc::new(StoreServer::new(
-        Store::open(&dir, StoreOptions::default()).unwrap(),
-    ));
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let handle = {
-        let server = Arc::clone(&server);
-        std::thread::spawn(move || server.run_listener(listener).unwrap())
-    };
-    let mut conn = BufReader::new(TcpStream::connect(addr).unwrap());
+    let stored = StoreDaemon::spawn(&dir);
+    let mut conn = BufReader::new(TcpStream::connect(stored.addr()).unwrap());
     let put = format!(
         r#"{{"req":"put","key":"0000000000000001","fp":"0000000000000001","payload":{}}}"#,
         "[".repeat(100_000)
@@ -172,7 +147,7 @@ fn a_deeply_nested_store_field_is_refused_and_the_connection_survives() {
     assert!(refused.starts_with(r#"{"ok":false"#), "{refused}");
     assert_eq!(exchange(&mut conn, r#"{"req":"ping"}"#), "{\"ok\":true}\n");
     exchange(&mut conn, r#"{"req":"shutdown"}"#);
-    handle.join().unwrap();
+    stored.stop();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -207,16 +182,8 @@ fn endless_line(mut conn: TcpStream, prefix: &[u8], len: usize) -> Vec<u8> {
 fn an_ndjson_line_past_the_cap_is_refused_and_closed() {
     let serve = TestDaemon::spawn(Server::new(16, 1));
     let dir = scratch("optimist-hostile", "stored-cap");
-    let stored = Arc::new(StoreServer::new(
-        Store::open(&dir, StoreOptions::default()).unwrap(),
-    ));
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let stored_addr = listener.local_addr().unwrap();
-    let stored_thread = {
-        let stored = Arc::clone(&stored);
-        std::thread::spawn(move || stored.run_listener(listener).unwrap())
-    };
-    for addr in [serve.addr(), stored_addr] {
+    let stored = StoreDaemon::spawn(&dir);
+    for addr in [serve.addr(), stored.addr()] {
         // Exactly one byte past the cap, so the daemon reads all of it.
         let answer = endless_line(timed_connect(addr, 60), b"", MAX_LINE_BYTES + 1);
         assert_eq!(
@@ -227,8 +194,7 @@ fn an_ndjson_line_past_the_cap_is_refused_and_closed() {
         let pong = exchange(&mut conn, r#"{"req":"ping"}"#);
         assert!(pong.starts_with(r#"{"ok":true"#), "{pong}");
     }
-    stored.request_shutdown();
-    stored_thread.join().unwrap();
+    stored.stop();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -236,8 +202,8 @@ fn an_ndjson_line_past_the_cap_is_refused_and_closed() {
 fn an_http_request_line_past_the_header_cap_is_refused_and_closed() {
     // The HTTP front-end caps a head at 16 KiB.
     const MAX_HEADER_BYTES: usize = 16 << 10;
-    let server = Arc::new(Server::new(16, 1));
-    let (addr, handle) = spawn_http(&server);
+    let daemon = TestDaemon::spawn(Server::new(16, 1));
+    let addr = daemon.http_addr();
     let answer = endless_line(timed_connect(addr, 10), b"GET /", MAX_HEADER_BYTES + 1);
     let answer = String::from_utf8_lossy(&answer);
     assert!(
@@ -248,8 +214,6 @@ fn an_http_request_line_past_the_header_cap_is_refused_and_closed() {
     let mut conn = BufReader::new(timed_connect(addr, 10));
     let (status, body) = http_exchange(&mut conn, b"GET /v1/health HTTP/1.1\r\nHost: t\r\n\r\n");
     assert_eq!(status, 200, "{body}");
-    server.request_shutdown();
-    handle.join().unwrap();
 }
 
 // ---------------------------------------------------------------------

@@ -3,7 +3,9 @@
 //! `optimist-serve` (NDJSON and HTTP front-ends) and `optimist-stored`
 //! run their listeners through one loop, [`Daemon::serve`]:
 //!
-//! 1. **accept** on a non-blocking listener, polling the stop flag;
+//! 1. **accept** on a non-blocking listener, polling the stop flag; a
+//!    failed accept (out of file descriptors, say) is logged and retried,
+//!    never fatal, so only the stop flag ends the loop;
 //! 2. **register** a handle to each connection in a registry shared by
 //!    every listener of the daemon;
 //! 3. **spawn** one thread per connection, with the daemon's socket
@@ -127,12 +129,14 @@ impl Daemon {
     /// Accept connections on `listener` and run `handle` on each, one
     /// thread per connection, until shutdown is requested; then drain
     /// (see the module docs). `name` labels the listener in log lines.
-    /// A fatal accept error requests shutdown, drains, and is returned.
+    /// Only the stop flag ends the loop: a failed accept (out of file
+    /// descriptors, say) is logged once per run of failures and retried
+    /// after the same 5 ms back-off as an idle poll.
     ///
     /// # Errors
     ///
-    /// Propagates listener failures; per-connection I/O errors are the
-    /// handler's business.
+    /// Fails only if `listener` cannot be made non-blocking;
+    /// per-connection I/O errors are the handler's business.
     pub fn serve<F>(&self, listener: TcpListener, name: &str, handle: F) -> io::Result<()>
     where
         F: Fn(TcpStream) + Sync,
@@ -143,10 +147,11 @@ impl Daemon {
         let handle = &handle;
         std::thread::scope(|scope| {
             let mut workers = Vec::new();
-            let mut result = Ok(());
+            let mut failing = false;
             while !self.draining() {
                 match listener.accept() {
                     Ok((stream, peer)) => {
+                        failing = false;
                         let id = self.register(&stream);
                         log_debug!("{name}: conn {id} accepted from {peer}");
                         workers.push(scope.spawn(move || {
@@ -162,19 +167,19 @@ impl Daemon {
                             log_debug!("{name}: conn {id} closed");
                         }));
                     }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                     Err(e) => {
-                        self.request_shutdown();
-                        result = Err(e);
+                        if e.kind() != io::ErrorKind::WouldBlock && !failing {
+                            failing = true;
+                            log_warn!("{name}: accept failed: {e}; retrying");
+                        }
+                        std::thread::sleep(Duration::from_millis(5));
                     }
                 }
                 reap(&mut workers);
             }
             self.drain(name, workers);
-            result
+            Ok(())
         })
     }
 

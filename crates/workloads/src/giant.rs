@@ -4,7 +4,7 @@
 //! checksum, so all of them stay live across the whole body).
 //!
 //! This is the shared workload behind the `par_equivalence` differential
-//! proptests and the `serve_replay --giant` lane: intra-function
+//! proptests and the serve crate's giant drill: intra-function
 //! parallelism only matters on functions like these, where one routine
 //! would otherwise serialize a module worker. Like
 //! [`generate_routine`](crate::generate_routine), the output is closed

@@ -195,11 +195,11 @@ case "$persist_resp" in
         ;;
 esac
 
-echo "==> fleet smoke test (2 store daemons + 2 serve daemons, cross-daemon warmth)"
+echo "==> fleet smoke test (3 store daemons + 2 serve daemons, cross-daemon warmth through a peer SIGKILL)"
 cargo build -q -p optimist-store --bin optimist-stored
 fleet_dir="$(mktemp -d)"
 fleet_pids=""
-trap 'rm -rf "$fleet_dir" "$store_dir" "$stream_log" "$drain_log" "$chaos_dir"; [[ -n "$fleet_pids" ]] && kill $fleet_pids 2>/dev/null; true' EXIT
+trap 'rm -rf "$fleet_dir" "$store_dir" "$stream_log" "$drain_log" "$chaos_dir"; [[ -n "$fleet_pids" ]] && kill -9 $fleet_pids 2>/dev/null; true' EXIT
 # Scrape the announced port from a daemon's stderr log. The serve daemon
 # announces the HTTP front-end with its own "http listening on" line —
 # drop it so the NDJSON port wins.
@@ -224,20 +224,25 @@ fleet_port() {
 stored0_pid=$!
 ./target/debug/optimist-stored --dir "$fleet_dir/shard1" 2>"$fleet_dir/stored1.log" &
 stored1_pid=$!
-fleet_pids="$stored0_pid $stored1_pid"
+./target/debug/optimist-stored --dir "$fleet_dir/shard2" 2>"$fleet_dir/stored2.log" &
+stored2_pid=$!
+fleet_pids="$stored0_pid $stored1_pid $stored2_pid"
 sp0="$(fleet_port "$fleet_dir/stored0.log")"
 sp1="$(fleet_port "$fleet_dir/stored1.log")"
-fleet_peers="127.0.0.1:$sp0,127.0.0.1:$sp1"
+sp2="$(fleet_port "$fleet_dir/stored2.log")"
+fleet_peers="127.0.0.1:$sp0,127.0.0.1:$sp1,127.0.0.1:$sp2"
+# Daemon 0 runs the default replica count and the HTTP front-end;
+# daemon 1 asks for 2 replicas explicitly.
 ./target/debug/optimist-serve --listen 127.0.0.1:0 --http 127.0.0.1:0 \
     --store-peers "$fleet_peers" --quiet 2>"$fleet_dir/serve0.log" &
 serve0_pid=$!
-./target/debug/optimist-serve --listen 127.0.0.1:0 \
-    --store-peers "$fleet_peers" --quiet 2>"$fleet_dir/serve1.log" &
+./target/debug/optimist-serve --listen 127.0.0.1:0 --store-peers "$fleet_peers" \
+    --replicas 2 --quiet 2>"$fleet_dir/serve1.log" &
 serve1_pid=$!
 fleet_pids="$fleet_pids $serve0_pid $serve1_pid"
 fp0="$(fleet_port "$fleet_dir/serve0.log")"
 fp1="$(fleet_port "$fleet_dir/serve1.log")"
-# Compute on daemon 0: the result writes through the ring to a store peer.
+# Compute on daemon 0: the put fans out to both replicas of the key.
 exec 5<>"/dev/tcp/127.0.0.1/$fp0"
 printf '%s\n' "$smoke_req" >&5
 IFS= read -r fleet_cold <&5
@@ -249,31 +254,7 @@ case "$fleet_cold" in
         exit 1
         ;;
 esac
-# Replay on daemon 1 (cold memory): its only warmth is the shared store
-# tier, so the answer must come back cached with a store hit. Two
-# sequential round trips — a pipelined stats request would snapshot the
-# counters while the alloc is still in flight.
-exec 5<>"/dev/tcp/127.0.0.1/$fp1"
-printf '%s\n' "$smoke_req" >&5
-IFS= read -r fleet_warm <&5
-printf '%s\n' '{"req":"stats"}' >&5
-IFS= read -r fleet_stats <&5
-exec 5<&- 5>&-
-case "$fleet_warm" in
-    *'"cached":true'*) ;;
-    *)
-        echo "fleet smoke test failed: warm daemon recomputed; response: $fleet_warm" >&2
-        exit 1
-        ;;
-esac
-case "$fleet_stats" in
-    *'"store":{"hits":1'*'"mode":"sharded"'*) ;;
-    *)
-        echo "fleet smoke test failed: no cross-daemon store hit; stats: $fleet_stats" >&2
-        exit 1
-        ;;
-esac
-# The HTTP front-end answers health with the same sharded topology.
+# The HTTP front-end answers health with the sharded topology.
 hp0="$(fleet_port "$fleet_dir/serve0.log" http)"
 exec 5<>"/dev/tcp/127.0.0.1/$hp0"
 printf 'GET /v1/health HTTP/1.1\r\nHost: ci\r\nConnection: close\r\n\r\n' >&5
@@ -286,8 +267,38 @@ case "$fleet_http" in
         exit 1
         ;;
 esac
-# All four daemons must drain cleanly on SIGTERM: serving tier first,
-# then the store tier it depends on.
+# SIGKILL one store daemon — no drain, no flush: the crash case. With
+# 2 replicas over 3 peers, any single death leaves every key at least
+# one live replica.
+kill -9 "$stored0_pid"
+wait "$stored0_pid" 2>/dev/null || true
+# Daemon 1 has cold memory; its only warmth is the store tier, now down
+# a peer. The key must still come back cached, with a store hit, served
+# by its surviving replica (directly, or via read failover past the
+# corpse). Two sequential round trips — a pipelined stats request would
+# snapshot the counters while the alloc is still in flight.
+exec 5<>"/dev/tcp/127.0.0.1/$fp1"
+printf '%s\n' "$smoke_req" >&5
+IFS= read -r fleet_warm <&5
+printf '%s\n' '{"req":"stats"}' >&5
+IFS= read -r fleet_stats <&5
+exec 5<&- 5>&-
+case "$fleet_warm" in
+    *'"cached":true'*) ;;
+    *)
+        echo "fleet smoke test failed: key went cold after one peer SIGKILL; response: $fleet_warm" >&2
+        exit 1
+        ;;
+esac
+case "$fleet_stats" in
+    *'"store":{"hits":1'*'"mode":"sharded"'*) ;;
+    *)
+        echo "fleet smoke test failed: no cross-daemon store hit; stats: $fleet_stats" >&2
+        exit 1
+        ;;
+esac
+# The four surviving processes must drain cleanly on SIGTERM: serving
+# tier first, then the store tier it depends on.
 kill -TERM "$serve0_pid" "$serve1_pid"
 for pid in "$serve0_pid" "$serve1_pid"; do
     if ! wait "$pid"; then
@@ -295,8 +306,8 @@ for pid in "$serve0_pid" "$serve1_pid"; do
         exit 1
     fi
 done
-kill -TERM "$stored0_pid" "$stored1_pid"
-for pid in "$stored0_pid" "$stored1_pid"; do
+kill -TERM "$stored1_pid" "$stored2_pid"
+for pid in "$stored1_pid" "$stored2_pid"; do
     if ! wait "$pid"; then
         echo "fleet smoke test failed: store daemon exited nonzero after SIGTERM" >&2
         exit 1
@@ -304,101 +315,17 @@ for pid in "$stored0_pid" "$stored1_pid"; do
 done
 fleet_pids=""
 
-echo "==> replication smoke test (3 store daemons + 2 serve daemons, --replicas 2, peer SIGKILL)"
-rep_dir="$(mktemp -d)"
-rep_pids=""
-trap 'rm -rf "$rep_dir" "$fleet_dir" "$store_dir" "$stream_log" "$drain_log" "$chaos_dir"; [[ -n "$fleet_pids" ]] && kill $fleet_pids 2>/dev/null; [[ -n "$rep_pids" ]] && kill -9 $rep_pids 2>/dev/null; true' EXIT
-./target/debug/optimist-stored --dir "$rep_dir/shard0" 2>"$rep_dir/stored0.log" &
-rep_stored0_pid=$!
-./target/debug/optimist-stored --dir "$rep_dir/shard1" 2>"$rep_dir/stored1.log" &
-rep_stored1_pid=$!
-./target/debug/optimist-stored --dir "$rep_dir/shard2" 2>"$rep_dir/stored2.log" &
-rep_stored2_pid=$!
-rep_pids="$rep_stored0_pid $rep_stored1_pid $rep_stored2_pid"
-rp0="$(fleet_port "$rep_dir/stored0.log")"
-rp1="$(fleet_port "$rep_dir/stored1.log")"
-rp2="$(fleet_port "$rep_dir/stored2.log")"
-rep_peers="127.0.0.1:$rp0,127.0.0.1:$rp1,127.0.0.1:$rp2"
-./target/debug/optimist-serve --listen 127.0.0.1:0 --store-peers "$rep_peers" \
-    --replicas 2 --quiet 2>"$rep_dir/serve0.log" &
-rep_serve0_pid=$!
-./target/debug/optimist-serve --listen 127.0.0.1:0 --store-peers "$rep_peers" \
-    --replicas 2 --quiet 2>"$rep_dir/serve1.log" &
-rep_serve1_pid=$!
-rep_pids="$rep_pids $rep_serve0_pid $rep_serve1_pid"
-rs0="$(fleet_port "$rep_dir/serve0.log")"
-rs1="$(fleet_port "$rep_dir/serve1.log")"
-# Warm the key through daemon 0: the put fans out to both of its replicas.
-exec 6<>"/dev/tcp/127.0.0.1/$rs0"
-printf '%s\n' "$smoke_req" >&6
-IFS= read -r rep_cold <&6
-exec 6<&- 6>&-
-case "$rep_cold" in
-    *'"ok":true'*) ;;
-    *)
-        echo "replication smoke test failed: cold daemon refused; response: $rep_cold" >&2
-        exit 1
-        ;;
-esac
-# SIGKILL one store daemon — no drain, no flush: the crash case. With
-# --replicas 2 over 3 peers, any single death leaves every key at least
-# one live replica.
-kill -9 "$rep_stored0_pid"
-wait "$rep_stored0_pid" 2>/dev/null || true
-# The other serving daemon has cold memory; its only warmth is the store
-# tier, now down a peer. The key must still come back cached — served by
-# its surviving replica (directly, or via read failover past the corpse).
-exec 6<>"/dev/tcp/127.0.0.1/$rs1"
-printf '%s\n' "$smoke_req" >&6
-IFS= read -r rep_warm <&6
-exec 6<&- 6>&-
-case "$rep_warm" in
-    *'"cached":true'*) ;;
-    *)
-        echo "replication smoke test failed: key went cold after one peer SIGKILL; response: $rep_warm" >&2
-        exit 1
-        ;;
-esac
-# The four surviving processes must still drain cleanly on SIGTERM:
-# serving tier first, then the store tier it depends on.
-kill -TERM "$rep_serve0_pid" "$rep_serve1_pid"
-for pid in "$rep_serve0_pid" "$rep_serve1_pid"; do
-    if ! wait "$pid"; then
-        echo "replication smoke test failed: serve daemon exited nonzero after SIGTERM" >&2
-        exit 1
-    fi
-done
-kill -TERM "$rep_stored1_pid" "$rep_stored2_pid"
-for pid in "$rep_stored1_pid" "$rep_stored2_pid"; do
-    if ! wait "$pid"; then
-        echo "replication smoke test failed: store daemon exited nonzero after SIGTERM" >&2
-        exit 1
-    fi
-done
-rep_pids=""
-
 if [[ $quick -eq 0 ]]; then
-    echo "==> strategy shootout (chaitin vs briggs vs irc vs ssa over the corpus)"
-    # Runs all four strategies through a live daemon + the cycle simulator
-    # and enforces two acceptance bars: IRC removes at least as many
-    # copies as conservative-mode Briggs with no more spills, and the SSA
-    # lane allocates every corpus function in exactly one pass.
-    cargo build -q --release -p optimist-bench --bin serve_replay
-    ./target/release/serve_replay --shootout
+    # The chaos, fleet, giant-kernel and stream drills over in-process
+    # daemons. Release builds add their timing bars; one test thread, so
+    # no drill times another drill's load.
+    echo "==> serve drills under --release (timing bars on)"
+    cargo test --release -q -p optimist-serve --test drills -- --test-threads=1
 
-    echo "==> fleet drill (3 serve daemons sharing 3 replicated store daemons, release)"
-    # In-process fleet over real TCP with 2 replicas per key: ≥ 90%
-    # cross-daemon warm hit rate, byte-identity with the single-process
-    # path, zero failed requests through a mid-replay store-peer kill
-    # (replica reads keep the warm bar), an empty-disk revival resynced
-    # ≥ 90% by anti-entropy, and a p99 tail bar.
-    ./target/release/serve_replay --fleet
-
-    echo "==> giant-kernel lane (sequential vs graph_threads=8, byte-identity)"
-    # Deadline 0 disables the wall-clock bar: CI may be single-core, where
-    # speculative coloring buys nothing. Byte-identity and the engaged-par
-    # counters are still enforced.
-    ./target/release/serve_replay --giant --giant-deadline-ms 0
+    # The strategy shootout's corpus totals (spills, copies removed,
+    # passes, simulated cycles) per lane, pinned to EXPERIMENTS.md.
+    echo "==> codegen golden under --release"
+    cargo test --release -q --test codegen_golden
 fi
 
 echo "CI gate passed."

@@ -111,8 +111,8 @@ proptest! {
     /// allocator", unconditionally) is *false* under pressure: on graphs
     /// that need spills regardless, even a conservative merge can shift
     /// which blocked ranges optimistic select rescues (seed hunting finds
-    /// ±1-register cases), which is why the corpus-level bar in the
-    /// `serve_replay --shootout` benchmark pins IRC's spill totals to
+    /// ±1-register cases), which is why the corpus-level bar in
+    /// `tests/codegen_golden.rs` pins IRC's spill totals to
     /// conservative-Briggs' instead of relying on a per-function theorem.
     #[test]
     fn irc_preserves_simplifiability(seed in 0u64..1_000_000, k in 2usize..9) {

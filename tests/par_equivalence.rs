@@ -149,7 +149,7 @@ proptest! {
 fn giant_kernel_is_thread_count_invariant() {
     // `small()` keeps debug-build runtime sane; it is still far larger
     // than anything in the paper corpus. The default config is exercised
-    // in release builds by `serve_replay --giant`.
+    // in release builds by the giant drill in `crates/serve/tests/drills.rs`.
     let src = giant_kernel("GIANT", 7, &GiantConfig::small());
     let module = optimist::frontend::compile(&src).unwrap();
     let mut f = module.functions()[0].clone();

@@ -1,16 +1,14 @@
-//! Module-level allocation throughput: the [`Pipeline`] worker pool at
-//! 1/2/4/8 threads, with the incremental graph rebuild on and off.
+//! Module-level allocation throughput: a [`WorkerPool`] of 1/2/4/8
+//! workers, with the incremental graph rebuild on and off.
 //!
-//! This is the scaling experiment behind the parallel-pipeline PR: with
-//! `threads = 1` the pipeline is the old sequential loop, so the 1-thread
-//! row is the baseline every other row is compared against. On a
-//! single-core container the >1-thread rows measure scheduling overhead
+//! The 1-worker row is the baseline every other row is compared against.
+//! On a single-core machine the >1-worker rows measure scheduling overhead
 //! only — read them on multi-core hardware.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use optimist_ir::Module;
 use optimist_machine::Target;
-use optimist_regalloc::{Pipeline, Strategy};
+use optimist_regalloc::{AllocatorConfig, Strategy, WorkerPool};
 use std::num::NonZeroUsize;
 
 /// One module holding every routine of the paper's corpus programs — the
@@ -35,14 +33,13 @@ fn bench_pipeline(c: &mut Criterion) {
     let mut group = c.benchmark_group("pipeline");
     for incremental in [false, true] {
         for threads in [1usize, 2, 4, 8] {
-            let cfg = optimist_regalloc::AllocatorConfig::new(Target::rt_pc(), Strategy::Briggs)
-                .with_threads(NonZeroUsize::new(threads).expect("non-zero"))
+            let cfg = AllocatorConfig::new(Target::rt_pc(), Strategy::Briggs)
                 .with_incremental(incremental);
-            let pipeline = Pipeline::new(cfg);
+            let pool = WorkerPool::new(NonZeroUsize::new(threads).expect("non-zero"));
             let label = if incremental { "incremental" } else { "full" };
             group.bench_function(BenchmarkId::new(label, format!("{threads}t")), |b| {
                 b.iter(|| {
-                    let out = pipeline.allocate_module(&module);
+                    let out = pool.allocate_module(&cfg, &module);
                     assert!(out.is_ok());
                     out
                 });

@@ -9,7 +9,7 @@
 
 use optimist_bench::{cycles_to_seconds, pct_cell, quick_flag};
 use optimist_machine::Target;
-use optimist_regalloc::{allocate, AllocatorConfig, Heuristic, Strategy};
+use optimist_regalloc::{allocate, AllocatorConfig, Strategy};
 use optimist_sim::{run_allocated, AllocatedModule, ExecOptions, Scalar};
 use std::collections::HashMap;
 
@@ -34,9 +34,8 @@ fn main() {
         for regs in [16usize, 14, 12, 10, 8] {
             let target = Target::with_int_regs(regs);
             let mut results = Vec::new();
-            for heuristic in [Heuristic::ChaitinPessimistic, Heuristic::BriggsOptimistic] {
-                let mut cfg = AllocatorConfig::new(target.clone(), Strategy::Briggs);
-                cfg.heuristic = heuristic;
+            for strategy in [Strategy::Chaitin, Strategy::Briggs] {
+                let cfg = AllocatorConfig::new(target.clone(), strategy);
                 let allocs: HashMap<_, _> = module
                     .functions()
                     .iter()

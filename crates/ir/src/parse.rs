@@ -77,7 +77,14 @@ pub fn parse_module(text: &str) -> Result<Module, ParseError> {
     let mut pending: HashMap<String, Constraints> = HashMap::new();
     while i < lines.len() {
         let (func, consumed, constraints) = parse_function_lines(&lines[i..])?;
-        pending.insert(func.name().to_string(), constraints);
+        // Names address functions (calls, allocations, the simulator), so
+        // a second body under one name would silently replace the first.
+        if pending
+            .insert(func.name().to_string(), constraints)
+            .is_some()
+        {
+            return err(lines[i].0, format!("duplicate function `{}`", func.name()));
+        }
         module.add_function(func);
         i += consumed;
     }
@@ -745,6 +752,15 @@ mod tests {
     use super::*;
     use crate::builder::FunctionBuilder;
     use crate::verify::{verify_function, verify_module};
+
+    #[test]
+    fn duplicate_function_names_are_rejected_at_the_second_header() {
+        let text = "func f(v0:int) -> int {\nb0:\n    v1 = add.i v0, v0\n    ret v1\n}\n\
+                    func f(v0:int) -> int {\nb0:\n    v1 = mul.i v0, v0\n    ret v1\n}\n";
+        let e = parse_module(text).unwrap_err();
+        assert_eq!(e.line, 6);
+        assert_eq!(e.message, "duplicate function `f`");
+    }
 
     #[test]
     fn round_trip_simple_function() {

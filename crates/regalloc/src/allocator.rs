@@ -27,7 +27,8 @@ use crate::build::{build_graph, build_graph_par, update_graph_after_spill};
 use crate::coalesce::{coalesce, CoalesceOpts};
 use crate::cost::spill_costs;
 use crate::irc::{apply_coalesces, collect_moves, irc};
-use crate::select::{select, select_with_threads};
+use crate::par::par_select;
+use crate::select::select;
 use crate::simplify::{simplify_with_metric_threads, Heuristic};
 use crate::spill::{insert_spill_code, SpillOpts, SpillOutcome};
 use crate::InterferenceGraph;
@@ -44,9 +45,9 @@ use std::time::{Duration, Instant};
 ///
 /// This is the single selection knob: it travels from `AllocatorConfig`
 /// through [`AllocatorConfig::fingerprint`] into the serve protocol's
-/// `"strategy"` field and both cache tiers. The older
-/// [`Heuristic`] + [`CoalesceMode`](crate::CoalesceMode) pairing survives
-/// as ablation knobs for the first two strategies.
+/// `"strategy"` field and both cache tiers. It alone picks the simplify
+/// [`Heuristic`]; [`CoalesceMode`](crate::CoalesceMode) survives as an
+/// ablation knob for the first two strategies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Strategy {
     /// Chaitin's pessimistic allocator: spill decisions are made inside
@@ -67,9 +68,9 @@ pub enum Strategy {
     /// decoupled spill phase that lowers register pressure to ≤ k up
     /// front, color the chordal SSA interference graph greedily in one
     /// pass, and lower phis back to copies. No Build–Simplify–Color
-    /// iteration — [`AllocStats::passes`] is always 1. The `heuristic`,
-    /// `coalesce`, `spill_metric`, `rematerialize` and `incremental`
-    /// ablation knobs are all ignored.
+    /// iteration — [`AllocStats::passes`] is always 1. The `coalesce`,
+    /// `spill_metric`, `rematerialize` and `incremental` ablation knobs are
+    /// all ignored.
     Ssa,
 }
 
@@ -83,8 +84,8 @@ impl Strategy {
     }
 }
 
-/// Configuration for one allocation run (or a whole
-/// [`Pipeline`](crate::Pipeline) session).
+/// Configuration for one allocation run (or a whole module on a
+/// [`WorkerPool`](crate::WorkerPool), whose size is the pool's business).
 ///
 /// Construct with [`AllocatorConfig::new`] and refine with the `with_*`
 /// builder methods:
@@ -98,7 +99,7 @@ impl Strategy {
 ///     .with_coalesce(CoalesceMode::Conservative)
 ///     .with_rematerialize(true)
 ///     .with_incremental(true)
-///     .with_threads(NonZeroUsize::new(4).unwrap());
+///     .with_graph_threads(NonZeroUsize::new(4).unwrap());
 /// assert!(config.incremental);
 /// ```
 ///
@@ -109,16 +110,10 @@ impl Strategy {
 pub struct AllocatorConfig {
     /// The register files to color with.
     pub target: Target,
-    /// The allocator family (Chaitin, Briggs, or IRC). The driver branches
-    /// on `Strategy::Irc` only; the classic strategies keep reading the
-    /// [`heuristic`](AllocatorConfig::heuristic) and
-    /// [`coalesce`](AllocatorConfig::coalesce) ablation knobs below, so
-    /// code that pokes those fields directly behaves exactly as before.
+    /// The allocator family (Chaitin, Briggs, IRC or SSA). It alone picks
+    /// the simplify heuristic: pessimistic for Chaitin, optimistic for the
+    /// rest.
     pub strategy: Strategy,
-    /// Pessimistic (Chaitin) or optimistic (Briggs) spilling. Ignored when
-    /// [`strategy`](AllocatorConfig::strategy) is [`Strategy::Irc`] (IRC is
-    /// always optimistic).
-    pub heuristic: Heuristic,
     /// Coalescing policy (the paper used aggressive coalescing; the
     /// conservative and off settings exist for ablation experiments).
     /// Ignored when [`strategy`](AllocatorConfig::strategy) is
@@ -134,25 +129,13 @@ pub struct AllocatorConfig {
     /// Safety bound on Build–Simplify–Color cycles. The paper never
     /// observed more than three; we fail loudly rather than loop.
     pub max_passes: usize,
-    /// Worker threads for [`Pipeline`](crate::Pipeline) module allocation.
-    /// Defaults to the machine's available parallelism; `1` reproduces the
-    /// sequential behavior exactly. Single-function [`allocate`] calls
-    /// ignore this field.
-    pub threads: NonZeroUsize,
     /// Intra-function threads for the build and select phases of the
     /// classic strategies (sharded graph construction, speculative
-    /// parallel coloring — see the [`par`](crate::par_stats) machinery).
-    /// The allocation result is bit-identical for every value; only wall
-    /// clock changes. Defaults to 1 (fully sequential). The value actually
-    /// used is clamped by [`AllocatorConfig::thread_budget`] — see
-    /// [`AllocatorConfig::effective_graph_threads`].
+    /// parallel coloring — see the [`par`](crate::par_stats) machinery):
+    /// exactly the thread count of one function's build and select. The
+    /// allocation result is bit-identical for every value; only wall clock
+    /// changes. Defaults to 1 (fully sequential).
     pub graph_threads: NonZeroUsize,
-    /// Global thread budget shared by module-level workers and
-    /// intra-function threads: at most `thread_budget / workers` graph
-    /// threads run per worker, so `--threads 8 --graph-threads 8` on an
-    /// 8-budget machine clamps to 8×1, not 64 runnable threads. Defaults
-    /// to the machine's available parallelism.
-    pub thread_budget: NonZeroUsize,
     /// Repair the interference graph incrementally after spill insertion
     /// instead of rebuilding it (see the module docs). Off by default: the
     /// full rebuild is the paper's measured configuration.
@@ -168,24 +151,18 @@ impl AllocatorConfig {
         AllocatorConfig {
             target,
             strategy,
-            heuristic: strategy.heuristic(),
             coalesce: crate::coalesce::CoalesceMode::Aggressive,
             spill_metric: crate::simplify::SpillMetric::CostOverDegree,
             rematerialize: false,
             max_passes: 64,
-            threads: default_threads(),
             graph_threads: NonZeroUsize::MIN,
-            thread_budget: default_threads(),
             incremental: false,
         }
     }
 
-    /// Set the allocation strategy, also resetting the
-    /// [`heuristic`](AllocatorConfig::heuristic) ablation knob to the one
-    /// the strategy implies.
+    /// Set the allocation strategy.
     pub fn with_strategy(mut self, strategy: Strategy) -> Self {
         self.strategy = strategy;
-        self.heuristic = strategy.heuristic();
         self
     }
 
@@ -213,12 +190,6 @@ impl AllocatorConfig {
         self
     }
 
-    /// Set the [`Pipeline`](crate::Pipeline) worker-thread count.
-    pub fn with_threads(mut self, threads: NonZeroUsize) -> Self {
-        self.threads = threads;
-        self
-    }
-
     /// Enable or disable incremental interference-graph repair.
     pub fn with_incremental(mut self, on: bool) -> Self {
         self.incremental = on;
@@ -226,50 +197,22 @@ impl AllocatorConfig {
     }
 
     /// Set the intra-function thread count for the build and select
-    /// phases (subject to the [`thread_budget`](AllocatorConfig::thread_budget)
-    /// clamp).
+    /// phases.
     pub fn with_graph_threads(mut self, threads: NonZeroUsize) -> Self {
         self.graph_threads = threads;
         self
     }
 
-    /// Set the global thread budget shared by module workers and
-    /// intra-function threads.
-    pub fn with_thread_budget(mut self, budget: NonZeroUsize) -> Self {
-        self.thread_budget = budget;
-        self
-    }
-
-    /// The intra-function thread count the allocator will actually use
-    /// when [`threads`](AllocatorConfig::threads) module workers run
-    /// concurrently: [`graph_threads`](AllocatorConfig::graph_threads)
-    /// clamped so that `workers × graph_threads` never exceeds
-    /// [`thread_budget`](AllocatorConfig::thread_budget) (but always at
-    /// least 1). The clamp changes scheduling only, never results.
-    pub fn effective_graph_threads(&self) -> usize {
-        self.effective_graph_threads_for(self.threads.get())
-    }
-
-    /// [`effective_graph_threads`](AllocatorConfig::effective_graph_threads)
-    /// for an explicit module-worker count — the
-    /// [`Pipeline`](crate::Pipeline) passes the *actual* pool size here,
-    /// which may differ from the config's `threads` field.
-    pub fn effective_graph_threads_for(&self, workers: usize) -> usize {
-        let per_worker = (self.thread_budget.get() / workers.max(1)).max(1);
-        self.graph_threads.get().min(per_worker)
-    }
-
     /// A stable 64-bit fingerprint of every knob that can change the
-    /// *result* of an allocation: target register files, heuristic,
+    /// *result* of an allocation: target register files, strategy,
     /// coalescing mode, spill metric, rematerialization, and incremental
     /// repair (it changes [`AllocStats`], so it is result-relevant).
     ///
-    /// The threading knobs are deliberately excluded:
-    /// [`AllocatorConfig::threads`], [`AllocatorConfig::graph_threads`]
-    /// and [`AllocatorConfig::thread_budget`] only change scheduling,
-    /// never output (the pipeline-determinism and par-equivalence
-    /// proptests pin that down — intra-function speculation is repaired
-    /// to the sequential fixpoint before any result escapes).
+    /// [`AllocatorConfig::graph_threads`] is deliberately excluded: it only
+    /// changes scheduling, never output (the par-equivalence proptests pin
+    /// that down — intra-function speculation is repaired to the
+    /// sequential fixpoint before any result escapes), and neither does
+    /// the size of the [`WorkerPool`](crate::WorkerPool) that runs it.
     /// [`AllocatorConfig::max_passes`] caps how
     /// long the Build–Simplify–Color cycle may iterate but never changes a
     /// *converged* result: any bound ≥ the passes actually taken yields the
@@ -285,10 +228,11 @@ impl AllocatorConfig {
     /// its content-addressed cache keys, in memory and on disk.
     ///
     /// Canonical spellings (compatibility contract): the classic strategies
-    /// render through their `heuristic`/`coalesce` ablation knobs exactly as
-    /// they did before [`Strategy`] existed, so every chaitin/briggs
-    /// fingerprint — and therefore every warm cache entry persisted by older
-    /// daemons — is byte-identical across the redesign. [`Strategy::Irc`]
+    /// render as the `heuristic` their strategy implies plus the `coalesce`
+    /// ablation knob, exactly as they did before [`Strategy`] existed, so
+    /// every chaitin/briggs fingerprint — and therefore every warm cache
+    /// entry persisted by older daemons — is byte-identical across the
+    /// redesign. [`Strategy::Irc`]
     /// renders as `strategy=Irc` with no `heuristic`/`coalesce` terms (IRC
     /// ignores both), a spelling no pre-`Strategy` config could produce.
     /// [`Strategy::Ssa`] renders as just `strategy=Ssa` after the target:
@@ -319,7 +263,7 @@ impl AllocatorConfig {
                 self.target.name(),
                 self.target.regs(RegClass::Int),
                 self.target.regs(RegClass::Float),
-                self.heuristic,
+                self.strategy.heuristic(),
                 self.coalesce,
                 self.spill_metric,
                 self.rematerialize,
@@ -340,12 +284,6 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
-}
-
-/// The default [`AllocatorConfig::threads`]: the machine's available
-/// parallelism, or 1 if it cannot be determined.
-pub fn default_threads() -> NonZeroUsize {
-    std::thread::available_parallelism().unwrap_or(NonZeroUsize::MIN)
 }
 
 /// CPU time spent in each phase of one pass (one row group of Figure 7).
@@ -440,7 +378,7 @@ pub enum AllocError {
         /// How many passes ran.
         passes: usize,
     },
-    /// A [`Pipeline`](crate::Pipeline) worker panicked while allocating a
+    /// A [`WorkerPool`](crate::WorkerPool) worker panicked while allocating a
     /// function. The panic is contained: other functions of the module are
     /// unaffected.
     WorkerPanic {
@@ -534,10 +472,9 @@ pub fn allocate_with_deadline(
         // construct → spill → color → destruct pipeline.
         return crate::ssa::allocate_ssa(func, config, deadline);
     }
-    // Intra-function parallelism, clamped by the global thread budget
-    // against the module-worker count. Every path below is bit-identical
-    // for every value of this; it is pure scheduling.
-    let graph_threads = config.effective_graph_threads();
+    // Intra-function parallelism. Every path below is bit-identical for
+    // every value of this; it is pure scheduling.
+    let graph_threads = config.graph_threads.get();
     let mut f = func.clone();
     let mut passes: Vec<PassRecord> = Vec::new();
     let mut total_spilled = 0usize;
@@ -624,7 +561,7 @@ pub fn allocate_with_deadline(
                 &graph,
                 &costs,
                 &config.target,
-                config.heuristic,
+                config.strategy.heuristic(),
                 config.spill_metric,
                 graph_threads,
             );
@@ -639,9 +576,9 @@ pub fn allocate_with_deadline(
         // Chaitin's flow: when simplify marked spills, the pass goes
         // straight to spill-code insertion; coloring runs only on a pass
         // that marked nothing (Figure 4 / Figure 7's empty Color cells).
-        let skip_color = outcome.as_ref().is_some_and(|o| {
-            config.heuristic == Heuristic::ChaitinPessimistic && !o.spill_marked.is_empty()
-        });
+        let skip_color = outcome
+            .as_ref()
+            .is_some_and(|o| config.strategy == Strategy::Chaitin && !o.spill_marked.is_empty());
         let t_color = Instant::now();
         let coloring = match (&outcome, &irc_out) {
             _ if skip_color => None,
@@ -659,7 +596,7 @@ pub fn allocate_with_deadline(
                 }
                 Some(c)
             }
-            (Some(out), None) => Some(select_with_threads(
+            (Some(out), None) => Some(par_select(
                 &graph,
                 &out.stack,
                 &config.target,
@@ -1173,57 +1110,19 @@ mod tests {
             .with_spill_metric(crate::simplify::SpillMetric::Cost)
             .with_rematerialize(true)
             .with_max_passes(7)
-            .with_threads(NonZeroUsize::new(3).unwrap())
             .with_graph_threads(NonZeroUsize::new(2).unwrap())
-            .with_thread_budget(NonZeroUsize::new(6).unwrap())
             .with_incremental(true);
-        assert_eq!(cfg.heuristic, Heuristic::BriggsOptimistic);
+        assert_eq!(cfg.strategy, Strategy::Briggs);
         assert_eq!(cfg.coalesce, crate::coalesce::CoalesceMode::Off);
         assert_eq!(cfg.spill_metric, crate::simplify::SpillMetric::Cost);
         assert!(cfg.rematerialize);
         assert_eq!(cfg.max_passes, 7);
-        assert_eq!(cfg.threads.get(), 3);
         assert_eq!(cfg.graph_threads.get(), 2);
-        assert_eq!(cfg.thread_budget.get(), 6);
         assert!(cfg.incremental);
         // Defaults.
         let d = AllocatorConfig::new(Target::rt_pc(), Strategy::Briggs);
         assert!(!d.incremental);
-        assert_eq!(d.threads, default_threads());
         assert_eq!(d.graph_threads.get(), 1, "sequential by default");
-        assert_eq!(d.thread_budget, default_threads());
-    }
-
-    #[test]
-    fn thread_budget_clamps_oversubscription() {
-        let nz = |n: usize| NonZeroUsize::new(n).unwrap();
-        let cfg = AllocatorConfig::new(Target::rt_pc(), Strategy::Briggs)
-            .with_threads(nz(8))
-            .with_graph_threads(nz(8))
-            .with_thread_budget(nz(8));
-        // 8 workers × 8 graph threads would be 64 runnable threads on an
-        // 8-budget machine; the guard clamps to 1 per worker.
-        assert_eq!(cfg.effective_graph_threads(), 1);
-        // A budget of 32 leaves room for 4 per worker.
-        assert_eq!(
-            cfg.clone()
-                .with_thread_budget(nz(32))
-                .effective_graph_threads(),
-            4
-        );
-        // A lone worker may use the whole request.
-        assert_eq!(cfg.effective_graph_threads_for(1), 8);
-        // graph_threads caps from below the budget too.
-        assert_eq!(
-            cfg.clone()
-                .with_graph_threads(nz(2))
-                .effective_graph_threads_for(1),
-            2
-        );
-        // Degenerate worker counts never panic and never return 0: zero
-        // workers is treated as one (full budget), a thousand get 1 each.
-        assert_eq!(cfg.effective_graph_threads_for(0), 8);
-        assert_eq!(cfg.effective_graph_threads_for(1000), 1);
     }
 
     #[test]
@@ -1237,9 +1136,7 @@ mod tests {
             for threads in [2usize, 8] {
                 let cfg = base
                     .clone()
-                    .with_threads(NonZeroUsize::MIN)
-                    .with_graph_threads(NonZeroUsize::new(threads).unwrap())
-                    .with_thread_budget(NonZeroUsize::new(threads).unwrap());
+                    .with_graph_threads(NonZeroUsize::new(threads).unwrap());
                 let par = allocate(&f, &cfg).unwrap();
                 assert_eq!(par.assignment, seq.assignment, "{strategy:?}/{threads}");
                 assert_eq!(
@@ -1383,21 +1280,13 @@ mod tests {
     fn fingerprint_tracks_result_relevant_knobs_only() {
         let base = AllocatorConfig::new(Target::rt_pc(), Strategy::Briggs);
         assert_eq!(base.fingerprint(), base.clone().fingerprint());
-        // Threads never change results, so they never change the print.
-        assert_eq!(
-            base.fingerprint(),
-            base.clone()
-                .with_threads(NonZeroUsize::new(7).unwrap())
-                .fingerprint()
-        );
-        // Same for intra-function threads and the budget that clamps them:
-        // speculation is repaired to the sequential fixpoint, so neither
-        // knob may split the cache.
+        // Intra-function threads never change results: speculation is
+        // repaired to the sequential fixpoint, so the knob may not split
+        // the cache.
         assert_eq!(
             base.fingerprint(),
             base.clone()
                 .with_graph_threads(NonZeroUsize::new(8).unwrap())
-                .with_thread_budget(NonZeroUsize::new(64).unwrap())
                 .fingerprint()
         );
         // The pass bound never changes a converged result, so it never
@@ -1453,6 +1342,37 @@ mod tests {
         let irc_ = AllocatorConfig::new(Target::rt_pc(), Strategy::Irc);
         assert_ne!(irc_.fingerprint(), chaitin.fingerprint());
         assert_ne!(irc_.fingerprint(), briggs.fingerprint());
+        // Every other strategy and every result-relevant knob is pinned
+        // too: stored entries are keyed by these exact values.
+        let ssa = AllocatorConfig::new(Target::rt_pc(), Strategy::Ssa);
+        assert_eq!(irc_.fingerprint(), 0x85b4_4f3a_071e_1e00);
+        assert_eq!(ssa.fingerprint(), 0xdc83_ff16_c1b3_423b);
+        let knobs = [
+            (
+                briggs
+                    .clone()
+                    .with_coalesce(crate::coalesce::CoalesceMode::Conservative),
+                0x047e_e77b_d4a3_78b4,
+            ),
+            (
+                briggs
+                    .clone()
+                    .with_spill_metric(crate::simplify::SpillMetric::Cost),
+                0x6e52_922e_d4ef_53a7,
+            ),
+            (
+                briggs.clone().with_rematerialize(true),
+                0x581d_9ba6_e7fb_0498,
+            ),
+            (briggs.clone().with_incremental(true), 0x8039_b005_0cab_823e),
+            (
+                AllocatorConfig::new(Target::with_int_regs(8), Strategy::Briggs),
+                0x3f29_3177_6704_fc21,
+            ),
+        ];
+        for (cfg, pinned) in knobs {
+            assert_eq!(cfg.fingerprint(), pinned, "{cfg:?}");
+        }
     }
 
     #[test]

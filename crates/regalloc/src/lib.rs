@@ -83,8 +83,8 @@ mod spill;
 pub mod ssa;
 
 pub use allocator::{
-    allocate, allocate_with_deadline, default_threads, fnv1a, AllocError, AllocStats, Allocation,
-    AllocatorConfig, PassRecord, PhaseTimes, Strategy,
+    allocate, allocate_with_deadline, fnv1a, AllocError, AllocStats, Allocation, AllocatorConfig,
+    PassRecord, PhaseTimes, Strategy,
 };
 pub use build::{build_graph, build_graph_par, update_graph_after_spill};
 pub use coalesce::{coalesce, CoalesceMode, CoalesceOpts};
@@ -94,8 +94,8 @@ pub use graph::InterferenceGraph;
 pub use irc::{ConservativeTest, IrcEvent, IrcOutcome};
 pub use matula::smallest_last_order;
 pub use par::{par_select, par_stats, ParStats};
-pub use pipeline::{ModuleAllocation, Pipeline, WorkerPool};
-pub use select::{select, select_with_threads, Coloring};
+pub use pipeline::{default_threads, ModuleAllocation, WorkerPool};
+pub use select::{select, Coloring};
 pub use simplify::{
     simplify, simplify_with_metric, simplify_with_metric_threads, Heuristic, SimplifyOutcome,
     SpillMetric,

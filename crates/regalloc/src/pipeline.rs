@@ -1,27 +1,20 @@
-//! Parallel module allocation.
+//! Module allocation on a long-lived worker pool.
 //!
 //! Register allocation is embarrassingly parallel across functions: each
 //! [`allocate`](crate::allocate) call reads one [`Function`] and shares nothing with its
-//! siblings. [`Pipeline`] exploits that with a scoped worker pool — workers
-//! pull function indices from an atomic counter, results land in
-//! per-function slots, and the output order is always the module's function
-//! order regardless of which worker finished first. With
-//! [`AllocatorConfig::threads`] = 1 the pipeline degenerates to an inline
-//! sequential loop (no threads are spawned), which is bit-for-bit the
-//! pre-pipeline behavior; with more threads the *per-function results are
-//! identical* because each allocation is a pure function of its input — the
-//! determinism proptests in the workspace root pin this down.
+//! siblings. [`WorkerPool`] is the one engine that allocates a module: its
+//! workers live as long as the pool, concurrent callers (e.g. the in-flight
+//! window of one `optimist-serve` connection, or `optimist allocate` on one
+//! module) feed jobs into a shared earliest-deadline-first queue and block
+//! only for their own results, and each caller gets its results back in
+//! input order no matter which worker finished first. The *per-function
+//! results are identical for every pool size* because each allocation is a
+//! pure function of its input — the determinism proptests in the workspace
+//! root pin this down.
 //!
 //! A panic inside a worker is contained to the function being allocated: it
 //! surfaces as [`AllocError::WorkerPanic`] for that function and the rest of
 //! the module is still allocated.
-//!
-//! For serving workloads — many small requests instead of one big module —
-//! per-call thread spawn is wasted work. [`WorkerPool`] keeps the workers
-//! alive across calls: concurrent callers (e.g. the in-flight window of one
-//! `optimist-serve` connection) feed jobs into a shared earliest-deadline-
-//! first queue and block only for their own results. [`Pipeline::with_pool`]
-//! routes a session through such a pool.
 
 use crate::allocator::{allocate_with_deadline, AllocError, Allocation, AllocatorConfig};
 use crate::deadline::Deadline;
@@ -33,17 +26,14 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::Instant;
 
-/// A long-lived allocation worker pool, shared across [`Pipeline`]
-/// sessions and across callers.
+/// A long-lived allocation worker pool, shared across callers.
 ///
-/// [`Pipeline::allocate_functions`] spawns scoped workers per call, which
-/// is fine for one big module but wasteful for a server that allocates a
-/// stream of small requests: every request pays thread spawn/join. A
-/// `WorkerPool` keeps `threads` workers alive for its whole lifetime;
+/// A `WorkerPool` keeps `threads` workers alive for its whole lifetime;
 /// concurrent callers submit jobs into one shared queue and each gets its
 /// own results back in input order. Jobs carry their own
 /// [`AllocatorConfig`], so one pool serves requests with different
-/// configurations.
+/// configurations. The pool size is pure scheduling: it never changes a
+/// result.
 ///
 /// Dispatch is **earliest-deadline-first**: workers always take the queued
 /// job whose [`Deadline`] expires soonest, with unbounded jobs after every
@@ -53,9 +43,9 @@ use std::time::Instant;
 /// whose token ran out while queued is failed in O(1) instead of occupying
 /// a worker.
 ///
-/// Panics inside a job are contained exactly as in [`Pipeline`]: the
-/// function's slot gets [`AllocError::WorkerPanic`] and the worker thread
-/// survives to take the next job.
+/// A panic inside a job is contained: the function's slot gets
+/// [`AllocError::WorkerPanic`] and the worker thread survives to take the
+/// next job.
 #[derive(Debug)]
 pub struct WorkerPool {
     queue: Arc<EdfQueue>,
@@ -202,14 +192,8 @@ impl WorkerPool {
                 let queue = Arc::clone(&queue);
                 let pending = Arc::clone(&pending);
                 std::thread::spawn(move || {
-                    while let Some(mut job) = queue.pop() {
+                    while let Some(job) = queue.pop() {
                         pending.fetch_sub(1, Ordering::Relaxed);
-                        // The pool's thread count, not the job's `threads`
-                        // field, is the real worker parallelism on this
-                        // path — overwrite it so the intra-function
-                        // thread-budget clamp (`effective_graph_threads`)
-                        // sees the truth. Pure scheduling; never results.
-                        job.config.threads = threads;
                         // EDF's cheap half: a job whose deadline passed while
                         // it queued is dropped at dequeue instead of occupying
                         // the worker for a build phase it cannot finish.
@@ -297,6 +281,18 @@ impl WorkerPool {
             .map(|s| s.expect("every job produced a result"))
             .collect()
     }
+
+    /// Allocate every function of `module` under `config` on the pool's
+    /// workers, preserving the module's function order in the result.
+    pub fn allocate_module(&self, config: &AllocatorConfig, module: &Module) -> ModuleAllocation {
+        let results = self
+            .allocate_functions(config, module.functions())
+            .into_iter()
+            .zip(module.functions())
+            .map(|(r, f)| (f.name().to_string(), r))
+            .collect();
+        ModuleAllocation { results }
+    }
 }
 
 impl Drop for WorkerPool {
@@ -307,6 +303,12 @@ impl Drop for WorkerPool {
             let _ = w.join();
         }
     }
+}
+
+/// The default [`WorkerPool`] size: the machine's available parallelism,
+/// or 1 if it cannot be determined.
+pub fn default_threads() -> NonZeroUsize {
+    std::thread::available_parallelism().unwrap_or(NonZeroUsize::MIN)
 }
 
 /// Allocate one function under a deadline, converting a panic into
@@ -335,123 +337,12 @@ fn allocate_caught(
     })
 }
 
-/// A reusable module-allocation session: one configuration, many functions,
-/// allocated concurrently.
-#[derive(Debug, Clone)]
-pub struct Pipeline {
-    config: AllocatorConfig,
-    pool: Option<Arc<WorkerPool>>,
-}
-
-impl Pipeline {
-    /// Create a pipeline that allocates with `config` on
-    /// [`config.threads`](AllocatorConfig::threads) workers.
-    pub fn new(config: AllocatorConfig) -> Self {
-        Pipeline { config, pool: None }
-    }
-
-    /// Create a pipeline that routes its work through a shared long-lived
-    /// [`WorkerPool`] instead of spawning scoped workers per call. The
-    /// pool's thread count governs parallelism;
-    /// [`AllocatorConfig::threads`] is ignored on this path.
-    pub fn with_pool(config: AllocatorConfig, pool: Arc<WorkerPool>) -> Self {
-        Pipeline {
-            config,
-            pool: Some(pool),
-        }
-    }
-
-    /// The configuration this pipeline allocates with.
-    pub fn config(&self) -> &AllocatorConfig {
-        &self.config
-    }
-
-    /// The intra-function thread count this pipeline's allocations will
-    /// actually use, after the global thread budget is divided across the
-    /// real module-worker count (the pool's size on the pool path, the
-    /// config's `threads` otherwise). This is the observable the
-    /// thread-budget regression tests assert on: `--threads 8
-    /// --graph-threads 8` under a budget of 8 reports 1 here, not 8.
-    pub fn graph_parallelism(&self) -> usize {
-        let workers = match &self.pool {
-            Some(pool) => pool.threads(),
-            None => self.config.threads.get(),
-        };
-        self.config.effective_graph_threads_for(workers)
-    }
-
-    /// Allocate every function in `funcs`, returning one result per input
-    /// in the same order.
-    pub fn allocate_functions(&self, funcs: &[Function]) -> Vec<Result<Allocation, AllocError>> {
-        if let Some(pool) = &self.pool {
-            return pool.allocate_functions(&self.config, funcs);
-        }
-        let threads = self.config.threads.get().min(funcs.len().max(1));
-        if threads <= 1 {
-            return funcs.iter().map(|f| self.allocate_one(f)).collect();
-        }
-
-        // Work-stealing by atomic index: each worker claims the next
-        // unallocated function. Slots keep results addressable by input
-        // position, so the output order is deterministic no matter how the
-        // OS schedules the workers.
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Result<Allocation, AllocError>>>> =
-            funcs.iter().map(|_| Mutex::new(None)).collect();
-
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(func) = funcs.get(i) else { break };
-                    let result = self.allocate_one(func);
-                    *slots[i].lock().expect("result slot poisoned") = Some(result);
-                });
-            }
-        });
-
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("result slot poisoned")
-                    .expect("every slot filled by a worker")
-            })
-            .collect()
-    }
-
-    /// Allocate every function of `module`, concurrently, preserving the
-    /// module's function order in the result.
-    pub fn allocate_module(&self, module: &Module) -> ModuleAllocation {
-        let results = self
-            .allocate_functions(module.functions())
-            .into_iter()
-            .zip(module.functions())
-            .map(|(r, f)| (f.name().to_string(), r))
-            .collect();
-        ModuleAllocation {
-            results,
-            graph_threads_used: self.graph_parallelism(),
-        }
-    }
-
-    /// Allocate one function with panic containment (see
-    /// [`allocate_caught`]).
-    fn allocate_one(&self, func: &Function) -> Result<Allocation, AllocError> {
-        allocate_caught(func, &self.config, &Deadline::none())
-    }
-}
-
-/// The outcome of [`Pipeline::allocate_module`]: one result per function,
+/// The outcome of [`WorkerPool::allocate_module`]: one result per function,
 /// in module function order.
 #[derive(Debug)]
 pub struct ModuleAllocation {
     /// `(function name, allocation result)` pairs in module order.
     pub results: Vec<(String, Result<Allocation, AllocError>)>,
-    /// The intra-function thread count the allocations ran with, after the
-    /// thread-budget clamp (see [`Pipeline::graph_parallelism`]). Purely
-    /// observability: the results are identical for every value.
-    pub graph_threads_used: usize,
 }
 
 impl ModuleAllocation {
@@ -509,9 +400,12 @@ mod tests {
         m
     }
 
-    fn config(threads: usize) -> AllocatorConfig {
+    fn config() -> AllocatorConfig {
         AllocatorConfig::new(Target::with_int_regs(8), Strategy::Briggs)
-            .with_threads(NonZeroUsize::new(threads).unwrap())
+    }
+
+    fn pool(threads: usize) -> WorkerPool {
+        WorkerPool::new(NonZeroUsize::new(threads).unwrap())
     }
 
     /// The per-function facts that must not depend on scheduling.
@@ -527,9 +421,9 @@ mod tests {
     #[test]
     fn parallel_results_match_sequential_in_order() {
         let m = test_module(7);
-        let seq = Pipeline::new(config(1)).allocate_module(&m);
+        let seq = pool(1).allocate_module(&config(), &m);
         for threads in [2, 4, 8] {
-            let par = Pipeline::new(config(threads)).allocate_module(&m);
+            let par = pool(threads).allocate_module(&config(), &m);
             assert_eq!(par.results.len(), seq.results.len());
             for ((n1, r1), (n2, r2)) in seq.results.iter().zip(&par.results) {
                 assert_eq!(n1, n2, "function order must be the module's");
@@ -540,22 +434,9 @@ mod tests {
     }
 
     #[test]
-    fn single_thread_runs_inline() {
-        // threads = 1 must not spawn: allocate from within a context where
-        // results are compared against direct `allocate` calls.
-        let m = test_module(3);
-        let p = Pipeline::new(config(1));
-        let results = p.allocate_functions(m.functions());
-        for (f, r) in m.functions().iter().zip(&results) {
-            let direct = allocate(f, p.config()).unwrap();
-            assert_eq!(fingerprint(r.as_ref().unwrap()), fingerprint(&direct));
-        }
-    }
-
-    #[test]
     fn more_threads_than_functions_is_fine() {
         let m = test_module(2);
-        let out = Pipeline::new(config(16)).allocate_module(&m);
+        let out = pool(16).allocate_module(&config(), &m);
         assert!(out.is_ok());
         assert_eq!(out.results.len(), 2);
     }
@@ -563,7 +444,7 @@ mod tests {
     #[test]
     fn empty_module_allocates_to_empty_map() {
         let m = Module::new();
-        let out = Pipeline::new(config(4)).allocate_module(&m);
+        let out = pool(4).allocate_module(&config(), &m);
         assert!(out.is_ok());
         assert!(out.into_map().unwrap().is_empty());
     }
@@ -571,7 +452,7 @@ mod tests {
     #[test]
     fn worker_panic_is_contained_to_its_function() {
         // An invalid function (Ret of an out-of-range vreg) makes the
-        // allocator panic; the pipeline must turn that into WorkerPanic and
+        // allocator panic; the pool must turn that into WorkerPanic and
         // still allocate the healthy functions.
         let mut m = Module::new();
         m.add_function(pressure_function("good0", 6));
@@ -585,7 +466,7 @@ mod tests {
         m.add_function(pressure_function("good1", 9));
 
         for threads in [1, 4] {
-            let out = Pipeline::new(config(threads)).allocate_module(&m);
+            let out = pool(threads).allocate_module(&config(), &m);
             assert!(!out.is_ok());
             let by_name: Vec<_> = out.iter().collect();
             assert!(by_name[0].1.is_ok());
@@ -603,53 +484,43 @@ mod tests {
     #[test]
     fn pool_results_match_direct_allocation_in_order() {
         let m = test_module(7);
-        let cfg = config(1);
-        let pool = Arc::new(WorkerPool::new(NonZeroUsize::new(4).unwrap()));
-        let via_pool = pool.allocate_functions(&cfg, m.functions());
-        for (f, r) in m.functions().iter().zip(&via_pool) {
-            let direct = allocate(f, &cfg).unwrap();
-            assert_eq!(fingerprint(r.as_ref().unwrap()), fingerprint(&direct));
-        }
-        // And the Pipeline facade over the same pool agrees.
-        let via_pipeline = Pipeline::with_pool(cfg, pool).allocate_module(&m);
-        for ((_, r1), r2) in via_pipeline.results.iter().zip(&via_pool) {
-            assert_eq!(
-                fingerprint(r1.as_ref().unwrap()),
-                fingerprint(r2.as_ref().unwrap())
-            );
+        let cfg = config();
+        for threads in [1, 4] {
+            let via_pool = pool(threads).allocate_functions(&cfg, m.functions());
+            for (f, r) in m.functions().iter().zip(&via_pool) {
+                let direct = allocate(f, &cfg).unwrap();
+                assert_eq!(fingerprint(r.as_ref().unwrap()), fingerprint(&direct));
+            }
         }
     }
 
     #[test]
     fn pool_is_shared_by_concurrent_callers() {
-        let pool = Arc::new(WorkerPool::new(NonZeroUsize::new(2).unwrap()));
-        let cfg = config(1);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..4)
-                .map(|caller| {
-                    let pool = Arc::clone(&pool);
-                    let cfg = cfg.clone();
-                    scope.spawn(move || {
-                        let m = test_module(3 + caller);
-                        let results = pool.allocate_functions(&cfg, m.functions());
-                        assert_eq!(results.len(), 3 + caller);
-                        for (f, r) in m.functions().iter().zip(&results) {
-                            let direct = allocate(f, &cfg).unwrap();
-                            assert_eq!(fingerprint(r.as_ref().unwrap()), fingerprint(&direct));
-                        }
-                    })
+        let pool = Arc::new(pool(2));
+        let callers: Vec<_> = (0..4)
+            .map(|caller| {
+                let pool = Arc::clone(&pool);
+                std::thread::spawn(move || {
+                    let cfg = config();
+                    let m = test_module(3 + caller);
+                    let results = pool.allocate_functions(&cfg, m.functions());
+                    assert_eq!(results.len(), 3 + caller);
+                    for (f, r) in m.functions().iter().zip(&results) {
+                        let direct = allocate(f, &cfg).unwrap();
+                        assert_eq!(fingerprint(r.as_ref().unwrap()), fingerprint(&direct));
+                    }
                 })
-                .collect();
-            for h in handles {
-                h.join().unwrap();
-            }
-        });
+            })
+            .collect();
+        for caller in callers {
+            caller.join().unwrap();
+        }
     }
 
     #[test]
     fn pool_worker_survives_a_panicking_function() {
-        let pool = WorkerPool::new(NonZeroUsize::new(1).unwrap());
-        let cfg = config(1);
+        let pool = pool(1);
+        let cfg = config();
         let mut bad = pressure_function("bad", 4);
         bad.block_mut(bad.entry())
             .insts
@@ -670,8 +541,8 @@ mod tests {
 
     #[test]
     fn expired_deadline_fails_jobs_without_wedging_workers() {
-        let pool = WorkerPool::new(NonZeroUsize::new(1).unwrap());
-        let cfg = config(1);
+        let pool = pool(1);
+        let cfg = config();
         let funcs = [pressure_function("slow", 40)];
         let results = pool.allocate_functions_with_deadline(
             &cfg,
@@ -698,7 +569,7 @@ mod tests {
         let base = Instant::now() + std::time::Duration::from_secs(3600);
         let mk = |index: usize, deadline: Deadline| Job {
             func: pressure_function("f", 4),
-            config: config(1),
+            config: config(),
             deadline,
             index,
             out: out.clone(),
@@ -722,8 +593,8 @@ mod tests {
     fn edf_pool_serves_mixed_deadlines_correctly() {
         // End-to-end smoke over the EDF path: bounded (generous) and
         // unbounded callers share a pool and all complete correctly.
-        let pool = WorkerPool::new(NonZeroUsize::new(2).unwrap());
-        let cfg = config(1);
+        let pool = pool(2);
+        let cfg = config();
         let m = test_module(5);
         let bounded = pool.allocate_functions_with_deadline(
             &cfg,
@@ -748,7 +619,7 @@ mod tests {
         let (out, _keep) = mpsc::channel();
         queue.push(Job {
             func: pressure_function("f", 4),
-            config: config(1),
+            config: config(),
             deadline: Deadline::none(),
             index: 0,
             out,
@@ -758,65 +629,16 @@ mod tests {
     #[test]
     fn unbounded_deadline_changes_nothing() {
         let f = pressure_function("f", 12);
-        let cfg = config(1);
+        let cfg = config();
         let timed = allocate_with_deadline(&f, &cfg, &Deadline::none()).unwrap();
         let plain = allocate(&f, &cfg).unwrap();
         assert_eq!(fingerprint(&timed), fingerprint(&plain));
     }
 
     #[test]
-    fn thread_budget_guard_clamps_pipeline_parallelism() {
-        let nz = |n: usize| NonZeroUsize::new(n).unwrap();
-        // The regression: `--threads 8 --graph-threads 8` on an 8-thread
-        // budget used to be 64 runnable threads. The pipeline metric must
-        // report the clamped value, 1 — and with a budget of 32, exactly 4.
-        let cfg = config(8)
-            .with_graph_threads(nz(8))
-            .with_thread_budget(nz(8));
-        let m = test_module(3);
-        let p = Pipeline::new(cfg.clone());
-        assert_eq!(p.graph_parallelism(), 1);
-        let out = p.allocate_module(&m);
-        assert!(out.is_ok());
-        assert_eq!(out.graph_threads_used, 1);
-
-        let roomy = Pipeline::new(cfg.clone().with_thread_budget(nz(32)));
-        assert_eq!(roomy.allocate_module(&m).graph_threads_used, 4);
-
-        // On the pool path the clamp divides by the POOL's size, not the
-        // config's `threads` field: a 16-worker pool under the same budget
-        // still reports 1, even if the config claims a single thread.
-        let pool = Arc::new(WorkerPool::new(nz(16)));
-        let via_pool = Pipeline::with_pool(
-            cfg.clone().with_threads(nz(1)).with_thread_budget(nz(16)),
-            pool,
-        );
-        assert_eq!(via_pool.graph_parallelism(), 1);
-        let out = via_pool.allocate_module(&m);
-        assert!(out.is_ok());
-        assert_eq!(out.graph_threads_used, 1);
-
-        // And the clamp never changes results, only scheduling.
-        let seq = Pipeline::new(config(1)).allocate_module(&m);
-        for ((_, a), (_, b)) in seq
-            .results
-            .iter()
-            .zip(&via_pool.allocate_module(&m).results)
-        {
-            assert_eq!(
-                fingerprint(a.as_ref().unwrap()),
-                fingerprint(b.as_ref().unwrap())
-            );
-        }
-    }
-
-    #[test]
     fn into_map_keys_are_function_names() {
         let m = test_module(4);
-        let map = Pipeline::new(config(2))
-            .allocate_module(&m)
-            .into_map()
-            .unwrap();
+        let map = pool(2).allocate_module(&config(), &m).into_map().unwrap();
         assert_eq!(map.len(), 4);
         for i in 0..4 {
             assert!(map.contains_key(&format!("f{i}")));
@@ -851,7 +673,7 @@ mod tests {
                 };
                 queue.push(Job {
                     func: pressure_function("f", 4),
-                    config: config(1),
+                    config: config(),
                     deadline,
                     index,
                     out: out.clone(),
@@ -889,8 +711,8 @@ mod tests {
         fn only_expired_jobs_are_shed_at_dequeue(
             expired in proptest::collection::vec(proptest::prelude::any::<bool>(), 1..6),
         ) {
-            let pool = WorkerPool::new(NonZeroUsize::new(1).unwrap());
-            let cfg = config(1);
+            let pool = pool(1);
+            let cfg = config();
             let funcs = [pressure_function("p", 8)];
             for &is_expired in &expired {
                 let deadline = if is_expired {

@@ -80,24 +80,6 @@ pub fn select(graph: &InterferenceGraph, stack: &[u32], target: &Target) -> Colo
     Coloring { color }
 }
 
-/// [`select`] with speculative intra-function parallelism: `threads > 1`
-/// routes through [`par_select`](crate::par_select), which colors
-/// contiguous chunks of the insertion order concurrently and repairs
-/// cross-chunk conflicts in deterministic rounds. The result is
-/// bit-identical to [`select`] for every thread count.
-pub fn select_with_threads(
-    graph: &InterferenceGraph,
-    stack: &[u32],
-    target: &Target,
-    threads: usize,
-) -> Coloring {
-    if threads <= 1 {
-        select(graph, stack, target)
-    } else {
-        crate::par::par_select(graph, stack, target, threads)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -2,8 +2,8 @@
 //!
 //! `optimist-serve` is a long-running daemon that accepts allocation
 //! requests — textual IR plus allocator knobs — as newline-delimited JSON
-//! over TCP or stdin, drives them through
-//! [`Pipeline`](optimist_regalloc::Pipeline), and answers with register
+//! over TCP or stdin, drives them through one shared
+//! [`WorkerPool`](optimist_regalloc::WorkerPool), and answers with register
 //! assignments, spill sets, and headline statistics.
 //!
 //! Its centerpiece is a **content-addressed result cache**

@@ -12,7 +12,7 @@
 //! {"req":"alloc","ir":"fn F(v0:int) {...}","config":{"strategy":"briggs",
 //!  "target":"rt-pc","int_regs":16,"float_regs":8,"coalesce":"aggressive",
 //!  "spill_metric":"cost/degree","rematerialize":false,"max_passes":64,
-//!  "threads":4,"graph_threads":1,"thread_budget":8,"incremental":false}}
+//!  "graph_threads":1,"incremental":false}}
 //! {"req":"batch","config":{...},"items":[
 //!  {"id":"mod-a","ir":"func A() ..."},
 //!  {"id":7,"key":"00baadf00dcafe42"}]}
@@ -30,7 +30,8 @@
 //! allocation path.
 //!
 //! Every `config` field is optional; the default is the paper's Briggs
-//! configuration on the RT/PC. The `alloc` response carries one entry per
+//! configuration on the RT/PC. `graph_threads` is bounded by
+//! [`MAX_GRAPH_THREADS`]. The `alloc` response carries one entry per
 //! function with the register assignment (vreg index → `r3`/`f1`/`spill`),
 //! the spilled vregs, the headline `AllocStats`, and the function's
 //! 16-hex-digit content address (`"key"`) — the handle a client hands
@@ -55,6 +56,12 @@ use optimist_regalloc::{
     AllocStats, Allocation, AllocatorConfig, CoalesceMode, SpillMetric, Strategy,
 };
 use std::num::NonZeroUsize;
+
+/// The largest `graph_threads` a request may ask for. Speculative parallel
+/// coloring repairs cross-chunk conflicts in rounds, and the rounds grow
+/// with the chunk count, so the daemon — not the client — caps how finely
+/// one request may split its own work.
+pub const MAX_GRAPH_THREADS: usize = 64;
 
 /// A parsed request line.
 #[derive(Debug)]
@@ -262,9 +269,7 @@ pub fn parse_config(spec: Option<&Json>) -> Result<AllocatorConfig, ProtocolErro
     let mut spill_metric = None;
     let mut rematerialize = None;
     let mut max_passes = None;
-    let mut threads = None;
     let mut graph_threads = None;
-    let mut thread_budget = None;
     let mut incremental = None;
 
     let parse_strategy = |key: &str, value: &Json| -> Result<Strategy, ProtocolError> {
@@ -356,31 +361,18 @@ pub fn parse_config(spec: Option<&Json>) -> Result<AllocatorConfig, ProtocolErro
                         .ok_or_else(|| bad("max_passes must be a positive integer"))?,
                 )
             }
-            "threads" => {
-                threads = Some(
-                    value
-                        .as_u64()
-                        .and_then(|n| usize::try_from(n).ok())
-                        .and_then(NonZeroUsize::new)
-                        .ok_or_else(|| bad("threads must be a positive integer"))?,
-                )
-            }
             "graph_threads" => {
                 graph_threads = Some(
                     value
                         .as_u64()
                         .and_then(|n| usize::try_from(n).ok())
+                        .filter(|&n| n <= MAX_GRAPH_THREADS)
                         .and_then(NonZeroUsize::new)
-                        .ok_or_else(|| bad("graph_threads must be a positive integer"))?,
-                )
-            }
-            "thread_budget" => {
-                thread_budget = Some(
-                    value
-                        .as_u64()
-                        .and_then(|n| usize::try_from(n).ok())
-                        .and_then(NonZeroUsize::new)
-                        .ok_or_else(|| bad("thread_budget must be a positive integer"))?,
+                        .ok_or_else(|| {
+                            bad(format!(
+                                "graph_threads must be an integer from 1 to {MAX_GRAPH_THREADS}"
+                            ))
+                        })?,
                 )
             }
             "incremental" => {
@@ -430,14 +422,8 @@ pub fn parse_config(spec: Option<&Json>) -> Result<AllocatorConfig, ProtocolErro
     if let Some(n) = max_passes {
         config = config.with_max_passes(n as usize);
     }
-    if let Some(n) = threads {
-        config = config.with_threads(n);
-    }
     if let Some(n) = graph_threads {
         config = config.with_graph_threads(n);
-    }
-    if let Some(n) = thread_budget {
-        config = config.with_thread_budget(n);
     }
     if let Some(on) = incremental {
         config = config.with_incremental(on);
@@ -584,8 +570,7 @@ mod tests {
         let line = r#"{"req":"alloc","ir":"","config":{
             "heuristic":"chaitin","target":"tiny","int_regs":4,"float_regs":2,
             "coalesce":"off","spill_metric":"cost","rematerialize":true,
-            "max_passes":7,"threads":2,"graph_threads":4,"thread_budget":12,
-            "incremental":true}}"#
+            "max_passes":7,"graph_threads":4,"incremental":true}}"#
             .replace('\n', " ");
         let Request::Alloc { config, .. } = Request::parse(&line).unwrap() else {
             panic!("wrong kind")
@@ -598,19 +583,29 @@ mod tests {
         assert_eq!(config.spill_metric, SpillMetric::Cost);
         assert!(config.rematerialize);
         assert_eq!(config.max_passes, 7);
-        assert_eq!(config.threads.get(), 2);
         assert_eq!(config.graph_threads.get(), 4);
-        assert_eq!(config.thread_budget.get(), 12);
         assert!(config.incremental);
     }
 
     #[test]
     fn graph_thread_fields_must_be_positive_integers() {
-        for field in ["graph_threads", "thread_budget"] {
-            for bad in ["0", "-1", "\"two\""] {
-                let line = format!(r#"{{"req":"alloc","ir":"","config":{{"{field}":{bad}}}}}"#);
-                assert!(Request::parse(&line).is_err(), "{field}:{bad} accepted");
-            }
+        let parse = |n: &str| {
+            Request::parse(&format!(
+                r#"{{"req":"alloc","ir":"","config":{{"graph_threads":{n}}}}}"#
+            ))
+        };
+        for bad in ["0", "-1", "\"two\"", "65", "100000"] {
+            let err = parse(bad).unwrap_err();
+            assert_eq!(
+                err.0, "graph_threads must be an integer from 1 to 64",
+                "graph_threads:{bad}"
+            );
+        }
+        for good in ["1", "64"] {
+            let Request::Alloc { config, .. } = parse(good).unwrap() else {
+                panic!("wrong kind")
+            };
+            assert_eq!(config.graph_threads.get().to_string(), good);
         }
     }
 
@@ -757,6 +752,13 @@ mod tests {
         assert!(
             Request::parse(r#"{"req":"alloc","ir":"","config":{"heuristc":"briggs"}}"#).is_err()
         );
+        // Worker counts are the daemon's business, not a config field:
+        // sending one is a typo like any other.
+        for field in ["threads", "thread_budget"] {
+            let line = format!(r#"{{"req":"alloc","ir":"","config":{{"{field}":2}}}}"#);
+            let err = Request::parse(&line).unwrap_err();
+            assert_eq!(err.0, format!("unknown config field \"{field}\""));
+        }
         assert!(Request::parse("not json").is_err());
         assert!(
             Request::parse(r#"{"req":"alloc"}"#).is_err(),

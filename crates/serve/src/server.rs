@@ -224,8 +224,7 @@ impl Server {
 
     /// Replace the allocation worker pool with one of `threads` workers.
     /// The pool is shared by every connection and request for the
-    /// server's lifetime — per-request `config.threads` is ignored on the
-    /// serving path.
+    /// server's lifetime.
     pub fn with_pool_threads(mut self, threads: NonZeroUsize) -> Self {
         self.pool = Arc::new(WorkerPool::new(threads));
         self

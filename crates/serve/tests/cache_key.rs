@@ -71,14 +71,13 @@ fn every_result_relevant_knob_changes_the_key() {
 
 #[test]
 fn thread_count_is_not_part_of_the_key() {
-    // Scheduling does not change results, so a daemon restarted with a
-    // different worker count keeps its addresses.
+    // Scheduling does not change results, so requests that differ only in
+    // intra-function threads share an address.
     let module = compile_or_panic(SRC);
     let f = &module.functions()[0];
-    let one = AllocatorConfig::new(Target::rt_pc(), Strategy::Briggs)
-        .with_threads(NonZeroUsize::new(1).unwrap());
+    let one = AllocatorConfig::new(Target::rt_pc(), Strategy::Briggs);
     let eight = AllocatorConfig::new(Target::rt_pc(), Strategy::Briggs)
-        .with_threads(NonZeroUsize::new(8).unwrap());
+        .with_graph_threads(NonZeroUsize::new(8).unwrap());
     assert_eq!(cache_key(f, &one), cache_key(f, &eight));
 }
 

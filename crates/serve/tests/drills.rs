@@ -267,12 +267,7 @@ fn giant_kernels_allocate_byte_identically_under_parallel_coloring() {
     let seq = TestDaemon::spawn(Server::new(4096, 16));
     let par = TestDaemon::spawn(Server::new(4096, 16));
     let seq_config = Json::obj([("graph_threads", Json::from(1u64))]);
-    // The daemon's 16-worker pool would clamp graph_threads back to 1
-    // without a roomy thread budget.
-    let par_config = Json::obj([
-        ("graph_threads", Json::from(8u64)),
-        ("thread_budget", Json::from(128u64)),
-    ]);
+    let par_config = Json::obj([("graph_threads", Json::from(8u64))]);
     let alloc = |client: &mut Client, ir: &str, config: &Json| {
         let resp = client.alloc(ir, config.clone()).expect("alloc");
         assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(true), "{resp}");

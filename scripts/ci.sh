@@ -47,6 +47,11 @@ if [[ $quick -eq 0 ]]; then
     echo "==> parallel-coloring equivalence under --release (full proptest case count)"
     cargo test --release -q --test par_equivalence
 
+    # Module allocation on a worker pool: any pool size must give the
+    # results of allocating each function in turn, in module order.
+    echo "==> pool-size invariance under --release (full proptest case count)"
+    cargo test --release -q --test pipeline_determinism
+
     # Decoder fuzzing (JSON codec, serve requests, store lines, cache
     # entries, HTTP request heads) and the crash regressions for deeply
     # nested JSON, long blank-line HTTP preambles and over-long request

@@ -28,15 +28,11 @@
 //!   --coalesce M       aggressive | conservative | off (default aggressive;
 //!                      chaitin/briggs only — irc coalesces on its own and
 //!                      ssa elides no-op phi copies instead)
-//!   --threads N        worker threads for module allocation (default: the
-//!                      machine's available parallelism; 1 = sequential)
-//!   --graph-threads N  intra-function threads for graph build and
-//!                      speculative coloring (default 1; results are
-//!                      bit-identical at any setting)
-//!   --thread-budget N  total thread cap: graph threads are clamped to
-//!                      budget / workers so --threads and --graph-threads
-//!                      cannot multiply into oversubscription (default:
+//!   --threads N        worker-pool size for module allocation (default:
 //!                      the machine's available parallelism)
+//!   --graph-threads N  intra-function threads for graph build and
+//!                      speculative coloring (default 1); neither thread
+//!                      flag changes any result
 //!   --incremental      repair the interference graph after spilling
 //!                      instead of rebuilding it each pass
 //!   --batch DIR        (remote) compile every .ft/.ir file in DIR and
@@ -72,7 +68,6 @@ struct Options {
     coalesce: Option<optimist::regalloc::CoalesceMode>,
     threads: Option<std::num::NonZeroUsize>,
     graph_threads: Option<std::num::NonZeroUsize>,
-    thread_budget: Option<std::num::NonZeroUsize>,
     incremental: bool,
     routine: Option<String>,
     batch: Option<std::path::PathBuf>,
@@ -90,7 +85,6 @@ fn parse_options(args: &[String], default_opt: bool) -> Result<Options, String> 
         coalesce: None,
         threads: None,
         graph_threads: None,
-        thread_budget: None,
         incremental: false,
         routine: None,
         batch: None,
@@ -115,12 +109,6 @@ fn parse_options(args: &[String], default_opt: bool) -> Result<Options, String> 
                 let v = it.next().ok_or("--graph-threads needs a value")?;
                 o.graph_threads = Some(v.parse().map_err(|_| {
                     format!("bad --graph-threads `{v}` (expected a positive integer)")
-                })?);
-            }
-            "--thread-budget" => {
-                let v = it.next().ok_or("--thread-budget needs a value")?;
-                o.thread_budget = Some(v.parse().map_err(|_| {
-                    format!("bad --thread-budget `{v}` (expected a positive integer)")
                 })?);
             }
             "--coalesce" => {
@@ -192,16 +180,18 @@ impl Options {
         if let Some(mode) = self.coalesce {
             cfg = cfg.with_coalesce(mode);
         }
-        if let Some(n) = self.threads {
-            cfg = cfg.with_threads(n);
-        }
         if let Some(n) = self.graph_threads {
             cfg = cfg.with_graph_threads(n);
         }
-        if let Some(n) = self.thread_budget {
-            cfg = cfg.with_thread_budget(n);
-        }
         cfg
+    }
+
+    /// The module-allocation worker pool, sized by `--threads`.
+    fn pool(&self) -> WorkerPool {
+        WorkerPool::new(
+            self.threads
+                .unwrap_or_else(optimist::regalloc::default_threads),
+        )
     }
 
     fn load(&self) -> Result<optimist::ir::Module, String> {
@@ -315,8 +305,8 @@ fn cmd_compile(args: &[String]) -> Result<(), String> {
 fn cmd_allocate(args: &[String]) -> Result<(), String> {
     let o = parse_options(args, true)?;
     let module = o.load()?;
-    let pipeline = optimist::regalloc::Pipeline::new(o.allocator_config());
-    for (name, result) in pipeline.allocate_module(&module).iter() {
+    let allocs = o.pool().allocate_module(&o.allocator_config(), &module);
+    for (name, result) in allocs.iter() {
         if let Some(only) = &o.routine {
             if name != only {
                 continue;
@@ -362,7 +352,11 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         run_virtual(&module, entry, &scalars, &opts).map_err(|e| e.to_string())?
     } else {
         let cfg = o.allocator_config();
-        let allocs = optimist::allocate_module(&module, &cfg).map_err(|e| e.to_string())?;
+        let allocs = o
+            .pool()
+            .allocate_module(&cfg, &module)
+            .into_map()
+            .map_err(|e| e.to_string())?;
         let am = AllocatedModule::new(&module, &allocs, &cfg.target);
         run_allocated(&am, entry, &scalars, &opts).map_err(|e| e.to_string())?
     };
@@ -460,14 +454,8 @@ fn remote_config(o: &Options) -> optimist::serve::Json {
     }
     config.push("rematerialize", Json::from(o.rematerialize));
     config.push("incremental", Json::from(o.incremental));
-    if let Some(n) = o.threads {
-        config.push("threads", Json::from(n.get() as u64));
-    }
     if let Some(n) = o.graph_threads {
         config.push("graph_threads", Json::from(n.get() as u64));
-    }
-    if let Some(n) = o.thread_budget {
-        config.push("thread_budget", Json::from(n.get() as u64));
     }
     config
 }

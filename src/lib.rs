@@ -83,6 +83,6 @@ pub use report::{
 /// Commonly used types, one `use` away.
 pub mod prelude {
     pub use crate::machine::{CycleModel, PhysReg, Target};
-    pub use crate::regalloc::{allocate, AllocatorConfig, Heuristic, Pipeline, Strategy};
+    pub use crate::regalloc::{allocate, AllocatorConfig, Heuristic, Strategy, WorkerPool};
     pub use crate::sim::{run_allocated, run_virtual, ExecOptions, Scalar};
 }

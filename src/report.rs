@@ -3,10 +3,13 @@
 
 use optimist_ir::Module;
 use optimist_machine::{size, Target};
-use optimist_regalloc::{AllocError, AllocStats, Allocation, AllocatorConfig, Pipeline, Strategy};
+use optimist_regalloc::{
+    default_threads, AllocError, AllocStats, Allocation, AllocatorConfig, Strategy, WorkerPool,
+};
 use optimist_sim::{run_allocated, AllocatedModule, ExecOptions, Scalar, Trap};
 use optimist_workloads::{DriverArg, Program};
 use std::collections::HashMap;
+use std::num::NonZeroUsize;
 
 /// Both allocators' results for one routine — one row of Figure 5.
 #[derive(Debug, Clone)]
@@ -55,9 +58,8 @@ pub fn pct(old: f64, new: f64) -> f64 {
 /// Allocate every function of `module` with `config`; returns allocations
 /// keyed by function name.
 ///
-/// Functions are allocated concurrently on
-/// [`config.threads`](AllocatorConfig::threads) workers (the results do not
-/// depend on the thread count; `threads = 1` runs inline).
+/// Functions are allocated concurrently on a [`WorkerPool`] sized to the
+/// machine (the results do not depend on the pool size).
 ///
 /// # Errors
 ///
@@ -66,9 +68,16 @@ pub fn allocate_module(
     module: &Module,
     config: &AllocatorConfig,
 ) -> Result<HashMap<String, Allocation>, AllocError> {
-    Pipeline::new(config.clone())
-        .allocate_module(module)
+    module_pool(module)
+        .allocate_module(config, module)
         .into_map()
+}
+
+/// A pool of [`default_threads`] workers, but no more than `module` has
+/// functions.
+fn module_pool(module: &Module) -> WorkerPool {
+    let funcs = NonZeroUsize::new(module.functions().len()).unwrap_or(NonZeroUsize::MIN);
+    WorkerPool::new(default_threads().min(funcs))
 }
 
 /// Compare Chaitin vs. Briggs on every function of `module` under `target`.
@@ -82,8 +91,9 @@ pub fn compare_module(
 ) -> Result<Vec<RoutineComparison>, AllocError> {
     let old_cfg = AllocatorConfig::new(target.clone(), Strategy::Chaitin);
     let new_cfg = AllocatorConfig::new(target.clone(), Strategy::Briggs);
-    let olds = Pipeline::new(old_cfg).allocate_module(module);
-    let news = Pipeline::new(new_cfg).allocate_module(module);
+    let pool = module_pool(module);
+    let olds = pool.allocate_module(&old_cfg, module);
+    let news = pool.allocate_module(&new_cfg, module);
     olds.results
         .into_iter()
         .zip(news.results)

@@ -144,3 +144,80 @@ fn bad_option_is_reported() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown option"));
 }
+
+/// A checked-in example program, by path from the package root.
+fn example(name: &str) -> String {
+    format!("{}/examples/ft/{name}", env!("CARGO_MANIFEST_DIR"))
+}
+
+fn stdout_of(args: &[&str]) -> String {
+    let out = optimist(args);
+    assert!(
+        out.status.success(),
+        "{args:?}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8_lossy(&out.stdout).into_owned()
+}
+
+#[test]
+fn duplicate_function_names_are_rejected() {
+    // Two bodies under one name: the virtual run would take the first and
+    // the allocated run the second, so the module is refused outright.
+    let path = write_temp(
+        "dup.ir",
+        "func f(v0:int) -> int {\nb0:\n    v1 = add.i v0, v0\n    ret v1\n}\n\
+         func f(v0:int) -> int {\nb0:\n    v1 = mul.i v0, v0\n    ret v1\n}\n",
+    );
+    let out = optimist(&["run", path.to_str().unwrap(), "f", "5"]);
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("duplicate function `f`"), "stderr: {err}");
+}
+
+#[test]
+fn allocate_output_does_not_depend_on_thread_flags() {
+    let path = example("pressure.ft");
+    let one = stdout_of(&["allocate", &path, "--threads", "1"]);
+    assert!(one.contains("STENCIL"), "{one}");
+    for flags in [
+        &["--threads", "4"][..],
+        &["--threads", "4", "--graph-threads", "4"],
+    ] {
+        let args: Vec<&str> = ["allocate", path.as_str()]
+            .iter()
+            .chain(flags)
+            .copied()
+            .collect();
+        assert_eq!(stdout_of(&args), one, "{flags:?}");
+    }
+}
+
+#[test]
+fn run_output_does_not_depend_on_thread_flags() {
+    let path = example("dotproduct.ft");
+    let one = stdout_of(&["run", &path, "DEMO", "50", "--threads", "1"]);
+    let four = stdout_of(&[
+        "run",
+        &path,
+        "DEMO",
+        "50",
+        "--threads",
+        "4",
+        "--graph-threads",
+        "2",
+    ]);
+    assert!(one.contains("result:"), "{one}");
+    assert_eq!(four, one);
+}
+
+#[test]
+fn thread_budget_is_an_unknown_option() {
+    let out = optimist(&["allocate", &example("pressure.ft"), "--thread-budget", "8"]);
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("unknown option `--thread-budget`"),
+        "stderr: {err}"
+    );
+}

@@ -24,20 +24,20 @@ fn check_seed(seed: u64, cfg: &GenConfig, targets: &[Target]) {
             AllocatorConfig::new(target.clone(), Strategy::Chaitin),
             AllocatorConfig::new(target.clone(), Strategy::Briggs),
         ] {
-            let heuristic = alloc_cfg.heuristic;
+            let strategy = alloc_cfg.strategy;
             let allocs = allocate_module(&module, &alloc_cfg)
                 .unwrap_or_else(|e| panic!("seed {seed} {target:?}: {e}"));
             let am = AllocatedModule::new(&module, &allocs, target);
             let run = run_allocated(&am, "FUZZ", &args, &opts).unwrap_or_else(|e| {
                 panic!(
-                    "seed {seed} {}/{heuristic:?}: trap {e}\n{src}",
+                    "seed {seed} {}/{strategy:?}: trap {e}\n{src}",
                     target.name()
                 )
             });
             assert_eq!(
                 run.ret,
                 reference.ret,
-                "seed {seed} {}/{heuristic:?}: allocated run diverged\n{src}",
+                "seed {seed} {}/{strategy:?}: allocated run diverged\n{src}",
                 target.name()
             );
         }

@@ -16,16 +16,14 @@
 //!    differential against the sequential `select`).
 //! 2. A giant synthesized kernel — the workload intra-function parallelism
 //!    exists for — checked for thread-count invariance end to end.
-//! 3. Plumbing: worker panics stay contained with parallel build engaged,
-//!    and the thread-budget guard observably clamps pool × intra-function
-//!    oversubscription.
+//! 3. Plumbing: worker panics stay contained with parallel build engaged.
 
 use optimist::analysis::{renumber, Cfg, Liveness};
 use optimist::ir::{Function, Module, RegClass};
 use optimist::machine::Target;
 use optimist::regalloc::{
-    allocate, build_graph, build_graph_par, select, select_with_threads, AllocError, Allocation,
-    AllocatorConfig, InterferenceGraph, Pipeline, Strategy,
+    allocate, build_graph, build_graph_par, par_select, select, AllocError, Allocation,
+    AllocatorConfig, InterferenceGraph, Strategy, WorkerPool,
 };
 use optimist::workloads::{generate_routine, giant_kernel, GenConfig, GiantConfig};
 use proptest::prelude::*;
@@ -101,8 +99,7 @@ proptest! {
     ) {
         let f = func_from_seed(seed);
         let strategy = STRATEGIES[strategy_idx];
-        let base = AllocatorConfig::new(Target::with_int_regs(regs), strategy)
-            .with_thread_budget(nz(64));
+        let base = AllocatorConfig::new(Target::with_int_regs(regs), strategy);
         let seq = allocate(&f, &base.clone().with_graph_threads(nz(1))).unwrap();
         for t in [threads, 8] {
             let par = allocate(&f, &base.clone().with_graph_threads(nz(t))).unwrap();
@@ -137,7 +134,7 @@ proptest! {
         }
         let target = Target::custom("par-eq", k, k);
         let seq = select(&graph, &stack, &target);
-        let par = select_with_threads(&graph, &stack, &target, threads);
+        let par = par_select(&graph, &stack, &target, threads);
         prop_assert_eq!(par, seq);
     }
 }
@@ -167,7 +164,7 @@ fn giant_kernel_is_thread_count_invariant() {
         assert_graphs_identical(&build_graph_par(&f, &cfg, &live, t), &seq_graph);
     }
 
-    let base = AllocatorConfig::new(Target::rt_pc(), Strategy::Briggs).with_thread_budget(nz(64));
+    let base = AllocatorConfig::new(Target::rt_pc(), Strategy::Briggs);
     let seq = allocate(&f, &base.clone().with_graph_threads(nz(1))).unwrap();
     for t in [2, 4, 8] {
         let par = allocate(&f, &base.clone().with_graph_threads(nz(t))).unwrap();
@@ -177,7 +174,7 @@ fn giant_kernel_is_thread_count_invariant() {
 
 /// A panic inside a parallel graph-build shard must stay contained to its
 /// function, exactly like a sequential worker panic: the scoped threads
-/// propagate it at scope exit and the pipeline converts it to
+/// propagate it at scope exit and the pool converts it to
 /// [`AllocError::WorkerPanic`].
 #[test]
 fn shard_panic_is_contained_to_its_function() {
@@ -198,11 +195,8 @@ fn shard_panic_is_contained_to_its_function() {
     g1.set_name("good1");
     m.add_function(g1);
 
-    let config = AllocatorConfig::new(Target::rt_pc(), Strategy::Briggs)
-        .with_threads(nz(2))
-        .with_graph_threads(nz(4))
-        .with_thread_budget(nz(64));
-    let out = Pipeline::new(config).allocate_module(&m);
+    let config = AllocatorConfig::new(Target::rt_pc(), Strategy::Briggs).with_graph_threads(nz(4));
+    let out = WorkerPool::new(nz(2)).allocate_module(&config, &m);
     assert!(!out.is_ok());
     let results: Vec<_> = out.iter().collect();
     assert!(results[0].1.is_ok());
@@ -211,27 +205,4 @@ fn shard_panic_is_contained_to_its_function() {
         Err(AllocError::WorkerPanic { ref function, .. }) if function == "bad"
     ));
     assert!(results[2].1.is_ok());
-}
-
-/// Regression test for the oversubscription guard: `--threads 8
-/// --graph-threads 8` on an 8-thread budget must run 8 workers × 1 graph
-/// thread, not 64 threads. Observable through the pipeline's metrics.
-#[test]
-fn thread_budget_clamps_are_visible_in_module_metrics() {
-    let m = {
-        let mut m = Module::new();
-        m.add_function(func_from_seed(3));
-        m
-    };
-    let base = AllocatorConfig::new(Target::rt_pc(), Strategy::Briggs)
-        .with_threads(nz(8))
-        .with_graph_threads(nz(8));
-
-    let clamped = Pipeline::new(base.clone().with_thread_budget(nz(8)));
-    assert_eq!(clamped.graph_parallelism(), 1);
-    assert_eq!(clamped.allocate_module(&m).graph_threads_used, 1);
-
-    let roomy = Pipeline::new(base.with_thread_budget(nz(64)));
-    assert_eq!(roomy.graph_parallelism(), 8);
-    assert_eq!(roomy.allocate_module(&m).graph_threads_used, 8);
 }

@@ -1,13 +1,13 @@
-//! Property-based tests for the parallel allocation pipeline and the
+//! Property-based tests for module allocation on a worker pool and the
 //! incremental interference-graph rebuild.
 //!
-//! Two invariants carry the whole PR:
+//! Two invariants:
 //!
-//! 1. **Scheduling independence** — a [`Pipeline`] with any thread count
-//!    produces exactly the results of the sequential (`threads = 1`) run,
-//!    in the same order. Allocation is a pure function of its input, so
-//!    the worker pool may only change *when* each function is allocated,
-//!    never *what* comes out.
+//! 1. **Scheduling independence** — a [`WorkerPool`] of any size produces
+//!    exactly the results of allocating each function in turn, in module
+//!    order. Allocation is a pure function of its input, so the pool may
+//!    only change *when* each function is allocated, never *what* comes
+//!    out.
 //! 2. **Incremental rebuild fidelity** — after spill-code insertion,
 //!    [`update_graph_after_spill`] repairs the pre-spill graph into exactly
 //!    the graph a full [`build_graph`] would construct from scratch.
@@ -16,8 +16,8 @@ use optimist::analysis::{renumber, Cfg, Liveness};
 use optimist::ir::{Module, VReg};
 use optimist::machine::Target;
 use optimist::regalloc::{
-    build_graph, insert_spill_code, update_graph_after_spill, Allocation, AllocatorConfig,
-    Pipeline, SpillOpts,
+    allocate, build_graph, insert_spill_code, update_graph_after_spill, Allocation,
+    AllocatorConfig, SpillOpts, Strategy, WorkerPool,
 };
 use optimist::workloads::{generate_routine, GenConfig};
 use proptest::prelude::*;
@@ -49,29 +49,38 @@ fn fingerprint(a: &Allocation) -> (usize, usize, Vec<(optimist::ir::RegClass, u1
     )
 }
 
+const STRATEGIES: [Strategy; 4] = [
+    Strategy::Chaitin,
+    Strategy::Briggs,
+    Strategy::Irc,
+    Strategy::Ssa,
+];
+
+/// Debug test runs keep the budget small; release runs (the CI gate) use
+/// the full count.
+const CASES: u32 = if cfg!(debug_assertions) { 24 } else { 96 };
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(CASES))]
 
     #[test]
     fn parallel_pipeline_matches_sequential(
         seeds in proptest::collection::vec(0u64..500, 1..6),
-        threads in 2usize..9,
+        threads in 1usize..9,
+        strategy in 0usize..4,
         incremental in any::<bool>(),
         regs in 4usize..12,
     ) {
         let module = module_from_seeds(&seeds);
-        let base = AllocatorConfig::new(Target::with_int_regs(regs), optimist::regalloc::Strategy::Briggs)
+        let config = AllocatorConfig::new(Target::with_int_regs(regs), STRATEGIES[strategy])
             .with_incremental(incremental);
-        let seq = Pipeline::new(base.clone().with_threads(NonZeroUsize::new(1).unwrap()))
-            .allocate_module(&module);
-        let par = Pipeline::new(
-            base.with_threads(NonZeroUsize::new(threads).unwrap()),
-        )
-        .allocate_module(&module);
+        let seq: Vec<_> = module.functions().iter().map(|f| allocate(f, &config)).collect();
+        let par = WorkerPool::new(NonZeroUsize::new(threads).unwrap())
+            .allocate_module(&config, &module);
 
-        prop_assert_eq!(seq.results.len(), par.results.len());
-        for ((n1, r1), (n2, r2)) in seq.results.iter().zip(&par.results) {
-            prop_assert_eq!(n1, n2, "output must keep module function order");
+        prop_assert_eq!(seq.len(), par.results.len());
+        for ((f, r1), (n2, r2)) in module.functions().iter().zip(&seq).zip(&par.results) {
+            prop_assert_eq!(f.name(), n2, "output must keep module function order");
             match (r1, r2) {
                 (Ok(a1), Ok(a2)) => prop_assert_eq!(fingerprint(a1), fingerprint(a2)),
                 (Err(e1), Err(e2)) => prop_assert_eq!(e1.to_string(), e2.to_string()),

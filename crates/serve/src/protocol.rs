@@ -246,12 +246,10 @@ fn parse_deadline_ms(v: &Json) -> Result<Option<u64>, ProtocolError> {
 /// Unknown fields are rejected so typos fail loudly instead of silently
 /// running the default configuration.
 ///
-/// The canonical selector is `"strategy"` (`"chaitin"`, `"briggs"`,
-/// `"irc"`, `"ssa"`); `"heuristic"` is accepted as an alias for clients
-/// predating the unified [`Strategy`] API, with identical values.
-/// Combinations that cannot mean anything — `"irc"` or `"ssa"` together
-/// with an explicit `"coalesce"` mode — are rejected rather than silently
-/// ignored.
+/// The allocator is selected by `"strategy"` (`"chaitin"`, `"briggs"`,
+/// `"irc"`, `"ssa"`). Combinations that cannot mean anything — `"irc"`
+/// or `"ssa"` together with an explicit `"coalesce"` mode — are rejected
+/// rather than silently ignored.
 pub fn parse_config(spec: Option<&Json>) -> Result<AllocatorConfig, ProtocolError> {
     let spec = match spec {
         None | Some(Json::Null) => {
@@ -272,32 +270,20 @@ pub fn parse_config(spec: Option<&Json>) -> Result<AllocatorConfig, ProtocolErro
     let mut graph_threads = None;
     let mut incremental = None;
 
-    let parse_strategy = |key: &str, value: &Json| -> Result<Strategy, ProtocolError> {
-        match value.as_str() {
-            Some("briggs") | Some("optimistic") => Ok(Strategy::Briggs),
-            Some("chaitin") | Some("pessimistic") => Ok(Strategy::Chaitin),
-            Some("irc") => Ok(Strategy::Irc),
-            Some("ssa") => Ok(Strategy::Ssa),
-            _ => Err(bad(format!(
-                "{key} must be \"chaitin\", \"briggs\", \"irc\" or \"ssa\""
-            ))),
-        }
-    };
-
     for (key, value) in spec {
         match key.as_str() {
-            // "strategy" is the canonical spelling; "heuristic" is the
-            // pre-Strategy alias. Both accept the same values.
-            "strategy" | "heuristic" => {
-                let parsed = parse_strategy(key, value)?;
-                if let Some(prev) = strategy {
-                    if prev != parsed {
+            "strategy" => {
+                strategy = Some(match value.as_str() {
+                    Some("chaitin") => Strategy::Chaitin,
+                    Some("briggs") => Strategy::Briggs,
+                    Some("irc") => Strategy::Irc,
+                    Some("ssa") => Strategy::Ssa,
+                    _ => {
                         return Err(bad(
-                            "\"strategy\" and \"heuristic\" disagree; send one selector",
-                        ));
+                            "strategy must be \"chaitin\", \"briggs\", \"irc\" or \"ssa\"",
+                        ))
                     }
-                }
-                strategy = Some(parsed);
+                })
             }
             "target" => {
                 target_name = Some(
@@ -568,7 +554,7 @@ mod tests {
     #[test]
     fn config_fields_map_onto_allocator_knobs() {
         let line = r#"{"req":"alloc","ir":"","config":{
-            "heuristic":"chaitin","target":"tiny","int_regs":4,"float_regs":2,
+            "strategy":"chaitin","target":"tiny","int_regs":4,"float_regs":2,
             "coalesce":"off","spill_metric":"cost","rematerialize":true,
             "max_passes":7,"graph_threads":4,"incremental":true}}"#
             .replace('\n', " ");
@@ -617,32 +603,17 @@ mod tests {
             ("irc", Strategy::Irc),
             ("ssa", Strategy::Ssa),
         ] {
-            // Canonical key and legacy alias both work, for every strategy.
-            for key in ["strategy", "heuristic"] {
-                let line =
-                    format!(r#"{{"req":"alloc","ir":"","config":{{"{key}":"{spelling}"}}}}"#);
-                let Request::Alloc { config, .. } = Request::parse(&line).unwrap() else {
-                    panic!("wrong kind")
-                };
-                assert_eq!(config.strategy, want, "{key}={spelling}");
-            }
+            let line = format!(r#"{{"req":"alloc","ir":"","config":{{"strategy":"{spelling}"}}}}"#);
+            let Request::Alloc { config, .. } = Request::parse(&line).unwrap() else {
+                panic!("wrong kind")
+            };
+            assert_eq!(config.strategy, want, "strategy={spelling}");
         }
-        assert!(
-            Request::parse(r#"{"req":"alloc","ir":"","config":{"strategy":"graphviz"}}"#).is_err()
-        );
-    }
-
-    #[test]
-    fn agreeing_selectors_pass_disagreeing_are_rejected() {
-        let line = r#"{"req":"alloc","ir":"","config":{"strategy":"irc","heuristic":"irc"}}"#;
-        let Request::Alloc { config, .. } = Request::parse(line).unwrap() else {
-            panic!("wrong kind")
-        };
-        assert_eq!(config.strategy, Strategy::Irc);
-
-        let line = r#"{"req":"alloc","ir":"","config":{"strategy":"irc","heuristic":"briggs"}}"#;
-        let err = Request::parse(line).unwrap_err();
-        assert!(err.0.contains("disagree"), "got: {}", err.0);
+        // Unknown names, the old `optimistic`/`pessimistic` among them.
+        for spelling in ["graphviz", "optimistic", "pessimistic"] {
+            let line = format!(r#"{{"req":"alloc","ir":"","config":{{"strategy":"{spelling}"}}}}"#);
+            assert!(Request::parse(&line).is_err(), "strategy={spelling}");
+        }
     }
 
     #[test]
@@ -753,8 +724,9 @@ mod tests {
             Request::parse(r#"{"req":"alloc","ir":"","config":{"heuristc":"briggs"}}"#).is_err()
         );
         // Worker counts are the daemon's business, not a config field:
-        // sending one is a typo like any other.
-        for field in ["threads", "thread_budget"] {
+        // sending one is a typo like any other. So is the pre-`Strategy`
+        // selector key.
+        for field in ["threads", "thread_budget", "heuristic"] {
             let line = format!(r#"{{"req":"alloc","ir":"","config":{{"{field}":2}}}}"#);
             let err = Request::parse(&line).unwrap_err();
             assert_eq!(err.0, format!("unknown config field \"{field}\""));

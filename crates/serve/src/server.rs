@@ -140,8 +140,7 @@ impl Server {
     /// store; several are sharded by consistent hash
     /// ([`HashRing`](crate::HashRing)), so every serving daemon sends a
     /// given key to the same store peer. Connections are dialed lazily
-    /// and round trips are bounded by [`crate::DEFAULT_PEER_TIMEOUT`]
-    /// (see [`Server::with_store_peer_timeout`]).
+    /// and round trips are bounded by [`crate::DEFAULT_PEER_TIMEOUT`].
     pub fn with_remote_store<S: AsRef<str>>(mut self, addrs: &[S]) -> Self {
         self.store = Some(StoreTier::remote(addrs));
         self
@@ -165,15 +164,6 @@ impl Server {
         self.store = self
             .store
             .map(|tier| tier.with_hint_limits(max_entries, max_bytes));
-        self
-    }
-
-    /// Bound each store-peer round trip. A peer that stops answering
-    /// fails fast into the per-peer tripwire instead of wedging request
-    /// threads; `None` leaves the sockets blocking. No effect on a local
-    /// store tier.
-    pub fn with_store_peer_timeout(mut self, timeout: Option<Duration>) -> Self {
-        self.store = self.store.map(|tier| tier.with_peer_timeout(timeout));
         self
     }
 

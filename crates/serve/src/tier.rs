@@ -89,7 +89,6 @@ enum Link {
         /// peer — the same single-channel shape the local log's writer
         /// lock imposes.
         conn: Mutex<Option<StoreClient>>,
-        timeout: Option<Duration>,
     },
 }
 
@@ -204,7 +203,7 @@ impl Peer {
         self.gets.fetch_add(1, Ordering::Relaxed);
         match &self.link {
             Link::Local(store) => store.try_get(key),
-            Link::Remote { conn, timeout } => self.call_retry(conn, *timeout, |c| c.get(key)),
+            Link::Remote { conn } => self.call_retry(conn, |c| c.get(key)),
         }
     }
 
@@ -212,8 +211,8 @@ impl Peer {
         self.puts.fetch_add(1, Ordering::Relaxed);
         match &self.link {
             Link::Local(store) => store.put(key, fingerprint, payload),
-            Link::Remote { conn, timeout } => self
-                .call(conn, *timeout, &mut |c| c.put(key, fingerprint, payload))
+            Link::Remote { conn } => self
+                .call(conn, &mut |c| c.put(key, fingerprint, payload))
                 .map_err(StoreClientError::into_io),
         }
     }
@@ -227,8 +226,8 @@ impl Peer {
                 .put(PROBE_KEY, 0, PROBE_PAYLOAD)
                 .and_then(|()| store.try_get(PROBE_KEY).map(drop))
                 .is_ok(),
-            Link::Remote { conn, timeout } => self
-                .call(conn, *timeout, &mut |c| {
+            Link::Remote { conn } => self
+                .call(conn, &mut |c| {
                     c.put(PROBE_KEY, 0, PROBE_PAYLOAD)?;
                     c.get(PROBE_KEY).map(drop)
                 })
@@ -243,27 +242,25 @@ impl Peer {
             // The sweep needs a second replica, so it only runs on tiers
             // of several peers — and those are all remote.
             Link::Local(_) => unreachable!("a local store is never swept"),
-            Link::Remote { conn, timeout } => {
-                self.call_retry(conn, *timeout, |c| c.scan(after, limit))
-            }
+            Link::Remote { conn } => self.call_retry(conn, |c| c.scan(after, limit)),
         }
     }
 
     /// Run one operation over the daemon connection in `conn`, dialing
-    /// this peer first if needed. Transport failures and protocol garbage
-    /// drop the connection so the next call re-dials from scratch; a
-    /// well-formed refusal keeps it — the daemon is up, its store said no.
-    /// No retry: puts and probes leave failure policy to the caller.
+    /// this peer first if needed, with [`DEFAULT_PEER_TIMEOUT`] on its
+    /// socket. Transport failures and protocol garbage drop the
+    /// connection so the next call re-dials from scratch; a well-formed
+    /// refusal keeps it — the daemon is up, its store said no. No retry:
+    /// puts and probes leave failure policy to the caller.
     fn call<T>(
         &self,
         conn: &Mutex<Option<StoreClient>>,
-        timeout: Option<Duration>,
         op: &mut impl FnMut(&mut StoreClient) -> Result<T, StoreClientError>,
     ) -> Result<T, StoreClientError> {
         let mut slot = conn.lock().expect("peer conn lock");
         if slot.is_none() {
             let client = StoreClient::connect(self.label.as_str())?;
-            client.set_timeout(timeout)?;
+            client.set_timeout(DEFAULT_PEER_TIMEOUT)?;
             *slot = Some(client);
         }
         let result = op(slot.as_mut().expect("connection just established"));
@@ -283,14 +280,12 @@ impl Peer {
     fn call_retry<T>(
         &self,
         conn: &Mutex<Option<StoreClient>>,
-        timeout: Option<Duration>,
         mut op: impl FnMut(&mut StoreClient) -> Result<T, StoreClientError>,
     ) -> io::Result<T> {
-        match self.call(conn, timeout, &mut op) {
+        match self.call(conn, &mut op) {
             Err(e) if e.is_transport() => {
                 self.retries.fetch_add(1, Ordering::Relaxed);
-                self.call(conn, timeout, &mut op)
-                    .map_err(StoreClientError::into_io)
+                self.call(conn, &mut op).map_err(StoreClientError::into_io)
             }
             other => other.map_err(StoreClientError::into_io),
         }
@@ -356,7 +351,6 @@ impl StoreTier {
         );
         let link = || Link::Remote {
             conn: Mutex::new(None),
-            timeout: Some(DEFAULT_PEER_TIMEOUT),
         };
         StoreTier::new(
             addrs
@@ -388,16 +382,6 @@ impl StoreTier {
     pub(crate) fn with_hint_limits(mut self, max_entries: usize, max_bytes: usize) -> StoreTier {
         self.hint_max_entries = max_entries.max(1);
         self.hint_max_bytes = max_bytes.max(1);
-        self
-    }
-
-    /// See [`crate::Server::with_store_peer_timeout`].
-    pub(crate) fn with_peer_timeout(mut self, timeout: Option<Duration>) -> StoreTier {
-        for peer in &mut self.peers {
-            if let Link::Remote { timeout: t, .. } = &mut peer.link {
-                *t = timeout;
-            }
-        }
         self
     }
 
@@ -807,7 +791,6 @@ impl StoreTier {
                 ("superseded", snap.superseded),
                 ("evicted", snap.evicted),
                 ("compactions", snap.compactions),
-                ("compaction_stalls", snap.compaction_stalls),
                 ("last_compaction_us", snap.last_compaction_us),
                 ("read_errors", snap.read_errors),
                 ("write_errors", snap.write_errors),

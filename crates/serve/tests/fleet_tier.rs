@@ -264,7 +264,7 @@ fn store_stats_and_health_keep_their_shape_for_every_tier() {
                 r#"{"hits":0,"misses":0,"errors":0,"entries":0,"file_bytes":0,"live_bytes":0,"#,
                 r#""dead_bytes":0,"recovered_entries":0,"dropped_corrupt":0,"dropped_torn":0,"#,
                 r#""dropped_stale":0,"superseded":0,"evicted":0,"compactions":0,"#,
-                r#""compaction_stalls":0,"last_compaction_us":0,"read_errors":0,"#,
+                r#""last_compaction_us":0,"read_errors":0,"#,
                 r#""write_errors":0,"removed_tmp":0,"degraded":false,"#,
             )
         )

@@ -23,13 +23,13 @@ OPTIONS:
     --dir PATH             Store directory (created if missing; required)
     --listen ADDR          Bind address (default 127.0.0.1:0; the bound
                            address is announced on stderr)
-    --max-bytes N          Log size budget in bytes before background
-                           compaction (default 64 MiB; 0 = unbounded)
+    --max-bytes N          Log size budget in bytes: the put that crosses
+                           it compacts the log (default 64 MiB; 0 =
+                           unbounded)
     --idle-timeout-ms N    Per-connection read timeout (default none)
     --write-timeout-ms N   Per-connection write timeout (default none)
     --drain-ms N           Drain budget after SIGTERM/shutdown (default 5000)
     --log-level LEVEL      error|warn|info|debug (default info)
-    --stdio                Serve stdin/stdout instead of TCP (debugging)
     --help                 Show this help
 ";
 
@@ -41,7 +41,6 @@ struct Args {
     write_timeout: Option<Duration>,
     drain: Duration,
     level: Level,
-    stdio: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -53,7 +52,6 @@ fn parse_args() -> Result<Args, String> {
         write_timeout: None,
         drain: Duration::from_millis(5000),
         level: Level::Info,
-        stdio: false,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -92,7 +90,6 @@ fn parse_args() -> Result<Args, String> {
                 parsed.level =
                     Level::parse(&name).ok_or_else(|| format!("unknown log level `{name}`"))?;
             }
-            "--stdio" => parsed.stdio = true,
             "--help" | "-h" => return Err(USAGE.to_string()),
             other => return Err(format!("unknown argument `{other}`\n\n{USAGE}")),
         }
@@ -147,27 +144,19 @@ fn main() -> ExitCode {
         });
     }
 
-    let served = if args.stdio {
-        let stdin = std::io::stdin();
-        let stdout = std::io::stdout();
-        server.run_io(stdin.lock(), stdout.lock())
-    } else {
-        match TcpListener::bind(&args.listen) {
-            Ok(listener) => server.run_listener(listener),
-            Err(e) => {
-                log_error!("cannot bind {}: {e}", args.listen);
-                return ExitCode::FAILURE;
-            }
+    let listener = match TcpListener::bind(&args.listen) {
+        Ok(listener) => listener,
+        Err(e) => {
+            log_error!("cannot bind {}: {e}", args.listen);
+            return ExitCode::FAILURE;
         }
     };
-    if let Err(e) = served {
+    if let Err(e) = server.run_listener(listener) {
         log_error!("serving failed: {e}");
         return ExitCode::FAILURE;
     }
 
-    // Settle the log before exit: finish any signaled compaction, then
-    // flush appends to stable storage.
-    server.store().quiesce();
+    // Flush appends to stable storage before exit.
     if let Err(e) = server.store().sync() {
         log_warn!("final sync failed: {e}");
     }

@@ -30,21 +30,19 @@
 //!
 //! ## Compaction
 //!
-//! When the log grows past [`StoreOptions::max_bytes`], live records are
-//! rewritten into a fresh file which atomically **renames over** the old
-//! one (write → fsync → rename → fsync directory), so a crash at any
-//! point leaves either the old complete log or the new complete log. If
-//! live data alone exceeds ¾ of the budget, the oldest-written entries
-//! are evicted until it fits — the store is a bounded cache, not an
-//! archive.
+//! The [`Store::put`] that grows the log past [`StoreOptions::max_bytes`]
+//! runs one compaction pass before it returns, under the store lock: live
+//! records are rewritten into a fresh file which atomically **renames
+//! over** the old one (write → fsync → rename → fsync directory), so a
+//! crash at any point leaves either the old complete log or the new
+//! complete log. If live data alone exceeds ¾ of the budget, the
+//! oldest-written entries are evicted until it fits — the store is a
+//! bounded cache, not an archive.
 //!
-//! Compaction runs on a **background thread**, off the request path: the
-//! `put` that crosses the budget just signals the compactor and returns.
-//! The bulk copy of live records runs without the store lock (reads and
-//! writes proceed concurrently); only the final delta-append and atomic
-//! swap hold it. A put stalls only when the log has outgrown *twice* the
-//! budget — the disk is falling behind — and each such wait is counted as
-//! [`StoreSnapshot::compaction_stalls`].
+//! When a put returns, the log is therefore within its budget, unless
+//! that pass failed. A failed pass is counted in
+//! [`StoreSnapshot::write_errors`] and never fails the put, whose record
+//! has already landed; the next put over budget tries again.
 //!
 //! ```
 //! # use optimist_store::{Store, StoreOptions};
@@ -87,8 +85,7 @@ use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
 /// Name of the log file inside the store directory.
@@ -99,10 +96,10 @@ const TMP_FILE: &str = "store.log.tmp";
 /// Tuning knobs for [`Store::open`].
 #[derive(Debug, Clone, Copy)]
 pub struct StoreOptions {
-    /// Compaction trigger: when the log file exceeds this many bytes, live
-    /// records are rewritten (and the oldest evicted if live data alone
-    /// exceeds ¾ of the budget). `0` means unbounded — never compact on
-    /// size.
+    /// Compaction trigger: when a put grows the log file past this many
+    /// bytes, that put rewrites the live records (evicting the oldest if
+    /// live data alone exceeds ¾ of the budget). `0` means unbounded —
+    /// never compact on size.
     pub max_bytes: u64,
 }
 
@@ -137,7 +134,6 @@ struct Counters {
     superseded: u64,
     evicted: u64,
     compactions: u64,
-    compaction_stalls: u64,
     last_compaction_us: u64,
     read_errors: u64,
     write_errors: u64,
@@ -153,12 +149,6 @@ struct Inner {
     /// Bytes of the records currently in the index.
     live_bytes: u64,
     counters: Counters,
-    /// A put crossed the size budget; the compactor should run a pass.
-    compact_requested: bool,
-    /// A compaction pass is in flight (background or synchronous).
-    compacting: bool,
-    /// The store is being dropped; the compactor thread should exit.
-    shutdown: bool,
 }
 
 /// A point-in-time view of the store's size and history, dumped into the
@@ -188,9 +178,6 @@ pub struct StoreSnapshot {
     pub evicted: u64,
     /// Completed compaction passes.
     pub compactions: u64,
-    /// Puts that had to wait for the background compactor because the log
-    /// had outgrown twice its budget (the disk is falling behind).
-    pub compaction_stalls: u64,
     /// Wall-clock duration of the most recent compaction, in microseconds.
     pub last_compaction_us: u64,
     /// Reads that failed at the I/O layer (served as misses).
@@ -204,32 +191,19 @@ pub struct StoreSnapshot {
     pub removed_tmp: u64,
 }
 
-/// State shared between the [`Store`] handle and its compactor thread.
+/// The persistent content-addressed store. All methods take `&self`; the
+/// index and log handle live behind one mutex (this is the tier *behind*
+/// a sharded in-memory cache — by the time a request gets here it has
+/// already missed the fast path). Size-triggered compaction runs inside
+/// the [`Store::put`] that crosses the budget, under the same mutex.
 #[derive(Debug)]
-struct Shared {
+pub struct Store {
     dir: PathBuf,
     max_bytes: u64,
     inner: Mutex<Inner>,
     /// Injected faults for this store's I/O sites (see [`mod@failpoint`]).
     /// Armed from `OPTIMIST_FAILPOINTS` at open; re-armable at runtime.
     failpoints: FailpointRegistry,
-    /// Wakes the compactor thread (work requested, or shutdown).
-    work: Condvar,
-    /// Wakes waiters — stalled puts, [`Store::quiesce`], a synchronous
-    /// [`Store::compact`] queued behind a background pass — when a pass
-    /// finishes (successfully or not).
-    done: Condvar,
-}
-
-/// The persistent content-addressed store. All methods take `&self`; the
-/// index and log handle live behind one mutex (this is the tier *behind*
-/// a sharded in-memory cache — by the time a request gets here it has
-/// already missed the fast path). Size-triggered compaction runs on a
-/// dedicated background thread owned by this handle.
-#[derive(Debug)]
-pub struct Store {
-    shared: Arc<Shared>,
-    compactor: Option<JoinHandle<()>>,
 }
 
 impl Store {
@@ -327,8 +301,7 @@ impl Store {
         }
         counters.recovered_entries = index.len() as u64;
 
-        file.seek(SeekFrom::End(0))?;
-        let shared = Arc::new(Shared {
+        Ok(Store {
             dir,
             max_bytes: options.max_bytes,
             inner: Mutex::new(Inner {
@@ -337,23 +310,8 @@ impl Store {
                 file_bytes: bytes.len() as u64,
                 live_bytes,
                 counters,
-                compact_requested: false,
-                compacting: false,
-                shutdown: false,
             }),
             failpoints: FailpointRegistry::from_env(),
-            work: Condvar::new(),
-            done: Condvar::new(),
-        });
-        let compactor = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("store-compactor".into())
-                .spawn(move || Shared::compactor_loop(&shared))?
-        };
-        Ok(Store {
-            shared,
-            compactor: Some(compactor),
         })
     }
 
@@ -361,12 +319,12 @@ impl Store {
     /// Production stores carry an empty registry unless
     /// `OPTIMIST_FAILPOINTS` armed one at open.
     pub fn failpoints(&self) -> &FailpointRegistry {
-        &self.shared.failpoints
+        &self.failpoints
     }
 
     /// The directory this store lives in.
     pub fn path(&self) -> &Path {
-        &self.shared.dir
+        &self.dir
     }
 
     /// Fetch the payload and write-time config fingerprint stored under
@@ -388,7 +346,33 @@ impl Store {
     /// Propagates the read failure (real or injected by an armed `get`
     /// failpoint).
     pub fn try_get(&self, key: u64) -> io::Result<Option<(u64, Vec<u8>)>> {
-        self.shared.try_get(key)
+        let mut inner = self.lock();
+        let Some(entry) = inner.index.get(&key).copied() else {
+            return Ok(None);
+        };
+        let injected = self.failpoints.check("get");
+        if let Some(kind) = injected.filter(|&k| k != FailKind::Corrupt) {
+            inner.counters.read_errors += 1;
+            return Err(kind.to_error());
+        }
+        let payload_at = entry.offset + (RECORD_HEADER_LEN + format::BODY_PREFIX_LEN) as u64;
+        let mut payload = vec![0u8; entry.payload_len as usize];
+        let read = inner
+            .file
+            .seek(SeekFrom::Start(payload_at))
+            .and_then(|_| inner.file.read_exact(&mut payload));
+        match read {
+            Ok(()) => {
+                if injected == Some(FailKind::Corrupt) && !payload.is_empty() {
+                    payload[0] ^= 0x01; // simulated bit rot on the read path
+                }
+                Ok(Some((entry.fingerprint, payload)))
+            }
+            Err(e) => {
+                inner.counters.read_errors += 1;
+                Err(e)
+            }
+        }
     }
 
     /// A sorted page of live keys strictly greater than `after` (or from
@@ -399,7 +383,7 @@ impl Store {
     /// what the fleet's anti-entropy sweep streams over the `scan` wire
     /// verb to repopulate a replica that came back empty.
     pub fn scan_keys(&self, after: Option<u64>, limit: usize) -> (Vec<u64>, usize) {
-        let inner = self.shared.lock();
+        let inner = self.lock();
         let total = inner.index.len();
         let floor = after.map_or(0, |a| a.saturating_add(1));
         let mut keys: Vec<u64> = if after == Some(u64::MAX) {
@@ -417,15 +401,17 @@ impl Store {
         (keys, total)
     }
 
-    /// Append `payload` under `key`, superseding any previous record. If
-    /// the log has outgrown its budget the background compactor is
-    /// signaled; the put itself returns immediately unless the log is
-    /// past *twice* the budget, in which case it waits for the compactor
-    /// (counted as [`StoreSnapshot::compaction_stalls`]).
+    /// Append `payload` under `key`, superseding any previous record. A
+    /// put that grows the log past [`StoreOptions::max_bytes`] runs a
+    /// compaction pass before it returns, so the log is back within its
+    /// budget unless that pass failed. A failed pass is counted in
+    /// [`StoreSnapshot::write_errors`] and does not fail the put: the
+    /// record has already landed, and the next put over budget tries
+    /// again.
     ///
     /// # Errors
     ///
-    /// Propagates write failures. A failed append is rolled back before
+    /// Propagates append failures. A failed append is rolled back before
     /// returning: the file is truncated to its pre-write length, so a
     /// half-written record never lingers for the next append to bury
     /// mid-log (where the open-time scan would drop every record after
@@ -433,158 +419,6 @@ impl Store {
     /// after the bytes land, so an error leaves the store exactly as it
     /// was.
     pub fn put(&self, key: u64, fingerprint: u64, payload: &[u8]) -> io::Result<()> {
-        self.shared.put(key, fingerprint, payload)
-    }
-
-    /// Rewrite live records into a fresh log, dropping dead bytes, then
-    /// atomically rename it over the old one. Normally run by the
-    /// background compactor when [`Store::put`] crosses the size budget;
-    /// public (and synchronous) for tests and maintenance — queued behind
-    /// any in-flight background pass.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures; on failure the original log is untouched.
-    pub fn compact(&self) -> io::Result<()> {
-        self.shared.compact_pass()
-    }
-
-    /// Block until no compaction pass is requested or in flight. Gives
-    /// tests (and orderly shutdown paths) a deterministic point at which
-    /// the log reflects every signaled compaction.
-    pub fn quiesce(&self) {
-        let mut inner = self.shared.lock();
-        while inner.compact_requested || inner.compacting {
-            inner = self.shared.done.wait(inner).expect("store mutex poisoned");
-        }
-    }
-
-    /// Flush buffered appends to stable storage (`fdatasync`). Called on
-    /// daemon shutdown; recovery handles anything lost before a crash.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the sync failure.
-    pub fn sync(&self) -> io::Result<()> {
-        let mut inner = self.shared.lock();
-        if let Some(kind) = self.shared.failpoints.check("fsync") {
-            inner.counters.write_errors += 1;
-            return Err(kind.to_error());
-        }
-        inner.file.sync_data()
-    }
-
-    /// Number of live entries.
-    pub fn len(&self) -> usize {
-        self.shared.lock().index.len()
-    }
-
-    /// True if no entries are live.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// A point-in-time view of sizes and recovery/compaction history.
-    pub fn snapshot(&self) -> StoreSnapshot {
-        let inner = self.shared.lock();
-        let header = MAGIC.len() as u64;
-        StoreSnapshot {
-            entries: inner.index.len(),
-            file_bytes: inner.file_bytes,
-            live_bytes: inner.live_bytes,
-            dead_bytes: inner.file_bytes - inner.live_bytes - header.min(inner.file_bytes),
-            recovered_entries: inner.counters.recovered_entries,
-            dropped_corrupt: inner.counters.dropped_corrupt,
-            dropped_torn: inner.counters.dropped_torn,
-            dropped_stale: inner.counters.dropped_stale,
-            superseded: inner.counters.superseded,
-            evicted: inner.counters.evicted,
-            compactions: inner.counters.compactions,
-            compaction_stalls: inner.counters.compaction_stalls,
-            last_compaction_us: inner.counters.last_compaction_us,
-            read_errors: inner.counters.read_errors,
-            write_errors: inner.counters.write_errors,
-            removed_tmp: inner.counters.removed_tmp,
-        }
-    }
-}
-
-impl Drop for Store {
-    fn drop(&mut self) {
-        {
-            let mut inner = self.shared.lock();
-            inner.shutdown = true;
-            self.shared.work.notify_all();
-        }
-        if let Some(handle) = self.compactor.take() {
-            let _ = handle.join();
-        }
-        // Best-effort durability on clean shutdown; recovery covers the rest.
-        if let Ok(inner) = self.shared.inner.lock() {
-            let _ = inner.file.sync_data();
-        }
-    }
-}
-
-impl Shared {
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
-        self.inner.lock().expect("store mutex poisoned")
-    }
-
-    /// The background compactor: sleep until a put signals work (or the
-    /// store is dropped), run one pass, repeat. A failed pass is already
-    /// counted and has woken any stalled puts; the store simply keeps
-    /// growing until the disk heals, so the loop just waits for the next
-    /// request.
-    fn compactor_loop(shared: &Shared) {
-        loop {
-            {
-                let mut inner = shared.lock();
-                while !inner.shutdown && !inner.compact_requested {
-                    inner = shared.work.wait(inner).expect("store mutex poisoned");
-                }
-                if inner.shutdown {
-                    return;
-                }
-            }
-            let _ = shared.compact_pass();
-        }
-    }
-
-    fn try_get(&self, key: u64) -> io::Result<Option<(u64, Vec<u8>)>> {
-        let mut inner = self.lock();
-        let Some(entry) = inner.index.get(&key).copied() else {
-            return Ok(None);
-        };
-        let injected = self.failpoints.check("get");
-        if let Some(kind) = injected.filter(|&k| k != FailKind::Corrupt) {
-            inner.counters.read_errors += 1;
-            return Err(kind.to_error());
-        }
-        let payload_at = entry.offset + (RECORD_HEADER_LEN + format::BODY_PREFIX_LEN) as u64;
-        let mut payload = vec![0u8; entry.payload_len as usize];
-        let read = inner
-            .file
-            .seek(SeekFrom::Start(payload_at))
-            .and_then(|_| inner.file.read_exact(&mut payload));
-        // Leave the cursor at the tracked end for the next append.
-        let end = inner.file_bytes;
-        let _ = inner.file.seek(SeekFrom::Start(end));
-        match read {
-            Ok(()) => {
-                if injected == Some(FailKind::Corrupt) && !payload.is_empty() {
-                    payload[0] ^= 0x01; // simulated bit rot on the read path
-                }
-                Ok(Some((entry.fingerprint, payload)))
-            }
-            Err(e) => {
-                inner.counters.read_errors += 1;
-                Err(e)
-            }
-        }
-    }
-
-    fn put(&self, key: u64, fingerprint: u64, payload: &[u8]) -> io::Result<()> {
         let record = format::encode_record(key, SCHEMA_VERSION, fingerprint, payload);
         let mut inner = self.lock();
         // Seek to the *tracked* end, not `SeekFrom::End(0)`: if an earlier
@@ -596,7 +430,6 @@ impl Shared {
             inner.counters.write_errors += 1;
             // Roll back: drop whatever prefix of the record landed.
             let _ = inner.file.set_len(offset);
-            let _ = inner.file.seek(SeekFrom::Start(offset));
             return Err(e);
         }
         inner.file_bytes += record.len() as u64;
@@ -613,24 +446,88 @@ impl Shared {
         inner.live_bytes += record.len() as u64;
 
         if self.max_bytes > 0 && inner.file_bytes > self.max_bytes {
-            if !inner.compact_requested {
-                inner.compact_requested = true;
-                self.work.notify_one();
-            }
-            // Backpressure: only when the log has outgrown twice its
-            // budget does the put wait for the compactor. Below that,
-            // compaction is fully off the request path.
-            let hard_cap = self.max_bytes.saturating_mul(2);
-            if inner.file_bytes > hard_cap {
-                inner.counters.compaction_stalls += 1;
-                // A failed pass clears both flags before signaling, so a
-                // broken disk releases the stall instead of wedging it.
-                while (inner.compact_requested || inner.compacting) && inner.file_bytes > hard_cap {
-                    inner = self.done.wait(inner).expect("store mutex poisoned");
-                }
-            }
+            // Already counted; the log keeps growing until a pass succeeds.
+            let _ = self.compact_locked(&mut inner);
         }
         Ok(())
+    }
+
+    /// Rewrite live records into a fresh log, dropping dead bytes (and
+    /// evicting the oldest entries while live data exceeds ¾ of the
+    /// budget), then atomically rename it over the old one. [`Store::put`]
+    /// runs this itself when it crosses the size budget; it is public for
+    /// tests and maintenance.
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O failures, each counted as
+    /// [`StoreSnapshot::write_errors`]; on failure the original log and
+    /// index are untouched.
+    pub fn compact(&self) -> io::Result<()> {
+        self.compact_locked(&mut self.lock())
+    }
+
+    /// Flush buffered appends to stable storage (`fdatasync`). Called on
+    /// daemon shutdown; recovery handles anything lost before a crash.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the sync failure.
+    pub fn sync(&self) -> io::Result<()> {
+        let mut inner = self.lock();
+        if let Some(kind) = self.failpoints.check("fsync") {
+            inner.counters.write_errors += 1;
+            return Err(kind.to_error());
+        }
+        inner.file.sync_data()
+    }
+
+    /// Number of live entries.
+    pub fn len(&self) -> usize {
+        self.lock().index.len()
+    }
+
+    /// True if no entries are live.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// A point-in-time view of sizes and recovery/compaction history.
+    pub fn snapshot(&self) -> StoreSnapshot {
+        let inner = self.lock();
+        let header = MAGIC.len() as u64;
+        StoreSnapshot {
+            entries: inner.index.len(),
+            file_bytes: inner.file_bytes,
+            live_bytes: inner.live_bytes,
+            dead_bytes: inner.file_bytes - inner.live_bytes - header.min(inner.file_bytes),
+            recovered_entries: inner.counters.recovered_entries,
+            dropped_corrupt: inner.counters.dropped_corrupt,
+            dropped_torn: inner.counters.dropped_torn,
+            dropped_stale: inner.counters.dropped_stale,
+            superseded: inner.counters.superseded,
+            evicted: inner.counters.evicted,
+            compactions: inner.counters.compactions,
+            last_compaction_us: inner.counters.last_compaction_us,
+            read_errors: inner.counters.read_errors,
+            write_errors: inner.counters.write_errors,
+            removed_tmp: inner.counters.removed_tmp,
+        }
+    }
+}
+
+impl Drop for Store {
+    fn drop(&mut self) {
+        // Best-effort durability on clean shutdown; recovery covers the rest.
+        if let Ok(inner) = self.inner.get_mut() {
+            let _ = inner.file.sync_data();
+        }
+    }
+}
+
+impl Store {
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().expect("store mutex poisoned")
     }
 
     /// Write `record` at `offset`, consulting the `put` failpoint first.
@@ -656,22 +553,24 @@ impl Shared {
         }
     }
 
-    /// One full compaction pass: claim the compactor slot, snapshot the
-    /// live set and eviction plan under the lock, bulk-copy survivors
-    /// into the scratch file *without* the lock, then re-lock to append
-    /// the delta written during the copy and atomically swap the logs.
-    fn compact_pass(&self) -> io::Result<()> {
-        let mut inner = self.lock();
-        while inner.compacting {
-            inner = self.done.wait(inner).expect("store mutex poisoned");
-        }
-        inner.compact_requested = false;
-        if let Some(kind) = self.failpoints.check("compact") {
+    fn compact_locked(&self, inner: &mut Inner) -> io::Result<()> {
+        let result = self.rewrite(inner);
+        if result.is_err() {
             inner.counters.write_errors += 1;
-            self.done.notify_all();
+        }
+        result
+    }
+
+    /// One compaction pass under the held lock: copy the survivors into
+    /// the scratch file, make it durable, rename it over the log and keep
+    /// its handle as the log. Everything that can fail runs before the
+    /// rename, so a failure leaves the old log, its handle and the index
+    /// exactly as they were (the scratch file stays for the next open to
+    /// remove).
+    fn rewrite(&self, inner: &mut Inner) -> io::Result<()> {
+        if let Some(kind) = self.failpoints.check("compact") {
             return Err(kind.to_error());
         }
-        inner.compacting = true;
         let started = Instant::now();
 
         // Oldest-written first: offset order is append order, which makes
@@ -682,135 +581,57 @@ impl Shared {
         // If live data alone busts ¾ of the budget, evict the oldest until
         // it fits. The ¼ hysteresis guarantees real headroom after the
         // rewrite so back-to-back puts cannot re-trigger immediately.
-        let mut evicted = 0u64;
+        let mut evicted = 0;
         if self.max_bytes > 0 {
             let budget = self.max_bytes - self.max_bytes / 4;
-            let mut total = MAGIC.len() as u64
-                + live
-                    .iter()
-                    .map(|(_, e)| u64::from(e.record_len))
-                    .sum::<u64>();
-            let mut keep_from = 0;
-            while total > budget && keep_from < live.len() {
-                total -= u64::from(live[keep_from].1.record_len);
-                keep_from += 1;
+            let mut total = MAGIC.len() as u64 + inner.live_bytes;
+            while total > budget && evicted < live.len() {
+                total -= u64::from(live[evicted].1.record_len);
                 evicted += 1;
             }
-            live.drain(..keep_from);
+            live.drain(..evicted);
         }
-        let snapshot_end = inner.file_bytes;
-        drop(inner);
 
-        let result = self.copy_and_swap(live, evicted, snapshot_end, started);
-        if result.is_err() {
-            // Release the slot so stalled puts, quiesce, and queued
-            // synchronous compactions move on; the scratch file (if any)
-            // stays behind for the next open to reap.
-            let mut inner = self.lock();
-            inner.counters.write_errors += 1;
-            inner.compacting = false;
-            self.done.notify_all();
-        }
-        result
-    }
-
-    /// The body of a pass after the snapshot: bulk copy (unlocked), delta
-    /// append + atomic swap (locked). The caller owns the `compacting`
-    /// flag on the error path; the success path clears it here, under the
-    /// same lock that publishes the new log.
-    fn copy_and_swap(
-        &self,
-        live: Vec<(u64, IndexEntry)>,
-        evicted: u64,
-        snapshot_end: u64,
-        started: Instant,
-    ) -> io::Result<()> {
-        // Copy survivors into the scratch file through a separate read
-        // handle: the shared cursor stays free for concurrent gets/puts.
         let tmp_path = self.dir.join(TMP_FILE);
         let mut tmp = OpenOptions::new()
+            .read(true)
             .write(true)
             .create(true)
             .truncate(true)
             .open(&tmp_path)?;
         tmp.write_all(&MAGIC)?;
-        let mut src = File::open(self.dir.join(LOG_FILE))?;
-        let mut new_offset = MAGIC.len() as u64;
-        let mut new_index: HashMap<u64, IndexEntry> = HashMap::with_capacity(live.len());
+        let mut index = HashMap::with_capacity(live.len());
+        let mut offset = MAGIC.len() as u64;
         let mut buf = Vec::new();
-        for (key, entry) in &live {
-            buf.resize(entry.record_len as usize, 0);
-            src.seek(SeekFrom::Start(entry.offset))?;
-            src.read_exact(&mut buf)?;
-            tmp.write_all(&buf)?;
-            new_index.insert(
-                *key,
-                IndexEntry {
-                    offset: new_offset,
-                    ..*entry
-                },
-            );
-            new_offset += u64::from(entry.record_len);
-        }
-        drop(src);
-
-        // Final phase, locked: records appended while the copy ran sit at
-        // offsets past the snapshot end — replay them into the scratch
-        // file so the swap loses nothing. (A delta record superseding a
-        // copied survivor leaves the survivor as dead bytes in the new
-        // log; the next pass reclaims it.)
-        let mut inner = self.lock();
-        let mut delta: Vec<(u64, IndexEntry)> = inner
-            .index
-            .iter()
-            .filter(|(_, e)| e.offset >= snapshot_end)
-            .map(|(&k, &e)| (k, e))
-            .collect();
-        delta.sort_by_key(|(_, e)| e.offset);
-        for (key, entry) in &delta {
+        for (key, entry) in live {
             buf.resize(entry.record_len as usize, 0);
             inner.file.seek(SeekFrom::Start(entry.offset))?;
             inner.file.read_exact(&mut buf)?;
             tmp.write_all(&buf)?;
-            new_index.insert(
-                *key,
-                IndexEntry {
-                    offset: new_offset,
-                    ..*entry
-                },
-            );
-            new_offset += u64::from(entry.record_len);
+            index.insert(key, IndexEntry { offset, ..entry });
+            offset += u64::from(entry.record_len);
         }
 
         // write → fsync → rename → fsync(dir): after any crash, the path
         // names either the complete old log or the complete new one.
         if let Some(kind) = self.failpoints.check("fsync") {
-            // The scratch file stays behind; the next open removes it.
             return Err(kind.to_error());
         }
         tmp.sync_all()?;
-        drop(tmp);
         std::fs::rename(&tmp_path, self.dir.join(LOG_FILE))?;
         #[cfg(unix)]
         if let Ok(d) = File::open(&self.dir) {
             let _ = d.sync_all();
         }
 
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(self.dir.join(LOG_FILE))?;
-        file.seek(SeekFrom::End(0))?;
-        inner.file = file;
-        inner.live_bytes = new_index.values().map(|e| u64::from(e.record_len)).sum();
-        inner.index = new_index;
-        inner.file_bytes = new_offset;
-        inner.counters.evicted += evicted;
+        inner.file = tmp;
+        inner.index = index;
+        inner.live_bytes = offset - MAGIC.len() as u64;
+        inner.file_bytes = offset;
+        inner.counters.evicted += evicted as u64;
         inner.counters.compactions += 1;
         inner.counters.last_compaction_us =
             started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-        inner.compacting = false;
-        self.done.notify_all();
         Ok(())
     }
 }
@@ -818,6 +639,7 @@ impl Shared {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     fn scratch(name: &str) -> PathBuf {
         let dir =
@@ -941,65 +763,85 @@ mod tests {
         let dir = scratch("budget");
         let store = Store::open(&dir, StoreOptions { max_bytes: 4096 }).unwrap();
         let payload = vec![0xabu8; 256];
+        // Keys appended to the log that the last pass renamed into place.
+        let mut after_last_pass = Vec::new();
+        let mut passes = 0;
         for k in 0..64u64 {
-            store.put(k, 0, &payload).unwrap();
+            store.put(k, k, &payload).unwrap();
+            // The put that crosses the budget compacts before it returns.
+            let snap = store.snapshot();
+            assert!(
+                snap.file_bytes <= 4096,
+                "log over budget after put {k}: {}",
+                snap.file_bytes
+            );
+            if snap.compactions > passes {
+                passes = snap.compactions;
+                after_last_pass.clear();
+            } else {
+                after_last_pass.push(k);
+            }
         }
-        // Compaction is asynchronous: wait for every signaled pass before
-        // asserting on sizes.
-        store.quiesce();
         let snap = store.snapshot();
         assert!(snap.compactions >= 1, "budget must have tripped compaction");
         assert!(snap.evicted > 0, "live data exceeds budget: must evict");
-        assert!(
-            snap.file_bytes <= 4096,
-            "post-compaction log over budget: {}",
-            snap.file_bytes
-        );
         // FIFO: the newest keys survive, the oldest are gone.
         assert!(store.get(63).is_some());
         assert!(store.get(0).is_none());
+
+        // Records appended after a pass land in the renamed log, so they
+        // survive a restart along with everything the pass kept.
+        assert!(!after_last_pass.is_empty(), "no put followed the last pass");
+        drop(store);
+        let store = Store::open(&dir, StoreOptions { max_bytes: 4096 }).unwrap();
+        assert_eq!(store.len(), snap.entries);
+        for k in after_last_pass {
+            assert_eq!(store.get(k), Some((k, payload.clone())), "key {k} lost");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn puts_stall_only_past_the_hard_cap_and_survive_a_broken_compactor() {
-        let dir = scratch("stall");
+    fn a_failed_pass_never_fails_the_put_and_the_next_put_compacts() {
+        let dir = scratch("failed-pass");
         let store = Store::open(&dir, StoreOptions { max_bytes: 1024 }).unwrap();
-        // Every compaction pass refuses: the log can only grow. Puts past
-        // 2× the budget must stall (counted), then proceed once the failed
-        // pass signals — never wedge.
+        // Every compaction pass refuses: each put over budget still lands
+        // and returns Ok, its failed pass is counted, and the log grows.
         store.failpoints().arm("compact", FailKind::Fail);
         let payload = vec![0x5au8; 256];
+        let mut failed_passes = 0;
+        let mut last_bytes = store.snapshot().file_bytes;
         for k in 0..32u64 {
             store.put(k, 0, &payload).unwrap();
+            let snap = store.snapshot();
+            assert!(snap.file_bytes > last_bytes, "the log must grow");
+            last_bytes = snap.file_bytes;
+            if snap.file_bytes > 1024 {
+                failed_passes += 1;
+            }
+            assert_eq!(snap.write_errors, failed_passes, "one per failed pass");
         }
-        let snap = store.snapshot();
-        assert!(
-            snap.compaction_stalls >= 1,
-            "puts past the hard cap must count a stall"
-        );
-        assert!(snap.write_errors >= 1, "failed passes are counted");
-        assert!(
-            snap.file_bytes > 2048,
-            "the broken compactor cannot shrink the log"
-        );
-        // Heal the disk: a synchronous pass reclaims everything over
-        // budget and the store is healthy again.
+        assert_eq!(store.snapshot().compactions, 0);
+        assert_eq!(store.len(), 32);
+
+        // Heal the disk: the next put over budget brings the log back
+        // within it, and the newest key survives the eviction.
         store.failpoints().clear_all();
-        store.compact().unwrap();
-        store.quiesce();
+        store.put(32, 0, &payload).unwrap();
         let snap = store.snapshot();
         assert!(
             snap.file_bytes <= 1024,
             "healed log still over budget: {}",
             snap.file_bytes
         );
-        assert!(store.get(31).is_some(), "newest key must survive eviction");
+        assert_eq!(snap.compactions, 1);
+        assert_eq!(snap.write_errors, failed_passes);
+        assert_eq!(store.get(32), Some((0, payload)));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn background_compaction_keeps_concurrent_readers_consistent() {
+    fn compaction_keeps_concurrent_readers_consistent() {
         let dir = scratch("concurrent");
         let store = Arc::new(Store::open(&dir, StoreOptions { max_bytes: 8192 }).unwrap());
         let payload = vec![0x11u8; 200];
@@ -1020,8 +862,8 @@ mod tests {
             store.put(round % 16, round, &payload).unwrap();
         }
         reader.join().unwrap();
-        store.quiesce();
         let snap = store.snapshot();
+        assert!(snap.compactions >= 1);
         assert_eq!(snap.entries, 16);
         for key in 0..16u64 {
             let (_, bytes) = store.get(key).expect("live key lost by compaction");

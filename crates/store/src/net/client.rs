@@ -108,9 +108,9 @@ impl StoreClient {
     /// # Errors
     ///
     /// Propagates setsockopt failures.
-    pub fn set_timeout(&self, timeout: Option<Duration>) -> Result<(), StoreClientError> {
-        self.writer.set_read_timeout(timeout)?;
-        self.writer.set_write_timeout(timeout)?;
+    pub fn set_timeout(&self, timeout: Duration) -> Result<(), StoreClientError> {
+        self.writer.set_read_timeout(Some(timeout))?;
+        self.writer.set_write_timeout(Some(timeout))?;
         Ok(())
     }
 

@@ -5,7 +5,7 @@
 //! result tier instead of each owning a cold private disk. Two pieces:
 //!
 //! - [`server::StoreServer`] — the daemon: `get`/`put`/`scan`/`ping`/
-//!   `stats`/`health`/`shutdown` over TCP, concurrent reads,
+//!   `stats`/`health`/`shutdown` over TCP, concurrent connections,
 //!   single-writer appends, graceful drain;
 //! - [`client::StoreClient`] — one blocking connection per store peer,
 //!   held by the serving tier's remote/sharded store backends.

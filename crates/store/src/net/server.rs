@@ -17,9 +17,10 @@
 //! — the connection survives; only EOF or a transport error ends it.
 //!
 //! **Single-writer semantics** are preserved by construction: the one
-//! daemon process owns the log directory, and every `put` from every
-//! connection funnels through the one [`Store`] (whose index lock
-//! serializes appends). Reads run concurrently across connections.
+//! daemon process owns the log directory, and every `get` and `put` from
+//! every connection funnels through the one [`Store`], whose lock
+//! serializes them (and the compaction pass a put may run).
+//! Connections are served concurrently.
 //!
 //! **Graceful drain** is the shared [`Daemon`] loop: a `shutdown`
 //! request (or SIGTERM in the binary) stops the accept loop, half-closes
@@ -31,7 +32,7 @@ use crate::daemon::{read_line_capped, Daemon, MAX_LINE_BYTES};
 use crate::json::{self, Json};
 use crate::net::{hex16, parse_hex16};
 use crate::{log_info, Store};
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -121,8 +122,7 @@ impl StoreServer {
 
     /// Serve one request line (no trailing newline), returning the
     /// response line (no trailing newline). Transport-independent — the
-    /// TCP loop, the stdio loop, and the unit tests all come through
-    /// here.
+    /// TCP loop and the unit tests both come through here.
     pub fn handle_line(&self, line: &str) -> String {
         NetCounters::bump(&self.counters.requests);
         let msg = match json::parse(line) {
@@ -244,7 +244,6 @@ impl StoreServer {
             ("superseded", Json::from(snap.superseded)),
             ("evicted", Json::from(snap.evicted)),
             ("compactions", Json::from(snap.compactions)),
-            ("compaction_stalls", Json::from(snap.compaction_stalls)),
             ("read_errors", Json::from(snap.read_errors)),
             ("write_errors", Json::from(snap.write_errors)),
         ]);
@@ -270,49 +269,9 @@ impl StoreServer {
             ("state", Json::from(state)),
             ("entries", Json::from(snap.entries)),
             ("file_bytes", Json::from(snap.file_bytes)),
-            ("compaction_stalls", Json::from(snap.compaction_stalls)),
             ("write_errors", Json::from(snap.write_errors)),
         ]);
         ok_response([("health", health)])
-    }
-
-    /// Serve NDJSON over stdin/stdout-style streams until EOF or a
-    /// `shutdown` request. The debugging/smoke-test front door; the fleet
-    /// speaks TCP.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transport failures and non-UTF-8 input. A line longer
-    /// than [`MAX_LINE_BYTES`] is answered
-    /// `{"ok":false,"error":"line too long"}` and then returned as an
-    /// error.
-    pub fn run_io(&self, mut reader: impl BufRead, mut writer: impl Write) -> io::Result<()> {
-        let mut buf = Vec::new();
-        loop {
-            match read_line_capped(&mut reader, &mut buf, MAX_LINE_BYTES) {
-                Ok(0) => return Ok(()),
-                Ok(_) => {}
-                Err(e) => {
-                    if e.kind() == io::ErrorKind::InvalidData {
-                        writer
-                            .write_all(format!("{}\n", error_json("line too long")).as_bytes())?;
-                    }
-                    return Err(e);
-                }
-            }
-            let line = std::str::from_utf8(&buf)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-            if line.trim().is_empty() {
-                continue;
-            }
-            let mut response = self.handle_line(line.trim());
-            response.push('\n');
-            writer.write_all(response.as_bytes())?;
-            writer.flush()?;
-            if self.draining() {
-                return Ok(());
-            }
-        }
     }
 
     /// Announce the bound address, then accept and serve connections on
@@ -524,31 +483,5 @@ mod tests {
         assert!(resp.contains(r#""ok":false"#), "{resp}");
         let stats = server.handle_line(r#"{"req":"stats"}"#);
         assert!(stats.contains(r#""put_errors":1"#), "{stats}");
-    }
-
-    #[test]
-    fn run_io_serves_a_script_and_stops_on_shutdown() {
-        let server = server("stdio");
-        let script = concat!(
-            r#"{"req":"put","key":"000000000000000b","fp":"0000000000000001","payload":"hello"}"#,
-            "\n",
-            r#"{"req":"get","key":"000000000000000b"}"#,
-            "\n",
-            r#"{"req":"shutdown"}"#,
-            "\n",
-            r#"{"req":"ping"}"#,
-            "\n",
-        );
-        let mut out = Vec::new();
-        server.run_io(script.as_bytes(), &mut out).unwrap();
-        let text = String::from_utf8(out).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(
-            lines.len(),
-            3,
-            "the ping after shutdown must not run: {text}"
-        );
-        assert!(lines[1].contains(r#""payload":"hello""#));
-        assert!(lines[2].contains(r#""stopping":true"#));
     }
 }

@@ -1,6 +1,7 @@
 //! End-to-end tests for the `optimist-stored` network tier: a real
 //! listener, real sockets, concurrent clients, and graceful drain.
 
+use optimist_store::json::{self, Json};
 use optimist_store::net::{StoreClient, StoreServer};
 use optimist_store::{Store, StoreOptions};
 use std::net::TcpListener;
@@ -142,7 +143,16 @@ fn shutdown_drains_open_connections_cleanly() {
 
 #[test]
 fn concurrent_writers_serialize_through_the_single_log() {
-    let (_server, addr, handle) = spawn(scratch("writers"), 0);
+    // Unbounded, every put must read back. Under 2,048 bytes (about half
+    // of what the 100 records take), puts compact and evict while the
+    // other writers keep appending.
+    for budget in [0, 2048] {
+        concurrent_writers_under(budget);
+    }
+}
+
+fn concurrent_writers_under(budget: u64) {
+    let (_server, addr, handle) = spawn(scratch(&format!("writers-{budget}")), budget);
     let mut threads = Vec::new();
     for t in 0..4u64 {
         threads.push(std::thread::spawn(move || {
@@ -159,16 +169,35 @@ fn concurrent_writers_serialize_through_the_single_log() {
         thread.join().unwrap();
     }
     let mut client = StoreClient::connect(addr).unwrap();
+    let stats = json::parse(&client.stats_line().unwrap()).unwrap();
+    let store = |name: &str| {
+        stats
+            .get("store")
+            .and_then(|store| store.get(name))
+            .and_then(Json::as_u64)
+            .unwrap_or_else(|| panic!("stats.store.{name} missing: {stats}"))
+    };
+    if budget == 0 {
+        assert_eq!(store("compactions"), 0, "{stats}");
+        assert_eq!(store("entries"), 100, "{stats}");
+    } else {
+        assert!(store("compactions") >= 1, "{stats}");
+        assert!(store("file_bytes") <= budget, "{stats}");
+    }
+    // Every key was put once, so each one is either live or evicted.
+    assert_eq!(store("entries") + store("evicted"), 100, "{stats}");
+
+    let mut readable = 0;
     for t in 0..4u64 {
         for i in 0..25u64 {
-            let (fp, payload) = client
-                .get(t * 100 + i)
-                .unwrap()
-                .expect("every concurrent put must be readable");
-            assert_eq!(fp, t);
-            assert_eq!(payload, format!("{{\"t\":{t},\"i\":{i}}}").as_bytes());
+            if let Some((fp, payload)) = client.get(t * 100 + i).unwrap() {
+                assert_eq!(fp, t);
+                assert_eq!(payload, format!("{{\"t\":{t},\"i\":{i}}}").as_bytes());
+                readable += 1;
+            }
         }
     }
+    assert_eq!(readable, store("entries"), "live keys must all be readable");
     client.shutdown().unwrap();
     handle.join().unwrap();
 }

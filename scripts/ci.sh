@@ -61,9 +61,10 @@ if [[ $quick -eq 0 ]]; then
     cargo test --release -q -p optimist-serve --lib http::tests
     cargo test --release -q -p optimist-store --lib json::tests
 
-    # Store-log recovery under random truncation and byte flips.
-    echo "==> store-log recovery fuzz under --release (full proptest case count)"
-    cargo test --release -q -p optimist-store --test recovery
+    # The whole store package: log recovery under random truncation and
+    # byte flips, compaction, failpoints and the optimist-stored daemon.
+    echo "==> optimist-store under --release (full proptest case count)"
+    cargo test --release -q -p optimist-store
 fi
 
 echo "==> benches compile"

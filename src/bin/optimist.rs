@@ -19,8 +19,7 @@
 //!   -O                 run the scalar optimizer (default for allocate/
 //!                      run/compare; use --no-opt to disable)
 //!   --no-opt           skip the optimizer
-//!   --strategy S       chaitin | briggs | irc | ssa (default briggs);
-//!                      --heuristic is accepted as an alias
+//!   --strategy S       chaitin | briggs | irc | ssa (default briggs)
 //!   --int-regs N       integer registers (default 16)
 //!   --float-regs N     float registers (default 8)
 //!   --virtual          (run) use virtual registers instead of allocating
@@ -120,13 +119,11 @@ fn parse_options(args: &[String], default_opt: bool) -> Result<Options, String> 
                     other => return Err(format!("unknown coalesce mode `{other}`")),
                 });
             }
-            // "--strategy" is the canonical flag; "--heuristic" survives
-            // as an alias from before IRC made it a three-way choice.
-            "--strategy" | "--heuristic" => {
+            "--strategy" => {
                 let v = it.next().ok_or("--strategy needs a value")?;
                 o.strategy = match v.as_str() {
-                    "chaitin" | "old" | "pessimistic" => Strategy::Chaitin,
-                    "briggs" | "new" | "optimistic" => Strategy::Briggs,
+                    "chaitin" => Strategy::Chaitin,
+                    "briggs" => Strategy::Briggs,
                     "irc" => Strategy::Irc,
                     "ssa" => Strategy::Ssa,
                     other => return Err(format!("unknown strategy `{other}`")),

@@ -117,12 +117,12 @@ fn compile_error_goes_to_stderr_with_line() {
 }
 
 #[test]
-fn heuristic_and_register_options_are_accepted() {
+fn strategy_and_register_options_are_accepted() {
     let path = write_temp("cube6.ft", SAMPLE);
     let out = optimist(&[
         "allocate",
         path.to_str().unwrap(),
-        "--heuristic",
+        "--strategy",
         "chaitin",
         "--float-regs",
         "4",
@@ -140,9 +140,16 @@ fn heuristic_and_register_options_are_accepted() {
 
 #[test]
 fn bad_option_is_reported() {
-    let out = optimist(&["allocate", "whatever.ft", "--bogus"]);
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown option"));
+    // `--heuristic` was the pre-`Strategy` spelling of `--strategy`.
+    for option in ["--bogus", "--heuristic"] {
+        let out = optimist(&["allocate", "whatever.ft", option, "chaitin"]);
+        assert!(!out.status.success());
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("unknown option `{option}`")),
+            "stderr: {err}"
+        );
+    }
 }
 
 /// A checked-in example program, by path from the package root.

@@ -14,11 +14,13 @@
 //! * [`LoopInfo`] — natural loops and per-block nesting depth, which drives
 //!   the paper's spill-cost weighting (`10^depth` per inserted load/store).
 //! * [`Liveness`] — per-block live-in/live-out virtual-register sets.
-//! * [`ReachingDefs`] — per-block reaching definition sets.
 //! * [`renumber`] — Chaitin's *renumber* phase: splits each virtual register
 //!   into its def-use webs so that, afterwards, **one virtual register is one
 //!   live range**. The allocator runs renumber before building the
-//!   interference graph, exactly as in the paper's build phase.
+//!   interference graph, exactly as in the paper's build phase. It finds the
+//!   webs with one union-find over liveness: each register live into a
+//!   block joins the defs that flow into it along the block's incoming
+//!   edges, so its work grows with the instructions plus the live-in sets.
 //! * [`DenseBitSet`] — the fixed-capacity bit set used by all of the above.
 //!
 //! ## Example
@@ -46,7 +48,6 @@ mod cfg;
 mod dom;
 mod liveness;
 mod loops;
-mod reach;
 mod webs;
 
 pub use bitset::DenseBitSet;
@@ -54,5 +55,4 @@ pub use cfg::Cfg;
 pub use dom::{DominanceFrontiers, Dominators};
 pub use liveness::Liveness;
 pub use loops::{Loop, LoopInfo};
-pub use reach::{DefSite, DefSiteKind, ReachingDefs};
 pub use webs::{renumber, RenumberStats};

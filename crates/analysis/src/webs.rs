@@ -6,11 +6,22 @@
 //! inserted by the allocator introduces new short registers; renumbering the
 //! rewritten function again naturally yields the paper's "several shorter
 //! live ranges, one for each definition or use".
+//!
+//! Webs are found from liveness with one union-find. It has a node for each
+//! register's entry pseudo-def (the parameter, or an *uninit* def standing
+//! for a use that no real def reaches), one per instruction def, and one per
+//! register live into each reachable block. Along every edge P→S out of a
+//! reachable block, S's node for a live-in `v` joins the value of `v`
+//! leaving P: P's last def of `v`, or else P's own live-in node for `v`.
+//! The entry block's live-in nodes join their pseudo-defs. A use reads the
+//! last def of its register earlier in its block, else the block's live-in
+//! node, or in an unreachable block the register's pseudo-def. The work
+//! grows with the instructions plus the live-in sets.
 
+use crate::bitset::DenseBitSet;
 use crate::cfg::Cfg;
-use crate::reach::{DefSiteKind, ReachingDefs};
-use optimist_ir::{Function, VReg, VRegData};
-use std::collections::HashMap;
+use crate::liveness::Liveness;
+use optimist_ir::{BlockId, Function, VReg};
 
 /// Statistics returned by [`renumber`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -21,186 +32,158 @@ pub struct RenumberStats {
     pub webs: usize,
 }
 
-/// A plain union-find over `usize` ids.
+/// A plain union-find over `u32` ids.
 #[derive(Debug)]
 struct UnionFind {
     parent: Vec<u32>,
 }
 
 impl UnionFind {
-    fn new(n: usize) -> Self {
-        UnionFind {
-            parent: (0..n as u32).collect(),
-        }
-    }
-
-    fn find(&mut self, x: usize) -> usize {
+    fn find(&mut self, x: u32) -> u32 {
         let mut root = x;
-        while self.parent[root] as usize != root {
-            root = self.parent[root] as usize;
+        while self.parent[root as usize] != root {
+            root = self.parent[root as usize];
         }
         // Path compression.
         let mut cur = x;
-        while self.parent[cur] as usize != cur {
-            let next = self.parent[cur] as usize;
-            self.parent[cur] = root as u32;
+        while self.parent[cur as usize] != cur {
+            let next = self.parent[cur as usize];
+            self.parent[cur as usize] = root;
             cur = next;
         }
         root
     }
 
-    fn union(&mut self, a: usize, b: usize) {
+    fn union(&mut self, a: u32, b: u32) {
         let (ra, rb) = (self.find(a), self.find(b));
         if ra != rb {
-            self.parent[ra] = rb as u32;
+            self.parent[ra as usize] = rb;
+        }
+    }
+}
+
+/// The node each register reads at the current point of one block walk.
+/// Entries written before the latest [`enter`](Cursor::enter) are stale.
+struct Cursor {
+    node: Vec<u32>,
+    walk: Vec<u32>,
+    current: u32,
+}
+
+impl Cursor {
+    /// Start a block whose live-in nodes are `base..` in `live_in`'s order.
+    fn enter(&mut self, live_in: &DenseBitSet, base: u32) {
+        self.current += 1;
+        for (k, v) in live_in.iter().enumerate() {
+            self.set(v, base + k as u32);
+        }
+    }
+
+    fn set(&mut self, v: usize, node: u32) {
+        self.node[v] = node;
+        self.walk[v] = self.current;
+    }
+
+    /// The node `v` reads here: its node in this block, else its pseudo-def
+    /// (node `v`), which only a use in unreachable code falls back to.
+    fn read(&self, v: usize) -> u32 {
+        if self.walk[v] == self.current {
+            self.node[v]
+        } else {
+            v as u32
         }
     }
 }
 
 /// Rewrite `func` so every def-use web has a distinct virtual register.
 ///
-/// Returns statistics (web count = the paper's "live ranges" column).
+/// Registers are numbered in first-encounter order: the parameters, then
+/// the blocks in id order, each instruction's uses before its def. A table
+/// entry that never occurs is dropped. Returns statistics (web count = the
+/// paper's "live ranges" column).
 pub fn renumber(func: &mut Function) -> RenumberStats {
     let vregs_before = func.num_vregs();
     let cfg = Cfg::new(func);
-    let rd = ReachingDefs::new(func, &cfg);
-    let sites = rd.sites().to_vec();
-    let ns = sites.len();
+    let live = Liveness::new(func, &cfg);
 
-    // Map (block, inst) -> def site id for instruction defs.
-    let mut inst_site: HashMap<(u32, usize), u32> = HashMap::new();
-    // Pseudo-def site id per vreg (param or uninit).
-    let mut pseudo_site: Vec<Option<u32>> = vec![None; vregs_before];
-    for (id, site) in sites.iter().enumerate() {
-        match site.kind {
-            DefSiteKind::Inst { block, inst } => {
-                inst_site.insert((block.index() as u32, inst), id as u32);
-            }
-            DefSiteKind::Param | DefSiteKind::Uninit => {
-                pseudo_site[site.vreg.index()] = Some(id as u32);
-            }
-        }
+    // Node ids: the pseudo-defs are `0..vregs_before` (one per register),
+    // block b's live-in nodes start at `live_base[b]`, and the instruction
+    // defs follow in block and instruction order.
+    let mut live_base = Vec::with_capacity(func.num_blocks());
+    let mut next = vregs_before as u32;
+    for b in func.block_ids() {
+        live_base.push(next);
+        next += live.live_in(b).count() as u32;
     }
-
-    let mut uf = UnionFind::new(ns);
-
-    // Pass 1: union all defs that reach a common use.
-    // Within a block we track the single locally-dominating def per vreg;
-    // before any local def, the reach-in set applies.
-    let mut uses = Vec::new();
-    for &b in cfg.rpo() {
-        let mut local_def: HashMap<u32, u32> = HashMap::new(); // vreg -> site
-                                                               // Group reach-in sites by vreg lazily.
-        let mut reach_by_vreg: HashMap<u32, Vec<u32>> = HashMap::new();
-        for id in rd.reach_in(b).iter() {
-            reach_by_vreg
-                .entry(sites[id].vreg.index() as u32)
-                .or_default()
-                .push(id as u32);
-        }
-        for (i, inst) in func.block(b).insts.iter().enumerate() {
-            uses.clear();
-            inst.uses_into(&mut uses);
-            for &u in &uses {
-                let key = u.index() as u32;
-                if let Some(&d) = local_def.get(&key) {
-                    // Single dominating local def: nothing to merge with it
-                    // beyond itself, but the use belongs to d's web.
-                    let _ = d;
-                } else if let Some(ids) = reach_by_vreg.get(&key) {
-                    for w in ids.windows(2) {
-                        uf.union(w[0] as usize, w[1] as usize);
-                    }
-                }
-            }
-            if let Some(d) = inst.def() {
-                let id = inst_site[&(b.index() as u32, i)];
-                local_def.insert(d.index() as u32, id);
-            }
-        }
-    }
-
-    // Pass 2: assign a fresh vreg per web root and rewrite occurrences.
-    let old_vregs: Vec<VRegData> = (0..vregs_before)
-        .map(|i| func.vreg(VReg::new(i as u32)).clone())
-        .collect();
-    let mut new_table: Vec<VRegData> = Vec::new();
-    let mut web_vreg: HashMap<usize, VReg> = HashMap::new();
-    let site_owner: Vec<VReg> = sites.iter().map(|s| s.vreg).collect();
-    let vreg_for_site = move |uf: &mut UnionFind,
-                              new_table: &mut Vec<VRegData>,
-                              web_vreg: &mut HashMap<usize, VReg>,
-                              site: usize|
-          -> VReg {
-        let root = uf.find(site);
-        *web_vreg.entry(root).or_insert_with(|| {
-            let data = old_vregs[site_owner[root].index()].clone();
-            let v = VReg::new(new_table.len() as u32);
-            new_table.push(data);
-            v
-        })
+    let first_def = next;
+    let mut uf = UnionFind {
+        parent: (0..first_def + func.num_insts() as u32).collect(),
+    };
+    let mut at = Cursor {
+        node: vec![0; vregs_before],
+        walk: vec![0; vregs_before],
+        current: 0,
     };
 
-    // Rewrite params first so they keep low indices.
-    let new_params: Vec<VReg> = func
-        .params()
-        .to_vec()
-        .iter()
-        .map(|p| {
-            let site = pseudo_site[p.index()].expect("param has pseudo site") as usize;
-            vreg_for_site(&mut uf, &mut new_table, &mut web_vreg, site)
-        })
-        .collect();
-
-    let block_ids: Vec<_> = func.block_ids().collect();
-    for b in block_ids {
-        let reachable = cfg.is_reachable(b);
-        let mut local_def: HashMap<u32, u32> = HashMap::new();
-        let mut reach_rep: HashMap<u32, u32> = HashMap::new(); // vreg -> representative site
-        if reachable {
-            for id in rd.reach_in(b).iter() {
-                reach_rep
-                    .entry(sites[id].vreg.index() as u32)
-                    .or_insert(id as u32);
-            }
+    // Pass 1: join each live-in node to the values flowing into it.
+    let entry = func.entry();
+    for (k, v) in live.live_in(entry).iter().enumerate() {
+        uf.union(live_base[entry.index()] + k as u32, v as u32);
+    }
+    let mut def = first_def;
+    for (b, block) in func.blocks() {
+        at.enter(live.live_in(b), live_base[b.index()]);
+        for d in block.insts.iter().filter_map(|inst| inst.def()) {
+            at.set(d.index(), def);
+            def += 1;
         }
-        let num_insts = func.block(b).insts.len();
-        for i in 0..num_insts {
-            // Resolve the def site first (needed after rewriting uses).
-            let def_site = func.block(b).insts[i]
-                .def()
-                .map(|_| inst_site[&(b.index() as u32, i)]);
-
-            let inst = &mut func.block_mut(b).insts[i];
-            // Temporarily move out to satisfy the borrow checker.
-            let mut tmp = inst.clone();
-            tmp.map_uses(|u| {
-                let key = u.index() as u32;
-                let site = local_def
-                    .get(&key)
-                    .or_else(|| reach_rep.get(&key))
-                    .copied()
-                    // Unreachable code, or a use with no reaching def at all:
-                    // fall back to the pseudo-def of the original register.
-                    .unwrap_or_else(|| pseudo_site[u.index()].unwrap_or(0));
-                vreg_for_site(&mut uf, &mut new_table, &mut web_vreg, site as usize)
-            });
-            if let Some(site) = def_site {
-                let old_vreg = tmp.def().expect("def site implies def");
-                local_def.insert(old_vreg.index() as u32, site);
-                tmp.map_def(|_| {
-                    vreg_for_site(&mut uf, &mut new_table, &mut web_vreg, site as usize)
-                });
+        if !cfg.is_reachable(b) {
+            continue;
+        }
+        for &s in cfg.succs(b) {
+            for (k, v) in live.live_in(s).iter().enumerate() {
+                uf.union(live_base[s.index()] + k as u32, at.read(v));
             }
-            *inst = tmp;
         }
     }
 
-    func.set_params(new_params);
-    let webs = new_table.len();
-    func.set_vreg_table(new_table);
+    // Pass 2: number the webs in first-encounter order and rewrite.
+    let mut web_of = vec![u32::MAX; uf.parent.len()];
+    let mut origin: Vec<VReg> = Vec::new(); // new register -> old one
+    let mut name = |node: u32, old: VReg| -> VReg {
+        let root = uf.find(node) as usize;
+        if web_of[root] == u32::MAX {
+            web_of[root] = origin.len() as u32;
+            origin.push(old);
+        }
+        VReg::new(web_of[root])
+    };
+    let params: Vec<VReg> = func
+        .params()
+        .iter()
+        .map(|&p| name(p.index() as u32, p))
+        .collect();
+    let mut def = first_def;
+    for (bi, &base) in live_base.iter().enumerate() {
+        let b = BlockId::new(bi as u32);
+        at.enter(live.live_in(b), base);
+        for inst in &mut func.block_mut(b).insts {
+            inst.map_uses(|u| name(at.read(u.index()), u));
+            if let Some(d) = inst.def() {
+                at.set(d.index(), def);
+                inst.map_def(|d| name(def, d));
+                def += 1;
+            }
+        }
+    }
 
-    RenumberStats { vregs_before, webs }
+    func.set_params(params);
+    let table = origin.iter().map(|&v| func.vreg(v).clone()).collect();
+    func.set_vreg_table(table);
+    RenumberStats {
+        vregs_before,
+        webs: origin.len(),
+    }
 }
 
 #[cfg(test)]

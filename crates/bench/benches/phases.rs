@@ -1,17 +1,23 @@
 //! Criterion benchmarks of the allocator's individual phases on the
 //! corpus's Figure-7 routines — the machine-time analog of the paper's
 //! CPU-seconds table. The shape to expect: build dominates, simplify and
-//! select are cheap and linear-ish in the size of the graph.
+//! select are cheap and linear-ish in the size of the graph. The `renumber`
+//! group times Chaitin's renumber on each routine as compiled, the first
+//! step of every first pass's build.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use optimist_analysis::{renumber, Cfg, Dominators, Liveness, LoopInfo};
 use optimist_machine::Target;
 use optimist_regalloc::{build_graph, select, simplify, spill_costs, Heuristic};
 
-fn routine(program: &str, name: &str) -> optimist_ir::Function {
+fn compiled(program: &str, name: &str) -> optimist_ir::Function {
     let p = optimist_workloads::program(program).expect("program exists");
     let m = optimist::compile_optimized(&p.source).expect("compiles");
-    let mut f = m.function(name).expect("routine exists").clone();
+    m.function(name).expect("routine exists").clone()
+}
+
+fn routine(program: &str, name: &str) -> optimist_ir::Function {
+    let mut f = compiled(program, name);
     renumber(&mut f);
     f
 }
@@ -24,6 +30,16 @@ fn bench_phases(c: &mut Criterion) {
         ("CEDETA", "HSSIAN"),
     ];
     let target = Target::rt_pc();
+
+    // Each iteration renumbers a fresh clone, so the clone is timed too.
+    let mut g_renumber = c.benchmark_group("renumber");
+    for (prog, name) in subjects {
+        let f = compiled(prog, name);
+        g_renumber.bench_with_input(BenchmarkId::from_parameter(name), &f, |b, f| {
+            b.iter(|| renumber(&mut f.clone()));
+        });
+    }
+    g_renumber.finish();
 
     let mut g_build = c.benchmark_group("build");
     for (prog, name) in subjects {

@@ -9,10 +9,22 @@
 //! on spilling passes, and the second pass's simplify is much faster than
 //! the first.
 //!
+//! A second table splits the first pass's build into its steps, for the
+//! four routines and for the whole corpus (every function of every corpus
+//! program). Each step is the public function the allocator calls, timed
+//! in the allocator's order, best of three runs.
+//!
 //! Usage: `cargo run --release -p optimist-bench --bin figure7`
 
+use optimist_analysis::{renumber, Cfg, Dominators, Liveness, LoopInfo};
+use optimist_ir::Function;
 use optimist_machine::Target;
-use optimist_regalloc::{allocate, AllocatorConfig, PassRecord, Strategy};
+use optimist_regalloc::{
+    allocate, build_graph_par, coalesce, spill_costs, AllocatorConfig, CoalesceOpts, PassRecord,
+    Strategy,
+};
+use std::hint::black_box;
+use std::time::{Duration, Instant};
 
 const ROUTINES: &[(&str, &str)] = &[
     ("CEDETA", "DQRDC"),
@@ -33,15 +45,124 @@ fn spill_cell(p: &PassRecord) -> String {
     }
 }
 
+/// The rows of the build split, in the allocator's order.
+const BUILD_STEPS: [&str; 5] = [
+    "renumber",
+    "coalesce",
+    "renumber again",
+    "cfg..graph",
+    "spill costs",
+];
+
+/// Time the first pass's build of `f` step by step, as `allocate` runs it
+/// for `config` (Chaitin and Briggs build alike).
+fn build_split(f: &Function, config: &AllocatorConfig) -> [Duration; 5] {
+    let mut f = f.clone();
+    let mut times = [Duration::ZERO; 5];
+    let mut clock = Instant::now();
+    let mut lap = |step: usize| {
+        times[step] = clock.elapsed();
+        clock = Instant::now();
+    };
+    renumber(&mut f);
+    lap(0);
+    let opts = CoalesceOpts {
+        mode: config.coalesce,
+        target: Some(&config.target),
+        fixpoint: true,
+    };
+    let merged = coalesce(&mut f, &opts);
+    lap(1);
+    if merged > 0 {
+        renumber(&mut f);
+    }
+    lap(2);
+    let cfg = Cfg::new(&f);
+    let live = Liveness::new(&f, &cfg);
+    let dom = Dominators::new(&f, &cfg);
+    let loops = LoopInfo::new(&f, &cfg, &dom);
+    black_box(build_graph_par(&f, &cfg, &live, config.graph_threads.get()));
+    lap(3);
+    black_box(spill_costs(&f, &loops));
+    lap(4);
+    times
+}
+
+/// Best-of-three build split summed over `functions`.
+fn best_split(functions: &[&Function], config: &AllocatorConfig) -> [Duration; 5] {
+    let mut best = [Duration::MAX; 5];
+    for _ in 0..3 {
+        let mut sum = [Duration::ZERO; 5];
+        for f in functions {
+            for (total, t) in sum.iter_mut().zip(build_split(f, config)) {
+                *total += t;
+            }
+        }
+        for (b, t) in best.iter_mut().zip(sum) {
+            *b = (*b).min(t);
+        }
+    }
+    best
+}
+
+/// The second table: the first pass's build split per routine and over
+/// the corpus, with each step's share of the corpus total.
+fn print_build_split(routines: &[(String, Function)], config: &AllocatorConfig) {
+    let corpus: Vec<Function> = optimist_workloads::programs()
+        .iter()
+        .flat_map(|p| {
+            let m = optimist::compile_optimized(&p.source).expect("compiles");
+            m.functions().to_vec()
+        })
+        .collect();
+    let mut columns: Vec<(String, [Duration; 5])> = routines
+        .iter()
+        .map(|(name, f)| (name.clone(), best_split(&[f], config)))
+        .collect();
+    let all: Vec<&Function> = corpus.iter().collect();
+    columns.push((
+        format!("Corpus ({})", corpus.len()),
+        best_split(&all, config),
+    ));
+    let corpus_total: Duration = columns.last().expect("corpus column").1.iter().sum();
+
+    println!("\nFirst-pass build split (ms, best of 3; IRC skips the coalesce rows)");
+    print!("{:<14}", "Step");
+    for (name, _) in &columns {
+        print!(" | {name:>12}");
+    }
+    println!(" | {:>6}", "Share");
+    let width = 14 + columns.len() * 15 + 9;
+    println!("{}", "-".repeat(width));
+    for (step, label) in BUILD_STEPS.iter().enumerate() {
+        print!("{label:<14}");
+        for (_, times) in &columns {
+            print!(" | {:>12}", ms(times[step]));
+        }
+        let share = columns.last().expect("corpus column").1[step].as_secs_f64()
+            / corpus_total.as_secs_f64().max(f64::MIN_POSITIVE);
+        println!(" | {:>5.1}%", share * 100.0);
+    }
+    println!("{}", "-".repeat(width));
+    print!("{:<14}", "Build");
+    for (_, times) in &columns {
+        print!(" | {:>12}", ms(times.iter().sum()));
+    }
+    println!(" | {:>5.1}%", 100.0);
+    println!("\n(cfg..graph = CFG, liveness, dominators, loops and the interference graph)");
+}
+
 fn main() {
     let target = Target::rt_pc();
 
     // Allocate each routine with both heuristics, collecting pass records.
     let mut columns: Vec<(String, Vec<PassRecord>, Vec<PassRecord>)> = Vec::new();
+    let mut routines: Vec<(String, Function)> = Vec::new();
     for (prog, routine) in ROUTINES {
         let p = optimist_workloads::program(prog).expect("program exists");
         let m = optimist::compile_optimized(&p.source).expect("compiles");
         let f = m.function(routine).expect("routine exists");
+        routines.push((routine.to_string(), f.clone()));
         let old =
             allocate(f, &AllocatorConfig::new(target.clone(), Strategy::Chaitin)).expect("old");
         let new =
@@ -115,4 +236,9 @@ fn main() {
     }
     println!();
     println!("\n(spill cells show the pass's spilled-range count in parentheses, as in the paper)");
+
+    print_build_split(
+        &routines,
+        &AllocatorConfig::new(target.clone(), Strategy::Briggs),
+    );
 }

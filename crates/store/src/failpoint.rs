@@ -4,9 +4,10 @@
 //! (`put`, `get`, `fsync`, `compact`) to an injected failure
 //! [`FailKind`]. Every store owns one registry, armed from the
 //! `OPTIMIST_FAILPOINTS` environment variable at open time and
-//! re-armable at runtime through [`Store::failpoints`] — the chaos bench
-//! and the integration tests flip faults on and off mid-run without
-//! touching the environment.
+//! re-armable at runtime through [`Store::failpoints`] — the chaos drill
+//! (`chaos_store_failures_cost_no_request_and_the_probe_recovers` in
+//! `crates/serve/tests/drills.rs`) and the integration tests flip faults
+//! on and off mid-run without touching the environment.
 //!
 //! ## Grammar
 //!

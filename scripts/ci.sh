@@ -37,6 +37,12 @@ if [[ $quick -eq 0 ]]; then
     echo "==> paper invariants under --release (full proptest case count)"
     cargo test --release -q --test paper_invariants
 
+    # The analyses against their reference models, including `renumber`
+    # against its reaching-definitions formulation (same webs, same
+    # numbering) over the corpus, generated routines and post-spill code.
+    echo "==> reference models under --release (full proptest case count)"
+    cargo test --release -q --test reference_models
+
     # Chordality, round-trip behavior preservation and single-pass
     # allocation of the SSA track, also at the full case count.
     echo "==> SSA invariants under --release (full proptest case count)"

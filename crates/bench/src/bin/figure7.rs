@@ -14,6 +14,10 @@
 //! program). Each step is the public function the allocator calls, timed
 //! in the allocator's order, best of three runs.
 //!
+//! A third table gives the corpus's allocation time per strategy
+//! (chaitin, briggs, IRC and SSA), phase by phase as each pass records
+//! it, summed over passes and functions, best of three runs.
+//!
 //! Usage: `cargo run --release -p optimist-bench --bin figure7`
 
 use optimist_analysis::{renumber, Cfg, Dominators, Liveness, LoopInfo};
@@ -105,16 +109,24 @@ fn best_split(functions: &[&Function], config: &AllocatorConfig) -> [Duration; 5
     best
 }
 
-/// The second table: the first pass's build split per routine and over
-/// the corpus, with each step's share of the corpus total.
-fn print_build_split(routines: &[(String, Function)], config: &AllocatorConfig) {
-    let corpus: Vec<Function> = optimist_workloads::programs()
+/// Every function of every corpus program, as `compile_optimized` emits it.
+fn corpus() -> Vec<Function> {
+    optimist_workloads::programs()
         .iter()
         .flat_map(|p| {
             let m = optimist::compile_optimized(&p.source).expect("compiles");
             m.functions().to_vec()
         })
-        .collect();
+        .collect()
+}
+
+/// The second table: the first pass's build split per routine and over
+/// the corpus, with each step's share of the corpus total.
+fn print_build_split(
+    routines: &[(String, Function)],
+    corpus: &[Function],
+    config: &AllocatorConfig,
+) {
     let mut columns: Vec<(String, [Duration; 5])> = routines
         .iter()
         .map(|(name, f)| (name.clone(), best_split(&[f], config)))
@@ -150,6 +162,51 @@ fn print_build_split(routines: &[(String, Function)], config: &AllocatorConfig) 
     }
     println!(" | {:>5.1}%", 100.0);
     println!("\n(cfg..graph = CFG, liveness, dominators, loops and the interference graph)");
+}
+
+/// The third table: allocation time over the corpus per strategy, each
+/// phase summed over every pass of every function, best of three runs
+/// per phase. IRC's worklist engine reports as simplify; SSA's spill
+/// phase includes its pressure rounds and destruction.
+fn print_strategy_split(corpus: &[Function], target: &Target) {
+    println!(
+        "\nCorpus allocation time by strategy (ms, best of 3, {} functions)",
+        corpus.len()
+    );
+    println!(
+        "{:<10} | {:>10} | {:>10} | {:>10} | {:>10} | {:>10}",
+        "Strategy", "Build", "Simplify", "Color", "Spill", "Total"
+    );
+    println!("{}", "-".repeat(75));
+    for strategy in [
+        Strategy::Chaitin,
+        Strategy::Briggs,
+        Strategy::Irc,
+        Strategy::Ssa,
+    ] {
+        let config = AllocatorConfig::new(target.clone(), strategy);
+        let mut best = [Duration::MAX; 4];
+        for _ in 0..3 {
+            let mut sum = [Duration::ZERO; 4];
+            for f in corpus {
+                for p in allocate(f, &config).expect("allocates").passes {
+                    let t = p.times;
+                    for (s, d) in sum.iter_mut().zip([t.build, t.simplify, t.color, t.spill]) {
+                        *s += d;
+                    }
+                }
+            }
+            for (b, s) in best.iter_mut().zip(sum) {
+                *b = (*b).min(s);
+            }
+        }
+        print!("{:<10}", format!("{strategy:?}").to_lowercase());
+        for d in best {
+            print!(" | {:>10}", ms(d));
+        }
+        println!(" | {:>10}", ms(best.iter().sum()));
+    }
+    println!("\n(Total sums the best of each phase)");
 }
 
 fn main() {
@@ -237,8 +294,11 @@ fn main() {
     println!();
     println!("\n(spill cells show the pass's spilled-range count in parentheses, as in the paper)");
 
+    let corpus = corpus();
     print_build_split(
         &routines,
+        &corpus,
         &AllocatorConfig::new(target.clone(), Strategy::Briggs),
     );
+    print_strategy_split(&corpus, &target);
 }

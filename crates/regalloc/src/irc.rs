@@ -28,15 +28,17 @@
 //! simplification or coalescing is possible does the machinery *freeze* a
 //! move (give up on it) and continue simplifying.
 //!
-//! The engine runs over the interference graph of
+//! The engine runs over a copy of the interference graph of
 //! [`build_graph`](crate::build_graph) (with its copy refinement: a copy's
-//! source and destination do not interfere through the copy itself) and
-//! produces a removal [`stack`](IrcOutcome::stack) for the optimistic
-//! [`select`](crate::select) phase, plus the alias map and the merged
-//! graph that select colors. Spill candidates are ranked by the same
-//! [`SpillMetric`] the classic simplify phase uses and
-//! are pushed optimistically, so Briggs' §2.3 behavior (select gets the
-//! final word) is preserved.
+//! source and destination do not interfere through the copy itself): its
+//! flat adjacency lists walk neighbors, its bit matrix answers the tests'
+//! interference probes, merges add edges, and stacked or merged nodes are
+//! skipped by one flag rather than removed. It produces a removal
+//! [`stack`](IrcOutcome::stack) for the optimistic [`select`](crate::select)
+//! phase, plus the alias map and the merged graph that select colors.
+//! Spill candidates are ranked by the same [`SpillMetric`] the classic
+//! simplify phase uses and are pushed optimistically, so Briggs' §2.3
+//! behavior (select gets the final word) is preserved.
 
 use crate::graph::InterferenceGraph;
 use crate::simplify::SpillMetric;
@@ -186,23 +188,21 @@ pub fn irc(
     target: &Target,
     metric: SpillMetric,
 ) -> IrcOutcome {
+    debug_assert!(moves.iter().all(|&(a, b)| graph.class(a) == graph.class(b)));
     let n = graph.num_nodes();
     let engine = Engine {
-        graph,
+        input: graph,
+        graph: graph.clone(),
         target,
         metric,
-        adj_storage: (0..n as u32)
-            .map(|v| graph.neighbors(v).iter().copied().collect())
-            .collect(),
         degree: (0..n as u32).map(|v| graph.degree(v)).collect(),
         cost: costs.to_vec(),
         alias: (0..n as u32).collect(),
-        merged: vec![false; n],
-        on_stack: vec![false; n],
-        move_list: vec![BTreeSet::new(); n],
+        gone: vec![false; n],
+        move_list: vec![Vec::new(); n],
         moves,
-        worklist_moves: BTreeSet::new(),
-        active_moves: BTreeSet::new(),
+        move_state: vec![MoveState::Worklist; moves.len()],
+        worklist_moves: (0..moves.len()).collect(),
         simplify_wl: BTreeSet::new(),
         freeze_wl: BTreeSet::new(),
         spill_wl: BTreeSet::new(),
@@ -215,23 +215,36 @@ pub fn irc(
     engine.run()
 }
 
+/// Where a move stands: queued in `worklist_moves`, parked until a degree
+/// drop re-enables it, or resolved for good (George–Appel's coalesced,
+/// constrained and frozen sets, which nothing tells apart).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum MoveState {
+    Worklist,
+    Active,
+    Done,
+}
+
+/// The worklist engine's state. Every worklist pops its lowest index
+/// first, so the event log is a function of the input alone.
 struct Engine<'a> {
-    graph: &'a InterferenceGraph,
+    input: &'a InterferenceGraph,
+    /// A working copy of `input`: merges add edges, nothing is removed.
+    /// Its bit matrix answers the coalesce tests' interference probes.
+    graph: InterferenceGraph,
     target: &'a Target,
     metric: SpillMetric,
-    /// Structural adjacency, grown by [`Engine::add_edge`] as merges add
-    /// interferences; never shrunk (removal is the `on_stack`/`merged`
-    /// filter in [`Engine::adjacent`]).
-    adj_storage: Vec<BTreeSet<u32>>,
     degree: Vec<usize>,
     cost: Vec<f64>,
     alias: Vec<u32>,
-    merged: Vec<bool>,
-    on_stack: Vec<bool>,
-    move_list: Vec<BTreeSet<usize>>,
+    /// Stacked or merged away: no longer anyone's live neighbor.
+    gone: Vec<bool>,
+    /// The moves each root is an end of; a merged node's list moves to its
+    /// survivor, so a move may appear twice in one list.
+    move_list: Vec<Vec<usize>>,
     moves: &'a [(u32, u32)],
+    move_state: Vec<MoveState>,
     worklist_moves: BTreeSet<usize>,
-    active_moves: BTreeSet<usize>,
     simplify_wl: BTreeSet<u32>,
     freeze_wl: BTreeSet<u32>,
     spill_wl: BTreeSet<u32>,
@@ -247,36 +260,36 @@ impl Engine<'_> {
         self.target.regs(self.graph.class(v))
     }
 
+    fn significant(&self, v: u32) -> bool {
+        self.degree[v as usize] >= self.k_of(v)
+    }
+
     fn get_alias(&self, mut v: u32) -> u32 {
-        while self.merged[v as usize] {
+        while self.alias[v as usize] != v {
             v = self.alias[v as usize];
         }
         v
     }
 
-    /// The live neighbors of `v`: structural adjacency minus nodes already
-    /// on the stack or merged away (George–Appel's `Adjacent`).
-    fn adjacent(&self, v: u32) -> Vec<u32> {
-        self.adj_storage[v as usize]
-            .iter()
-            .copied()
-            .filter(|&t| !self.on_stack[t as usize] && !self.merged[t as usize])
-            .collect()
+    /// The live neighbors of `v` (George–Appel's `Adjacent`), in
+    /// adjacency order: every per-neighbor effect below is a set
+    /// operation, so the order does not reach the event log.
+    fn adjacent(&self, v: u32) -> impl Iterator<Item = u32> + '_ {
+        let live = move |&t: &u32| !self.gone[t as usize];
+        self.graph.neighbors(v).iter().copied().filter(live)
     }
 
     fn move_related(&self, v: u32) -> bool {
         self.move_list[v as usize]
             .iter()
-            .any(|m| self.worklist_moves.contains(m) || self.active_moves.contains(m))
+            .any(|&m| self.move_state[m] != MoveState::Done)
     }
 
-    fn enable_moves(&mut self, nodes: &[u32]) {
-        for &v in nodes {
-            let ms: Vec<usize> = self.move_list[v as usize].iter().copied().collect();
-            for m in ms {
-                if self.active_moves.remove(&m) {
-                    self.worklist_moves.insert(m);
-                }
+    fn enable_moves(&mut self, v: u32) {
+        for &m in &self.move_list[v as usize] {
+            if self.move_state[m] == MoveState::Active {
+                self.move_state[m] = MoveState::Worklist;
+                self.worklist_moves.insert(m);
             }
         }
     }
@@ -287,9 +300,13 @@ impl Engine<'_> {
         if d == self.k_of(t) {
             // t just crossed from significant to insignificant degree:
             // its parked moves (and its neighbors') get another chance.
-            let mut enable = vec![t];
-            enable.extend(self.adjacent(t));
-            self.enable_moves(&enable);
+            self.enable_moves(t);
+            for i in 0..self.graph.degree(t) {
+                let n = self.graph.neighbors(t)[i];
+                if !self.gone[n as usize] {
+                    self.enable_moves(n);
+                }
+            }
             self.spill_wl.remove(&t);
             if self.move_related(t) {
                 self.freeze_wl.insert(t);
@@ -299,38 +316,28 @@ impl Engine<'_> {
         }
     }
 
-    fn add_edge(&mut self, a: u32, b: u32) {
-        if a == b {
-            return;
-        }
-        if self.adj_storage[a as usize].insert(b) {
-            self.adj_storage[b as usize].insert(a);
-            self.degree[a as usize] += 1;
-            self.degree[b as usize] += 1;
-        }
-    }
-
     fn add_worklist(&mut self, u: u32) {
-        if !self.move_related(u) && self.degree[u as usize] < self.k_of(u) {
+        if !self.move_related(u) && !self.significant(u) {
             self.freeze_wl.remove(&u);
             self.simplify_wl.insert(u);
         }
     }
 
-    fn do_simplify(&mut self) {
-        let v = *self.simplify_wl.iter().next().expect("non-empty");
-        self.simplify_wl.remove(&v);
+    fn do_simplify(&mut self, v: u32) {
         self.stack.push(v);
-        self.on_stack[v as usize] = true;
+        self.gone[v as usize] = true;
         self.events.push(IrcEvent::Simplify(v));
-        for t in self.adjacent(v) {
-            self.decrement_degree(t);
+        // Decrements add no edges, so `v`'s adjacency holds still.
+        for i in 0..self.graph.degree(v) {
+            let t = self.graph.neighbors(v)[i];
+            if !self.gone[t as usize] {
+                self.decrement_degree(t);
+            }
         }
     }
 
-    fn do_coalesce(&mut self) {
-        let m = *self.worklist_moves.iter().next().expect("non-empty");
-        self.worklist_moves.remove(&m);
+    fn do_coalesce(&mut self, m: usize) {
+        self.move_state[m] = MoveState::Done;
         let (x, y) = self.moves[m];
         let (x, y) = (self.get_alias(x), self.get_alias(y));
         // Deterministic survivor: the lower-numbered root.
@@ -339,30 +346,29 @@ impl Engine<'_> {
             self.add_worklist(u);
             return;
         }
-        if self.adj_storage[u as usize].contains(&v) {
+        if self.graph.interferes(u, v) {
             // Constrained: the two ends interfere (a previous merge made
             // them overlap). The move can never be coalesced.
             self.add_worklist(u);
             self.add_worklist(v);
             return;
         }
-        let test = self.conservative_test(u, v);
-        match test {
+        match self.conservative_test(u, v) {
             Some(test) => {
                 self.coalesced.push(CoalescedMove { u, v, test });
                 self.events.push(IrcEvent::Coalesce { u, v, test });
                 self.combine(u, v);
                 self.add_worklist(u);
             }
-            None => {
-                // Park the move; a later degree drop re-enables it.
-                self.active_moves.insert(m);
-            }
+            // Park the move; a later degree drop re-enables it.
+            None => self.move_state[m] = MoveState::Active,
         }
     }
 
     /// Try Briggs first, then George; `None` means neither proves the
-    /// merge of `v` into `u` safe right now.
+    /// merge of `v` into `u` safe right now. Neither allocates: Briggs
+    /// counts significant live neighbors of `u`, then of `v` but not `u`,
+    /// up to `k`; George probes the bit matrix.
     ///
     /// The George test is scoped the way Appel scopes it to precolored
     /// nodes. When George passes but Briggs does not, `u`'s web has ≥ `k`
@@ -384,71 +390,78 @@ impl Engine<'_> {
     /// degrees drop) and, eventually, the freeze path.
     fn conservative_test(&self, u: u32, v: u32) -> Option<ConservativeTest> {
         let k = self.k_of(u);
-        let mut combined: BTreeSet<u32> = self.adjacent(u).into_iter().collect();
-        combined.extend(self.adjacent(v));
-        let significant = combined
-            .iter()
-            .filter(|&&t| self.degree[t as usize] >= self.k_of(t))
+        let from_v = self.adjacent(v).filter(|&t| !self.graph.interferes(t, u));
+        let counted = self
+            .adjacent(u)
+            .chain(from_v)
+            .filter(|&t| self.significant(t))
+            .take(k)
             .count();
-        if significant < k {
+        if counted < k {
             return Some(ConservativeTest::Briggs);
         }
         let unspillable_web =
             self.cost[u as usize].is_infinite() && self.cost[v as usize].is_infinite();
         let george = unspillable_web
-            && self.adjacent(v).into_iter().all(|t| {
-                self.degree[t as usize] < self.k_of(t) || self.adj_storage[t as usize].contains(&u)
-            });
-        if george {
-            return Some(ConservativeTest::George);
-        }
-        None
+            && self
+                .adjacent(v)
+                .all(|t| !self.significant(t) || self.graph.interferes(t, u));
+        george.then_some(ConservativeTest::George)
     }
 
     fn combine(&mut self, u: u32, v: u32) {
         self.freeze_wl.remove(&v);
         self.spill_wl.remove(&v);
         self.simplify_wl.remove(&v);
-        self.merged[v as usize] = true;
+        self.gone[v as usize] = true;
         self.alias[v as usize] = u;
-        let vmoves: Vec<usize> = self.move_list[v as usize].iter().copied().collect();
+        self.enable_moves(v);
+        let vmoves = std::mem::take(&mut self.move_list[v as usize]);
         self.move_list[u as usize].extend(vmoves);
         self.cost[u as usize] += self.cost[v as usize];
-        self.enable_moves(&[v]);
-        for t in self.adjacent(v) {
-            self.add_edge(t, u);
+        // New edges land on `u` and `t`, never on `v`, so `v`'s adjacency
+        // holds still while it is walked.
+        for i in 0..self.graph.degree(v) {
+            let t = self.graph.neighbors(v)[i];
+            if self.gone[t as usize] {
+                continue;
+            }
+            if !self.graph.interferes(t, u) {
+                self.graph.add_edge(t, u);
+                self.degree[t as usize] += 1;
+                self.degree[u as usize] += 1;
+            }
             self.decrement_degree(t);
         }
-        if self.degree[u as usize] >= self.k_of(u) && self.freeze_wl.remove(&u) {
+        if self.significant(u) && self.freeze_wl.remove(&u) {
             self.spill_wl.insert(u);
         }
     }
 
-    fn do_freeze(&mut self) {
-        let u = *self.freeze_wl.iter().next().expect("non-empty");
-        self.freeze_wl.remove(&u);
+    fn do_freeze(&mut self, u: u32) {
         self.simplify_wl.insert(u);
         self.events.push(IrcEvent::Freeze(u));
         self.freeze_moves(u);
     }
 
     fn freeze_moves(&mut self, u: u32) {
-        let ms: Vec<usize> = self.move_list[u as usize]
-            .iter()
-            .copied()
-            .filter(|m| self.worklist_moves.contains(m) || self.active_moves.contains(m))
-            .collect();
-        for m in ms {
+        // Freezing a move changes no list, only its state; a move listed
+        // twice is frozen once.
+        for i in 0..self.move_list[u as usize].len() {
+            let m = self.move_list[u as usize][i];
+            if self.move_state[m] == MoveState::Done {
+                continue;
+            }
+            self.move_state[m] = MoveState::Done;
+            self.worklist_moves.remove(&m);
+            self.frozen_moves += 1;
             let (x, y) = self.moves[m];
             let v = if self.get_alias(y) == self.get_alias(u) {
                 self.get_alias(x)
             } else {
                 self.get_alias(y)
             };
-            self.active_moves.remove(&m);
-            self.worklist_moves.remove(&m);
-            self.frozen_moves += 1;
-            if !self.move_related(v) && self.degree[v as usize] < self.k_of(v) {
+            if !self.move_related(v) && !self.significant(v) {
                 self.freeze_wl.remove(&v);
                 self.simplify_wl.insert(v);
             }
@@ -459,18 +472,17 @@ impl Engine<'_> {
         // Cheapest blocked candidate under the configured metric, over the
         // *web* cost (member costs were summed on combine); ties go to the
         // lowest node index, matching the classic simplify phase.
+        let rank = |v: u32| {
+            self.metric
+                .rank(self.cost[v as usize], self.degree[v as usize])
+        };
         let m = self
             .spill_wl
             .iter()
             .copied()
             .min_by(|&a, &b| {
-                let ra = self
-                    .metric
-                    .rank(self.cost[a as usize], self.degree[a as usize]);
-                let rb = self
-                    .metric
-                    .rank(self.cost[b as usize], self.degree[b as usize]);
-                ra.partial_cmp(&rb)
+                rank(a)
+                    .partial_cmp(&rank(b))
                     .unwrap_or(std::cmp::Ordering::Equal)
                     .then(a.cmp(&b))
             })
@@ -485,12 +497,11 @@ impl Engine<'_> {
     fn run(mut self) -> IrcOutcome {
         let n = self.graph.num_nodes();
         for (mi, &(a, b)) in self.moves.iter().enumerate() {
-            self.move_list[a as usize].insert(mi);
-            self.move_list[b as usize].insert(mi);
-            self.worklist_moves.insert(mi);
+            self.move_list[a as usize].push(mi);
+            self.move_list[b as usize].push(mi);
         }
         for v in 0..n as u32 {
-            if self.degree[v as usize] >= self.k_of(v) {
+            if self.significant(v) {
                 self.spill_wl.insert(v);
             } else if self.move_related(v) {
                 self.freeze_wl.insert(v);
@@ -499,12 +510,12 @@ impl Engine<'_> {
             }
         }
         loop {
-            if !self.simplify_wl.is_empty() {
-                self.do_simplify();
-            } else if !self.worklist_moves.is_empty() {
-                self.do_coalesce();
-            } else if !self.freeze_wl.is_empty() {
-                self.do_freeze();
+            if let Some(v) = self.simplify_wl.pop_first() {
+                self.do_simplify(v);
+            } else if let Some(m) = self.worklist_moves.pop_first() {
+                self.do_coalesce(m);
+            } else if let Some(u) = self.freeze_wl.pop_first() {
+                self.do_freeze(u);
             } else if !self.spill_wl.is_empty() {
                 self.do_select_spill();
             } else {
@@ -513,10 +524,10 @@ impl Engine<'_> {
         }
 
         let alias: Vec<u32> = (0..n as u32).map(|v| self.get_alias(v)).collect();
-        let classes = (0..n as u32).map(|v| self.graph.class(v)).collect();
+        let classes = (0..n as u32).map(|v| self.input.class(v)).collect();
         let mut merged_graph = InterferenceGraph::new(classes);
         for a in 0..n as u32 {
-            for &b in self.graph.neighbors(a) {
+            for &b in self.input.neighbors(a) {
                 if b < a {
                     merged_graph.add_edge(alias[a as usize], alias[b as usize]);
                 }

@@ -1,5 +1,4 @@
-//! Phi-aware liveness and the combined interference/pressure analysis for
-//! SSA form.
+//! Phi-aware liveness and the pressure/interference walk for SSA form.
 //!
 //! Liveness under SSA needs two conventions beyond the plain dataflow in
 //! `optimist-analysis`:
@@ -10,13 +9,14 @@
 //!   (so it interferes with everything else live there) but defined by no
 //!   instruction.
 //!
-//! [`analyze`] then walks each block backward once, building the
-//! interference graph and tracking per-class register pressure. The
-//! maximum pressure (*maxlive*) is exact for SSA form: every live value
-//! occupies a register between its def and its uses, and because SSA
-//! interference graphs are chordal, maxlive equals the size of the largest
-//! clique — chordal coloring needs exactly that many registers, so the
-//! spill phase can lower maxlive to ≤ k and *know* coloring will succeed.
+//! One backward walk per block tracks per-class register pressure;
+//! [`pressure`] stops there and [`analyze`] also builds the interference
+//! graph. The maximum pressure (*maxlive*) is exact for SSA form: every
+//! live value occupies a register between its def and its uses, and
+//! because SSA interference graphs are chordal, maxlive equals the size of
+//! the largest clique — chordal coloring needs exactly that many
+//! registers, so the spill phase lowers maxlive to ≤ k without a graph
+//! and *knows* coloring will succeed.
 
 use super::construct::SsaForm;
 use crate::graph::InterferenceGraph;
@@ -110,11 +110,9 @@ impl SsaLiveness {
     }
 }
 
-/// Interference graph plus pressure facts from one backward scan.
-pub struct SsaAnalysis {
-    /// The SSA interference graph (one node per SSA name). Chordal by
-    /// construction — see the proptest in `tests/ssa_invariants.rs`.
-    pub graph: InterferenceGraph,
+/// Pressure facts from one backward scan.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SsaPressure {
     /// Maximum register pressure per class (`[int, float]`).
     pub maxlive: [usize; 2],
     /// The live set at the worst-pressure program point of each class —
@@ -122,25 +120,41 @@ pub struct SsaAnalysis {
     pub worst: [Vec<VReg>; 2],
 }
 
+/// Interference graph plus pressure facts from one backward scan.
+pub struct SsaAnalysis {
+    /// The SSA interference graph (one node per SSA name). Chordal by
+    /// construction — see the proptest in `tests/ssa_invariants.rs`.
+    pub graph: InterferenceGraph,
+    /// Maxlive and the worst live sets, as [`pressure`] reports them.
+    pub pressure: SsaPressure,
+}
+
 /// Record the current pressure point, snapshotting the live set whenever a
 /// class reaches a new maximum.
-fn note(
-    maxlive: &mut [usize; 2],
-    worst: &mut [Vec<VReg>; 2],
-    counts: &[usize; 2],
-    cur: &DenseBitSet,
-    classes: &[RegClass],
-) {
-    for ci in 0..2 {
-        if counts[ci] > maxlive[ci] {
-            maxlive[ci] = counts[ci];
-            worst[ci] = cur
+fn note(p: &mut SsaPressure, counts: &[usize; 2], cur: &DenseBitSet, classes: &[RegClass]) {
+    for (ci, &count) in counts.iter().enumerate() {
+        if count > p.maxlive[ci] {
+            p.maxlive[ci] = count;
+            p.worst[ci] = cur
                 .iter()
                 .filter(|&x| classes[x].index() == ci)
                 .map(|x| VReg::new(x as u32))
                 .collect();
         }
     }
+}
+
+fn classes(ssa: &SsaForm) -> Vec<RegClass> {
+    let f = &ssa.func;
+    (0..f.num_vregs())
+        .map(|v| f.vreg(VReg::new(v as u32)).class)
+        .collect()
+}
+
+/// Measure maxlive and the worst live sets of an [`SsaForm`], building no
+/// graph: the same walk as [`analyze`], so the same facts.
+pub fn pressure(ssa: &SsaForm, live: &SsaLiveness) -> SsaPressure {
+    walk(ssa, live, &classes(ssa), None)
 }
 
 /// Build the interference graph of an [`SsaForm`] and measure maxlive.
@@ -155,65 +169,9 @@ fn note(
 /// as in the classic build phase.
 pub fn analyze(ssa: &SsaForm, live: &SsaLiveness) -> SsaAnalysis {
     let f = &ssa.func;
-    let cfg = ssa.cfg();
-    let nv = f.num_vregs();
-    let classes: Vec<RegClass> = (0..nv).map(|v| f.vreg(VReg::new(v as u32)).class).collect();
+    let classes = classes(ssa);
     let mut graph = InterferenceGraph::new(classes.clone());
-    let mut maxlive = [0usize; 2];
-    let mut worst: [Vec<VReg>; 2] = [Vec::new(), Vec::new()];
-
-    let mut cur = DenseBitSet::new(nv);
-    let mut uses = Vec::new();
-    for &b in cfg.rpo() {
-        cur.copy_from(live.live_out(b));
-        let mut counts = [0usize; 2];
-        for x in cur.iter() {
-            counts[classes[x].index()] += 1;
-        }
-        note(&mut maxlive, &mut worst, &counts, &cur, &classes);
-
-        for inst in f.block(b).insts.iter().rev() {
-            if let Some(d) = inst.def() {
-                let di = d.index();
-                if cur.insert(di) {
-                    counts[classes[di].index()] += 1;
-                }
-                note(&mut maxlive, &mut worst, &counts, &cur, &classes);
-                cur.remove(di);
-                counts[classes[di].index()] -= 1;
-                for x in cur.iter() {
-                    graph.add_edge(di as u32, x as u32);
-                }
-            }
-            uses.clear();
-            inst.uses_into(&mut uses);
-            for &u in &uses {
-                if cur.insert(u.index()) {
-                    counts[classes[u.index()].index()] += 1;
-                }
-            }
-            note(&mut maxlive, &mut worst, &counts, &cur, &classes);
-        }
-
-        // Block top: phi destinations are defined here, in parallel, on
-        // top of everything else live in.
-        let phis = &ssa.phis[b.index()];
-        if !phis.is_empty() {
-            for phi in phis {
-                let di = phi.dst.index();
-                if cur.insert(di) {
-                    counts[classes[di].index()] += 1;
-                }
-            }
-            note(&mut maxlive, &mut worst, &counts, &cur, &classes);
-            for phi in phis {
-                let di = phi.dst.index() as u32;
-                for x in cur.iter() {
-                    graph.add_edge(di, x as u32);
-                }
-            }
-        }
-    }
+    let pressure = walk(ssa, live, &classes, Some(&mut graph));
 
     // Entry clique: everything live at the top of the function is
     // simultaneously defined on entry. Parameters join the clique even
@@ -233,9 +191,75 @@ pub fn analyze(ssa: &SsaForm, live: &SsaLiveness) -> SsaAnalysis {
         }
     }
 
-    SsaAnalysis {
-        graph,
-        maxlive,
-        worst,
+    SsaAnalysis { graph, pressure }
+}
+
+/// The backward walk behind [`pressure`] and [`analyze`]; edges are added
+/// only when a `graph` is given.
+fn walk(
+    ssa: &SsaForm,
+    live: &SsaLiveness,
+    classes: &[RegClass],
+    mut graph: Option<&mut InterferenceGraph>,
+) -> SsaPressure {
+    let f = &ssa.func;
+    let cfg = ssa.cfg();
+    let mut p = SsaPressure::default();
+    let mut cur = DenseBitSet::new(classes.len());
+    let mut uses = Vec::new();
+    for &b in cfg.rpo() {
+        cur.copy_from(live.live_out(b));
+        let mut counts = [0usize; 2];
+        for x in cur.iter() {
+            counts[classes[x].index()] += 1;
+        }
+        note(&mut p, &counts, &cur, classes);
+
+        for inst in f.block(b).insts.iter().rev() {
+            if let Some(d) = inst.def() {
+                let di = d.index();
+                if cur.insert(di) {
+                    counts[classes[di].index()] += 1;
+                }
+                note(&mut p, &counts, &cur, classes);
+                cur.remove(di);
+                counts[classes[di].index()] -= 1;
+                if let Some(g) = graph.as_deref_mut() {
+                    for x in cur.iter() {
+                        g.add_edge(di as u32, x as u32);
+                    }
+                }
+            }
+            uses.clear();
+            inst.uses_into(&mut uses);
+            for &u in &uses {
+                if cur.insert(u.index()) {
+                    counts[classes[u.index()].index()] += 1;
+                }
+            }
+            note(&mut p, &counts, &cur, classes);
+        }
+
+        // Block top: phi destinations are defined here, in parallel, on
+        // top of everything else live in.
+        let phis = &ssa.phis[b.index()];
+        if !phis.is_empty() {
+            for phi in phis {
+                let di = phi.dst.index();
+                if cur.insert(di) {
+                    counts[classes[di].index()] += 1;
+                }
+            }
+            note(&mut p, &counts, &cur, classes);
+            if let Some(g) = graph.as_deref_mut() {
+                for phi in phis {
+                    let di = phi.dst.index() as u32;
+                    for x in cur.iter() {
+                        g.add_edge(di, x as u32);
+                    }
+                }
+            }
+        }
     }
+    p
 }

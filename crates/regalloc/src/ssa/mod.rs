@@ -30,7 +30,7 @@ mod spill;
 pub use color::{chordal_color, dominance_order, is_perfect_elimination_order, mcs_order};
 pub use construct::{construct, Phi, PhiSrc, SsaForm};
 pub use destruct::destruct;
-pub use liveness::{analyze, SsaAnalysis, SsaLiveness};
+pub use liveness::{analyze, pressure, SsaAnalysis, SsaLiveness, SsaPressure};
 
 use crate::allocator::{
     AllocError, AllocStats, Allocation, AllocatorConfig, PassRecord, PhaseTimes,

@@ -20,7 +20,7 @@
 //! registers.
 
 use super::construct::{PhiSrc, SsaForm};
-use super::liveness::{analyze, SsaAnalysis, SsaLiveness};
+use super::liveness::{analyze, pressure, SsaAnalysis, SsaLiveness};
 use crate::allocator::AllocError;
 use crate::cost::spill_costs;
 use optimist_analysis::LoopInfo;
@@ -41,8 +41,9 @@ fn temp(f: &mut Function, class: RegClass, tag: &str) -> VReg {
 
 /// Repeatedly measure pressure and demote the cheapest values at the
 /// worst-pressure point of each over-budget class until maxlive ≤ k
-/// everywhere. Returns the spilled values, their summed spill cost, and
-/// the final (≤ k) analysis for the coloring phase.
+/// everywhere, building the interference graph only once it fits. Returns
+/// the spilled values, their summed spill cost, and the final (≤ k)
+/// analysis for the coloring phase.
 pub(crate) fn lower_pressure(
     ssa: &mut SsaForm,
     target: &Target,
@@ -63,8 +64,13 @@ pub(crate) fn lower_pressure(
     let mut rounds = 0;
     loop {
         let live = SsaLiveness::new(ssa);
-        let analysis = analyze(ssa, &live);
-        if (0..2).all(|ci| analysis.maxlive[ci] <= k[ci]) {
+        let facts = pressure(ssa, &live);
+        if (0..2).all(|ci| facts.maxlive[ci] <= k[ci]) {
+            let analysis = analyze(ssa, &live);
+            debug_assert!(
+                analysis.pressure == facts,
+                "`{func_name}`: the graph walk disagrees with the pressure walk"
+            );
             return Ok((spilled, total_cost, analysis));
         }
         rounds += 1;
@@ -76,14 +82,14 @@ pub(crate) fn lower_pressure(
         let has_def = defined_values(ssa);
         let mut chosen: Vec<VReg> = Vec::new();
         for (ci, &kc) in k.iter().enumerate() {
-            if analysis.maxlive[ci] <= kc {
+            if facts.maxlive[ci] <= kc {
                 continue;
             }
-            let excess = analysis.maxlive[ci] - kc;
+            let excess = facts.maxlive[ci] - kc;
             // A demoted value needs a defining store: an instruction def,
             // a phi, or parameter status. Names live only because a path
             // bypasses every definition have none — never pick those.
-            let mut candidates: Vec<(f64, u32)> = analysis.worst[ci]
+            let mut candidates: Vec<(f64, u32)> = facts.worst[ci]
                 .iter()
                 .filter(|&&v| {
                     ssa.func.vreg(v).spillable && costs[v.index()].is_finite() && has_def[v.index()]

@@ -39,7 +39,10 @@ if [[ $quick -eq 0 ]]; then
 
     # The analyses against their reference models, including `renumber`
     # against its reaching-definitions formulation (same webs, same
-    # numbering) over the corpus, generated routines and post-spill code.
+    # numbering) over the corpus, generated routines and post-spill code,
+    # and the IRC engine against its `BTreeSet` formulation (the same
+    # outcome, field for field) on the first-pass graphs of the corpus
+    # and of generated routines.
     echo "==> reference models under --release (full proptest case count)"
     cargo test --release -q --test reference_models
 

@@ -9,11 +9,20 @@
 //! * `renumber` vs. [`reference::renumber`], the reaching-definitions
 //!   formulation it was rewritten from: the same webs, numbered the same
 //!   way, on the corpus, generated routines, post-spill code and hand-made
-//!   edge cases.
+//!   edge cases;
+//! * the IRC engine vs. [`reference::irc`], the `BTreeSet` engine it was
+//!   rewritten from: the same outcome, field for field, on the first-pass
+//!   graphs of the corpus and of generated routines, under every spill
+//!   metric, with and without a third of the nodes unspillable.
 
-use optimist::analysis::{renumber, Cfg, Dominators, Liveness};
+use optimist::analysis::{renumber, Cfg, Dominators, Liveness, LoopInfo};
 use optimist::ir::{parse_function, BlockId, Function, Inst, VReg};
-use optimist::regalloc::{build_graph, insert_spill_code, SpillOpts};
+use optimist::machine::Target;
+use optimist::regalloc::irc::{collect_moves, irc};
+use optimist::regalloc::{
+    build_graph, insert_spill_code, spill_costs, ConservativeTest, InterferenceGraph, IrcOutcome,
+    SpillMetric, SpillOpts,
+};
 use optimist::workloads::{generate_routine, GenConfig};
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -265,20 +274,26 @@ fn check_renumber(f: &Function, what: &str) -> Function {
     once
 }
 
+/// A seeded xorshift stream, for the seeded choices below.
+fn xorshift(seed: u64) -> impl FnMut() -> u64 {
+    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    }
+}
+
 /// What the allocator's next pass sees: spill a seeded quarter of the
 /// spillable ranges of a renumbered function, then renumber again. Odd
 /// seeds rematerialize.
 fn check_after_spill(renumbered: &Function, seed: u64, what: &str) {
-    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    let mut next = xorshift(seed);
     let spilled: Vec<VReg> = (0..renumbered.num_vregs() as u32)
         .map(VReg::new)
         .filter(|&v| renumbered.vreg(v).spillable)
-        .filter(|_| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state.is_multiple_of(4)
-        })
+        .filter(|_| next().is_multiple_of(4))
         .collect();
     let mut f = renumbered.clone();
     let opts = SpillOpts {
@@ -507,9 +522,113 @@ b2:
     );
 }
 
-/// The reference model of `renumber`, which the library's must match
-/// exactly: the library's implementation before its linear rewrite, moved
-/// here with only its paths changed.
+// ---- the IRC engine vs. its reference model ------------------------------
+
+/// The engine's input as `allocate`'s first IRC pass builds it: the
+/// renumbered function's interference graph (no up-front coalescing), its
+/// candidate moves and its loop-weighted spill costs.
+fn first_pass_input(f: &Function) -> (InterferenceGraph, Vec<(u32, u32)>, Vec<f64>) {
+    let mut f = f.clone();
+    renumber(&mut f);
+    let cfg = Cfg::new(&f);
+    let live = Liveness::new(&f, &cfg);
+    let dom = Dominators::new(&f, &cfg);
+    let loops = LoopInfo::new(&f, &cfg, &dom);
+    let graph = build_graph(&f, &cfg, &live);
+    let moves = collect_moves(&f, &graph);
+    (graph, moves, spill_costs(&f, &loops))
+}
+
+/// Both engines on `f`'s first-pass input at `target`, under every spill
+/// metric, with its own costs and again with a seeded third of the nodes
+/// unspillable (so that George's test, which needs both ends unspillable,
+/// runs). Every outcome field must match. Returns the George merges seen.
+fn check_irc(f: &Function, target: &Target, seed: u64, what: &str) -> usize {
+    let (graph, moves, costs) = first_pass_input(f);
+    let mut next = xorshift(seed);
+    let pinned: Vec<f64> = costs
+        .iter()
+        .map(|&c| {
+            if next().is_multiple_of(3) {
+                f64::INFINITY
+            } else {
+                c
+            }
+        })
+        .collect();
+    let mut george = 0;
+    for (costs, which) in [(&costs, "own costs"), (&pinned, "a third unspillable")] {
+        for metric in [
+            SpillMetric::CostOverDegree,
+            SpillMetric::Cost,
+            SpillMetric::CostOverDegreeSquared,
+        ] {
+            let what = format!("{what}, {target:?}, {metric:?}, {which}");
+            let fast = irc(&graph, &moves, costs, target, metric);
+            let slow = reference::irc(&graph, &moves, costs, target, metric);
+            assert_eq!(fast.events, slow.events, "{what}: events differ");
+            assert_eq!(fast.stack, slow.stack, "{what}: stacks differ");
+            assert_eq!(fast.alias, slow.alias, "{what}: alias maps differ");
+            assert_eq!(fast.blocked, slow.blocked, "{what}: blocked differ");
+            assert_eq!(fast.frozen_moves, slow.frozen_moves, "{what}: frozen");
+            let merges = |o: &IrcOutcome| -> Vec<(u32, u32, ConservativeTest)> {
+                o.coalesced.iter().map(|c| (c.u, c.v, c.test)).collect()
+            };
+            assert_eq!(merges(&fast), merges(&slow), "{what}: merges differ");
+            assert!(
+                fast.merged_graph.same_edges(&slow.merged_graph),
+                "{what}: merged graphs differ"
+            );
+            george += fast
+                .coalesced
+                .iter()
+                .filter(|c| c.test == ConservativeTest::George)
+                .count();
+        }
+    }
+    george
+}
+
+#[test]
+fn irc_matches_reference_on_the_corpus() {
+    let targets = [
+        Target::rt_pc(),
+        Target::with_int_regs(8),
+        Target::custom("i4f4", 4, 4),
+    ];
+    let mut george = 0;
+    for p in optimist::workloads::programs() {
+        let module = optimist::compile_optimized(&p.source).expect("compiles");
+        for (i, f) in module.functions().iter().enumerate() {
+            for target in &targets {
+                let what = format!("{} {}", p.name, f.name());
+                george += check_irc(f, target, i as u64, &what);
+            }
+        }
+    }
+    assert!(george > 0, "no input reached the George test");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(CASES))]
+
+    /// Generated routines, optimized as `paper_invariants` compiles them,
+    /// at the register counts its IRC properties use.
+    #[test]
+    fn irc_matches_reference_on_generated_routines(seed in 0u64..1_000_000, k in 2usize..9) {
+        let src = generate_routine("GEN", seed, &GenConfig::default());
+        let module = optimist::compile_optimized(&src)
+            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        let target = Target::custom("t", k, k);
+        for f in module.functions() {
+            check_irc(f, &target, seed, &format!("seed {seed} {}", f.name()));
+        }
+    }
+}
+
+/// The reference models of `renumber` and of the IRC engine, which the
+/// library's must match exactly: the library's implementations before
+/// their rewrites, moved here with only their paths changed.
 ///
 /// Reaching-definitions analysis: each definition point of each virtual
 /// register gets a *def-site* id; the analysis computes which def sites
@@ -879,6 +998,378 @@ mod reference {
         func.set_vreg_table(new_table);
 
         RenumberStats { vregs_before, webs }
+    }
+
+    // ---- the IRC engine before its flat-adjacency rewrite ----------------
+    //
+    // `irc.rs`'s worklist engine as it stood with `BTreeSet` adjacency,
+    // move sets and a set-building conservative test, moved here with only
+    // its paths changed. The library's engine must reproduce its outcome
+    // field for field.
+
+    use optimist::machine::Target;
+    use optimist::regalloc::irc::{CoalescedMove, ConservativeTest, IrcEvent, IrcOutcome};
+    use optimist::regalloc::{InterferenceGraph, SpillMetric};
+    use std::collections::BTreeSet;
+
+    /// Run the IRC worklist engine over `graph` with the given candidate
+    /// `moves` (from [`collect_moves`]) and per-node spill `costs`. Costs of
+    /// merged nodes are summed, so a web containing an unspillable member
+    /// inherits its infinite cost and is never picked as a spill candidate.
+    pub fn irc(
+        graph: &InterferenceGraph,
+        moves: &[(u32, u32)],
+        costs: &[f64],
+        target: &Target,
+        metric: SpillMetric,
+    ) -> IrcOutcome {
+        let n = graph.num_nodes();
+        let engine = Engine {
+            graph,
+            target,
+            metric,
+            adj_storage: (0..n as u32)
+                .map(|v| graph.neighbors(v).iter().copied().collect())
+                .collect(),
+            degree: (0..n as u32).map(|v| graph.degree(v)).collect(),
+            cost: costs.to_vec(),
+            alias: (0..n as u32).collect(),
+            merged: vec![false; n],
+            on_stack: vec![false; n],
+            move_list: vec![BTreeSet::new(); n],
+            moves,
+            worklist_moves: BTreeSet::new(),
+            active_moves: BTreeSet::new(),
+            simplify_wl: BTreeSet::new(),
+            freeze_wl: BTreeSet::new(),
+            spill_wl: BTreeSet::new(),
+            stack: Vec::new(),
+            coalesced: Vec::new(),
+            frozen_moves: 0,
+            blocked: Vec::new(),
+            events: Vec::new(),
+        };
+        engine.run()
+    }
+
+    struct Engine<'a> {
+        graph: &'a InterferenceGraph,
+        target: &'a Target,
+        metric: SpillMetric,
+        /// Structural adjacency, grown by [`Engine::add_edge`] as merges add
+        /// interferences; never shrunk (removal is the `on_stack`/`merged`
+        /// filter in [`Engine::adjacent`]).
+        adj_storage: Vec<BTreeSet<u32>>,
+        degree: Vec<usize>,
+        cost: Vec<f64>,
+        alias: Vec<u32>,
+        merged: Vec<bool>,
+        on_stack: Vec<bool>,
+        move_list: Vec<BTreeSet<usize>>,
+        moves: &'a [(u32, u32)],
+        worklist_moves: BTreeSet<usize>,
+        active_moves: BTreeSet<usize>,
+        simplify_wl: BTreeSet<u32>,
+        freeze_wl: BTreeSet<u32>,
+        spill_wl: BTreeSet<u32>,
+        stack: Vec<u32>,
+        coalesced: Vec<CoalescedMove>,
+        frozen_moves: usize,
+        blocked: Vec<u32>,
+        events: Vec<IrcEvent>,
+    }
+
+    impl Engine<'_> {
+        fn k_of(&self, v: u32) -> usize {
+            self.target.regs(self.graph.class(v))
+        }
+
+        fn get_alias(&self, mut v: u32) -> u32 {
+            while self.merged[v as usize] {
+                v = self.alias[v as usize];
+            }
+            v
+        }
+
+        /// The live neighbors of `v`: structural adjacency minus nodes already
+        /// on the stack or merged away (George–Appel's `Adjacent`).
+        fn adjacent(&self, v: u32) -> Vec<u32> {
+            self.adj_storage[v as usize]
+                .iter()
+                .copied()
+                .filter(|&t| !self.on_stack[t as usize] && !self.merged[t as usize])
+                .collect()
+        }
+
+        fn move_related(&self, v: u32) -> bool {
+            self.move_list[v as usize]
+                .iter()
+                .any(|m| self.worklist_moves.contains(m) || self.active_moves.contains(m))
+        }
+
+        fn enable_moves(&mut self, nodes: &[u32]) {
+            for &v in nodes {
+                let ms: Vec<usize> = self.move_list[v as usize].iter().copied().collect();
+                for m in ms {
+                    if self.active_moves.remove(&m) {
+                        self.worklist_moves.insert(m);
+                    }
+                }
+            }
+        }
+
+        fn decrement_degree(&mut self, t: u32) {
+            let d = self.degree[t as usize];
+            self.degree[t as usize] = d.saturating_sub(1);
+            if d == self.k_of(t) {
+                // t just crossed from significant to insignificant degree:
+                // its parked moves (and its neighbors') get another chance.
+                let mut enable = vec![t];
+                enable.extend(self.adjacent(t));
+                self.enable_moves(&enable);
+                self.spill_wl.remove(&t);
+                if self.move_related(t) {
+                    self.freeze_wl.insert(t);
+                } else {
+                    self.simplify_wl.insert(t);
+                }
+            }
+        }
+
+        fn add_edge(&mut self, a: u32, b: u32) {
+            if a == b {
+                return;
+            }
+            if self.adj_storage[a as usize].insert(b) {
+                self.adj_storage[b as usize].insert(a);
+                self.degree[a as usize] += 1;
+                self.degree[b as usize] += 1;
+            }
+        }
+
+        fn add_worklist(&mut self, u: u32) {
+            if !self.move_related(u) && self.degree[u as usize] < self.k_of(u) {
+                self.freeze_wl.remove(&u);
+                self.simplify_wl.insert(u);
+            }
+        }
+
+        fn do_simplify(&mut self) {
+            let v = *self.simplify_wl.iter().next().expect("non-empty");
+            self.simplify_wl.remove(&v);
+            self.stack.push(v);
+            self.on_stack[v as usize] = true;
+            self.events.push(IrcEvent::Simplify(v));
+            for t in self.adjacent(v) {
+                self.decrement_degree(t);
+            }
+        }
+
+        fn do_coalesce(&mut self) {
+            let m = *self.worklist_moves.iter().next().expect("non-empty");
+            self.worklist_moves.remove(&m);
+            let (x, y) = self.moves[m];
+            let (x, y) = (self.get_alias(x), self.get_alias(y));
+            // Deterministic survivor: the lower-numbered root.
+            let (u, v) = if x <= y { (x, y) } else { (y, x) };
+            if u == v {
+                self.add_worklist(u);
+                return;
+            }
+            if self.adj_storage[u as usize].contains(&v) {
+                // Constrained: the two ends interfere (a previous merge made
+                // them overlap). The move can never be coalesced.
+                self.add_worklist(u);
+                self.add_worklist(v);
+                return;
+            }
+            let test = self.conservative_test(u, v);
+            match test {
+                Some(test) => {
+                    self.coalesced.push(CoalescedMove { u, v, test });
+                    self.events.push(IrcEvent::Coalesce { u, v, test });
+                    self.combine(u, v);
+                    self.add_worklist(u);
+                }
+                None => {
+                    // Park the move; a later degree drop re-enables it.
+                    self.active_moves.insert(m);
+                }
+            }
+        }
+
+        /// Try Briggs first, then George; `None` means neither proves the
+        /// merge of `v` into `u` safe right now.
+        ///
+        /// The George test is scoped the way Appel scopes it to precolored
+        /// nodes. When George passes but Briggs does not, `u`'s web has ≥ `k`
+        /// significant neighbors (George guarantees the merge adds no new
+        /// significant ones, so Briggs' count *is* `u`'s count) — the merge
+        /// glues `v` onto a web that is already a spill candidate. On graphs
+        /// that need spills anyway, such merges concentrate live ranges into
+        /// doomed webs and measurably inflate the spill count (the
+        /// conservative guarantee only protects graphs that were k-colorable
+        /// to begin with). The one case with nothing to lose is a move whose
+        /// ends can *both* never be spilled — unspillable webs (infinite
+        /// cost: the spill/reload temporaries of earlier passes), this
+        /// allocator's analogue of Appel's precolored registers, which select
+        /// must color no matter how the graph is carved up. Gating on one
+        /// unspillable end is not enough: that would fuse spillable ranges
+        /// into unspillable webs, taking them off the spill menu and forcing
+        /// the driver's fallback to spill cheaper-but-useless ranges instead.
+        /// Everything else is left to parked retry (Briggs often passes once
+        /// degrees drop) and, eventually, the freeze path.
+        fn conservative_test(&self, u: u32, v: u32) -> Option<ConservativeTest> {
+            let k = self.k_of(u);
+            let mut combined: BTreeSet<u32> = self.adjacent(u).into_iter().collect();
+            combined.extend(self.adjacent(v));
+            let significant = combined
+                .iter()
+                .filter(|&&t| self.degree[t as usize] >= self.k_of(t))
+                .count();
+            if significant < k {
+                return Some(ConservativeTest::Briggs);
+            }
+            let unspillable_web =
+                self.cost[u as usize].is_infinite() && self.cost[v as usize].is_infinite();
+            let george = unspillable_web
+                && self.adjacent(v).into_iter().all(|t| {
+                    self.degree[t as usize] < self.k_of(t)
+                        || self.adj_storage[t as usize].contains(&u)
+                });
+            if george {
+                return Some(ConservativeTest::George);
+            }
+            None
+        }
+
+        fn combine(&mut self, u: u32, v: u32) {
+            self.freeze_wl.remove(&v);
+            self.spill_wl.remove(&v);
+            self.simplify_wl.remove(&v);
+            self.merged[v as usize] = true;
+            self.alias[v as usize] = u;
+            let vmoves: Vec<usize> = self.move_list[v as usize].iter().copied().collect();
+            self.move_list[u as usize].extend(vmoves);
+            self.cost[u as usize] += self.cost[v as usize];
+            self.enable_moves(&[v]);
+            for t in self.adjacent(v) {
+                self.add_edge(t, u);
+                self.decrement_degree(t);
+            }
+            if self.degree[u as usize] >= self.k_of(u) && self.freeze_wl.remove(&u) {
+                self.spill_wl.insert(u);
+            }
+        }
+
+        fn do_freeze(&mut self) {
+            let u = *self.freeze_wl.iter().next().expect("non-empty");
+            self.freeze_wl.remove(&u);
+            self.simplify_wl.insert(u);
+            self.events.push(IrcEvent::Freeze(u));
+            self.freeze_moves(u);
+        }
+
+        fn freeze_moves(&mut self, u: u32) {
+            let ms: Vec<usize> = self.move_list[u as usize]
+                .iter()
+                .copied()
+                .filter(|m| self.worklist_moves.contains(m) || self.active_moves.contains(m))
+                .collect();
+            for m in ms {
+                let (x, y) = self.moves[m];
+                let v = if self.get_alias(y) == self.get_alias(u) {
+                    self.get_alias(x)
+                } else {
+                    self.get_alias(y)
+                };
+                self.active_moves.remove(&m);
+                self.worklist_moves.remove(&m);
+                self.frozen_moves += 1;
+                if !self.move_related(v) && self.degree[v as usize] < self.k_of(v) {
+                    self.freeze_wl.remove(&v);
+                    self.simplify_wl.insert(v);
+                }
+            }
+        }
+
+        fn do_select_spill(&mut self) {
+            // Cheapest blocked candidate under the configured metric, over the
+            // *web* cost (member costs were summed on combine); ties go to the
+            // lowest node index, matching the classic simplify phase.
+            let m = self
+                .spill_wl
+                .iter()
+                .copied()
+                .min_by(|&a, &b| {
+                    let ra = self
+                        .metric
+                        .rank(self.cost[a as usize], self.degree[a as usize]);
+                    let rb = self
+                        .metric
+                        .rank(self.cost[b as usize], self.degree[b as usize]);
+                    ra.partial_cmp(&rb)
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                        .then(a.cmp(&b))
+                })
+                .expect("non-empty");
+            self.spill_wl.remove(&m);
+            self.simplify_wl.insert(m);
+            self.blocked.push(m);
+            self.events.push(IrcEvent::PotentialSpill(m));
+            self.freeze_moves(m);
+        }
+
+        fn run(mut self) -> IrcOutcome {
+            let n = self.graph.num_nodes();
+            for (mi, &(a, b)) in self.moves.iter().enumerate() {
+                self.move_list[a as usize].insert(mi);
+                self.move_list[b as usize].insert(mi);
+                self.worklist_moves.insert(mi);
+            }
+            for v in 0..n as u32 {
+                if self.degree[v as usize] >= self.k_of(v) {
+                    self.spill_wl.insert(v);
+                } else if self.move_related(v) {
+                    self.freeze_wl.insert(v);
+                } else {
+                    self.simplify_wl.insert(v);
+                }
+            }
+            loop {
+                if !self.simplify_wl.is_empty() {
+                    self.do_simplify();
+                } else if !self.worklist_moves.is_empty() {
+                    self.do_coalesce();
+                } else if !self.freeze_wl.is_empty() {
+                    self.do_freeze();
+                } else if !self.spill_wl.is_empty() {
+                    self.do_select_spill();
+                } else {
+                    break;
+                }
+            }
+
+            let alias: Vec<u32> = (0..n as u32).map(|v| self.get_alias(v)).collect();
+            let classes = (0..n as u32).map(|v| self.graph.class(v)).collect();
+            let mut merged_graph = InterferenceGraph::new(classes);
+            for a in 0..n as u32 {
+                for &b in self.graph.neighbors(a) {
+                    if b < a {
+                        merged_graph.add_edge(alias[a as usize], alias[b as usize]);
+                    }
+                }
+            }
+            IrcOutcome {
+                stack: self.stack,
+                alias,
+                merged_graph,
+                coalesced: self.coalesced,
+                frozen_moves: self.frozen_moves,
+                blocked: self.blocked,
+                events: self.events,
+            }
+        }
     }
 
     // The reaching-definitions unit tests, moved with the analysis.

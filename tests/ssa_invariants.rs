@@ -5,6 +5,9 @@
 //!   cardinality search and by reversing the dominance order the allocator
 //!   actually colors along; greedy coloring along it never needs more than
 //!   maxlive colors per class (so with maxlive ≤ k, coloring is one pass).
+//! * **Pressure without a graph** — the pressure-only walk the spill
+//!   rounds use reports the same maxlive and worst live sets as the
+//!   graph-building walk.
 //! * **Round-trip** — construct → destruct with no allocation in between
 //!   is behavior-preserving under the cycle simulator, on generated
 //!   routines and on the whole workload corpus.
@@ -18,7 +21,7 @@ use optimist::machine::Target;
 use optimist::prelude::*;
 use optimist::regalloc::ssa::{
     analyze, chordal_color, construct, destruct, dominance_order, is_perfect_elimination_order,
-    mcs_order, SsaLiveness,
+    mcs_order, pressure, SsaLiveness,
 };
 use optimist::regalloc::{AllocatorConfig, Strategy};
 use optimist::sim::AllocatedModule;
@@ -47,11 +50,13 @@ fn same_ret(a: Option<Scalar>, b: Option<Scalar>, what: &str) {
 }
 
 /// Chordality of one function's SSA interference graph, certified two
-/// independent ways, plus the coloring bound.
+/// independent ways, plus the coloring bound; and the pressure-only walk
+/// agrees with the graph-building one.
 fn check_chordal(f: &optimist::ir::Function) {
     let ssa = construct(f);
     let live = SsaLiveness::new(&ssa);
     let analysis = analyze(&ssa, &live);
+    assert_eq!(pressure(&ssa, &live), analysis.pressure, "{}", f.name());
 
     // MCS visit order reversed is a PEO iff the graph is chordal.
     let mut mcs_elim = mcs_order(&analysis.graph);
@@ -74,8 +79,8 @@ fn check_chordal(f: &optimist::ir::Function) {
     );
 
     // Greedy along the PEO needs exactly clique-many = maxlive colors.
-    let k_int = analysis.maxlive[RegClass::Int.index()].max(1);
-    let k_float = analysis.maxlive[RegClass::Float.index()].max(1);
+    let k_int = analysis.pressure.maxlive[RegClass::Int.index()].max(1);
+    let k_float = analysis.pressure.maxlive[RegClass::Float.index()].max(1);
     let coloring = chordal_color(
         &analysis.graph,
         &order,

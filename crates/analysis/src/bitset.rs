@@ -68,15 +68,6 @@ impl DenseBitSet {
         self.words.fill(0);
     }
 
-    /// Grow the capacity to `new_capacity`, keeping current contents.
-    /// Shrinking is a no-op (capacities only ever grow).
-    pub fn grow(&mut self, new_capacity: usize) {
-        if new_capacity > self.capacity {
-            self.words.resize(new_capacity.div_ceil(64), 0);
-            self.capacity = new_capacity;
-        }
-    }
-
     /// Number of elements.
     pub fn count(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
@@ -268,20 +259,6 @@ mod tests {
         assert_eq!(a.iter().collect::<Vec<_>>(), vec![1, 3]);
         c.intersect_with(&b);
         assert_eq!(c.iter().collect::<Vec<_>>(), vec![2, 64]);
-    }
-
-    #[test]
-    fn grow_preserves_contents() {
-        let mut s = DenseBitSet::new(10);
-        s.insert(3);
-        s.insert(9);
-        s.grow(200);
-        assert_eq!(s.capacity(), 200);
-        assert!(s.contains(3) && s.contains(9));
-        s.insert(199);
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![3, 9, 199]);
-        s.grow(50); // shrink request: no-op
-        assert_eq!(s.capacity(), 200);
     }
 
     #[test]

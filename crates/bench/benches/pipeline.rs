@@ -1,5 +1,5 @@
 //! Module-level allocation throughput: a [`WorkerPool`] of 1/2/4/8
-//! workers, with the incremental graph rebuild on and off.
+//! workers.
 //!
 //! The 1-worker row is the baseline every other row is compared against.
 //! On a single-core machine the >1-worker rows measure scheduling overhead
@@ -31,20 +31,16 @@ fn corpus_module() -> Module {
 fn bench_pipeline(c: &mut Criterion) {
     let module = corpus_module();
     let mut group = c.benchmark_group("pipeline");
-    for incremental in [false, true] {
-        for threads in [1usize, 2, 4, 8] {
-            let cfg = AllocatorConfig::new(Target::rt_pc(), Strategy::Briggs)
-                .with_incremental(incremental);
-            let pool = WorkerPool::new(NonZeroUsize::new(threads).expect("non-zero"));
-            let label = if incremental { "incremental" } else { "full" };
-            group.bench_function(BenchmarkId::new(label, format!("{threads}t")), |b| {
-                b.iter(|| {
-                    let out = pool.allocate_module(&cfg, &module);
-                    assert!(out.is_ok());
-                    out
-                });
+    let cfg = AllocatorConfig::new(Target::rt_pc(), Strategy::Briggs);
+    for threads in [1usize, 2, 4, 8] {
+        let pool = WorkerPool::new(NonZeroUsize::new(threads).expect("non-zero"));
+        group.bench_function(BenchmarkId::from_parameter(format!("{threads}t")), |b| {
+            b.iter(|| {
+                let out = pool.allocate_module(&cfg, &module);
+                assert!(out.is_ok());
+                out
             });
-        }
+        });
     }
     group.finish();
 }

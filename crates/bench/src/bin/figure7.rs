@@ -73,7 +73,6 @@ fn build_split(f: &Function, config: &AllocatorConfig) -> [Duration; 5] {
     let opts = CoalesceOpts {
         mode: config.coalesce,
         target: Some(&config.target),
-        fixpoint: true,
     };
     let merged = coalesce(&mut f, &opts);
     lap(1);

@@ -28,4 +28,4 @@ pub mod size;
 mod target;
 
 pub use cycles::CycleModel;
-pub use target::{PhysReg, Target};
+pub use target::{PhysReg, Target, MAX_REGS_PER_CLASS};

@@ -19,6 +19,11 @@ impl PhysReg {
     }
 }
 
+/// The most registers one class can hold: a [`PhysReg::index`] is a `u16`,
+/// so no class can have more colors than it can name. A bound of the
+/// representation, not a setting.
+pub const MAX_REGS_PER_CLASS: usize = u16::MAX as usize + 1;
+
 impl fmt::Display for PhysReg {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self.class {
@@ -52,9 +57,13 @@ impl Target {
     ///
     /// # Panics
     ///
-    /// Panics if `n` is zero.
+    /// Panics if `n` is zero or above [`MAX_REGS_PER_CLASS`].
     pub fn with_int_regs(n: usize) -> Self {
         assert!(n > 0, "a target needs at least one integer register");
+        assert!(
+            n <= MAX_REGS_PER_CLASS,
+            "a register class holds at most {MAX_REGS_PER_CLASS} registers"
+        );
         Target {
             name: format!("rt-pc/{n}"),
             int_regs: n,
@@ -66,11 +75,16 @@ impl Target {
     ///
     /// # Panics
     ///
-    /// Panics if either file is empty.
+    /// Panics if either file is empty or larger than
+    /// [`MAX_REGS_PER_CLASS`].
     pub fn custom(name: impl Into<String>, int_regs: usize, float_regs: usize) -> Self {
         assert!(
             int_regs > 0 && float_regs > 0,
             "register files must be non-empty"
+        );
+        assert!(
+            int_regs <= MAX_REGS_PER_CLASS && float_regs <= MAX_REGS_PER_CLASS,
+            "a register class holds at most {MAX_REGS_PER_CLASS} registers"
         );
         Target {
             name: name.into(),
@@ -124,6 +138,28 @@ mod tests {
     #[should_panic(expected = "at least one")]
     fn zero_registers_rejected() {
         Target::with_int_regs(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 65536")]
+    fn more_registers_than_an_index_can_name_rejected() {
+        Target::with_int_regs(MAX_REGS_PER_CLASS + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 65536")]
+    fn oversized_custom_file_rejected() {
+        Target::custom("big", 16, MAX_REGS_PER_CLASS + 1);
+    }
+
+    #[test]
+    fn largest_file_is_accepted() {
+        let t = Target::custom("big", MAX_REGS_PER_CLASS, MAX_REGS_PER_CLASS);
+        assert_eq!(t.regs(RegClass::Int), 65_536);
+        assert_eq!(
+            Target::with_int_regs(MAX_REGS_PER_CLASS).regs(RegClass::Int),
+            65_536
+        );
     }
 
     #[test]

@@ -5,23 +5,13 @@
 //! Chaitin's copy refinement: for `dst = copy src`, `dst` does **not**
 //! interfere with `src`, which is what later allows the two to coalesce.
 //!
-//! Two entry points share that scan:
-//!
-//! * [`build_graph`] walks every block and produces a fresh graph — the
-//!   classic full rebuild run at the top of each allocation pass.
-//! * [`update_graph_after_spill`] repairs an existing graph in place after
-//!   spill-code insertion, re-scanning only the blocks the spiller touched
-//!   and only the edges with a *dirty* endpoint (a spilled range or a fresh
-//!   spill temporary). Clean–clean interferences cannot change — inserting
-//!   loads and stores never alters where the surviving ranges are live
-//!   relative to one another — and dirty ranges are only ever live inside
-//!   touched blocks, so the filtered rescan restores exactly the edge set a
-//!   full rebuild would compute.
+//! [`build_graph`] walks every block and produces a fresh graph, the full
+//! rebuild run at the top of each allocation pass; [`build_graph_par`]
+//! shards the same scan across threads.
 
 use crate::graph::InterferenceGraph;
 use optimist_analysis::{Cfg, DenseBitSet, Liveness};
 use optimist_ir::{BlockId, Function, Inst, VReg};
-use std::ops::Range;
 use std::time::Instant;
 
 /// Scratch buffers for the backward block scan, reusable across blocks.
@@ -59,8 +49,8 @@ impl ScanState {
 
 /// Walk `b` backward from its live-out set, reporting each interference pair
 /// `(def, live)` to `edge`. Honors the copy refinement. The same scan serves
-/// the full build (where `edge` inserts unconditionally) and the incremental
-/// repair (where `edge` filters on dirty endpoints).
+/// the sequential build (where `edge` inserts) and the sharded one (where
+/// `edge` logs each pair's first occurrence).
 fn scan_block(
     func: &Function,
     live: &Liveness,
@@ -216,75 +206,6 @@ pub fn build_graph_par(
 
     crate::par::record_parallel_build(shards.len(), shard_nanos);
     graph
-}
-
-/// Repair `graph` in place after spill-code insertion, instead of rebuilding
-/// it from scratch.
-///
-/// * `spilled` — the live ranges the spiller rewrote. Their old edges are
-///   retired; whatever short ranges remain (a spilled parameter stays live
-///   from arrival to its entry store) are re-discovered by the rescan.
-/// * `new_vregs` — the contiguous block of temporaries the spiller appended
-///   (`func.num_vregs()` must already include them). Fresh nodes are added
-///   for each.
-/// * `touched` — the blocks where spill code was inserted. Dirty ranges are
-///   only ever live inside these blocks: reload/store temporaries are
-///   block-local by construction, and a spilled parameter's residue lives
-///   only in the entry block, which the spiller marks touched.
-///
-/// `live` must be liveness recomputed for the *post-spill* function. `cfg`
-/// may be cached from before the spill: inserting instructions never changes
-/// block structure.
-///
-/// The result is identical to `build_graph` on the post-spill function
-/// (debug builds in the allocator cross-check exactly that).
-pub fn update_graph_after_spill(
-    func: &Function,
-    cfg: &Cfg,
-    live: &Liveness,
-    graph: &mut InterferenceGraph,
-    spilled: &[u32],
-    new_vregs: Range<u32>,
-    touched: &[BlockId],
-) {
-    let nv = func.num_vregs();
-    debug_assert_eq!(new_vregs.end as usize, nv);
-    debug_assert_eq!(new_vregs.start as usize, graph.num_nodes());
-
-    for v in new_vregs.clone() {
-        graph.add_node(func.class_of(VReg::new(v)));
-    }
-
-    let mut dirty = vec![false; nv];
-    for &s in spilled {
-        dirty[s as usize] = true;
-        graph.remove_node_edges(s);
-    }
-    for v in new_vregs {
-        dirty[v as usize] = true;
-    }
-
-    let mut state = ScanState::new(nv);
-    let entry = func.entry();
-    let mut entry_touched = false;
-    for &b in touched {
-        if !cfg.is_reachable(b) {
-            continue;
-        }
-        entry_touched |= b == entry;
-        scan_block(func, live, b, &mut state, |a, l| {
-            if dirty[a as usize] || dirty[l as usize] {
-                graph.add_edge(a, l);
-            }
-        });
-    }
-    if entry_touched {
-        entry_clique(func, live, |a, l| {
-            if dirty[a as usize] || dirty[l as usize] {
-                graph.add_edge(a, l);
-            }
-        });
-    }
 }
 
 #[cfg(test)]
@@ -505,49 +426,5 @@ mod tests {
         let after = crate::par::par_stats();
         assert!(after.parallel_builds > before.parallel_builds);
         assert!(after.shards_built >= before.shards_built + 2);
-    }
-
-    #[test]
-    fn incremental_update_matches_full_rebuild() {
-        // Spill one range out of a high-pressure straight-line function and
-        // check the repaired graph equals a from-scratch rebuild.
-        use crate::spill::{insert_spill_code, SpillOpts};
-
-        let mut bld = FunctionBuilder::new("f");
-        bld.set_ret_class(Some(RegClass::Int));
-        let p = bld.add_param(RegClass::Int, "p");
-        let a = bld.int(1);
-        let b = bld.int(2);
-        let c = bld.binv(BinOp::AddI, a, b);
-        let d = bld.binv(BinOp::AddI, c, p);
-        let e = bld.binv(BinOp::AddI, d, a);
-        bld.ret(Some(e));
-        let mut f = bld.finish();
-        renumber(&mut f);
-        let cfg = Cfg::new(&f);
-        let live = Liveness::new(&f, &cfg);
-        let mut graph = build_graph(&f, &cfg, &live);
-
-        // Spill the renumbered web of `a` (find a node with edges).
-        let victim = (0..graph.num_nodes() as u32)
-            .max_by_key(|&v| graph.degree(v))
-            .unwrap();
-        let outcome = insert_spill_code(&mut f, &[VReg::new(victim)], &SpillOpts::default());
-
-        let live2 = Liveness::new(&f, &cfg);
-        update_graph_after_spill(
-            &f,
-            &cfg,
-            &live2,
-            &mut graph,
-            &[victim],
-            outcome.new_vregs.clone(),
-            &outcome.touched_blocks,
-        );
-        let full = build_graph(&f, &cfg, &live2);
-        assert!(
-            graph.same_edges(&full),
-            "incremental repair diverged from full rebuild"
-        );
     }
 }

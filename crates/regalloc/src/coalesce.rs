@@ -34,31 +34,28 @@ pub struct CoalesceOpts<'a> {
     /// Target machine, required by [`CoalesceMode::Conservative`] (it
     /// supplies `k` per register class). Ignored by the other modes.
     pub target: Option<&'a Target>,
-    /// Repeat build-and-merge passes until no copy can be merged (Chaitin:
-    /// "repeatedly build the graph and coalesce registers"). When false,
-    /// run a single pass.
-    pub fixpoint: bool,
 }
 
 impl Default for CoalesceOpts<'_> {
-    /// Aggressive coalescing to fixpoint — the paper's configuration.
+    /// Aggressive coalescing — the paper's configuration.
     fn default() -> Self {
         CoalesceOpts {
             mode: CoalesceMode::Aggressive,
             target: None,
-            fixpoint: true,
         }
     }
 }
 
-/// Coalesce copies in `func` according to `opts`. Returns the number of
-/// copies merged (totalled across passes when `opts.fixpoint` is set).
+/// Coalesce copies in `func` according to `opts`, repeating build-and-merge
+/// passes until no copy can be merged (Chaitin: "repeatedly build the graph
+/// and coalesce registers"). Returns the number of copies merged, totalled
+/// across passes.
 pub fn coalesce(func: &mut Function, opts: &CoalesceOpts) -> usize {
     let mut total = 0;
     loop {
         let merged = one_pass(func, opts.mode, opts.target);
         total += merged;
-        if merged == 0 || !opts.fixpoint {
+        if merged == 0 {
             return total;
         }
     }
@@ -335,7 +332,6 @@ mod tests {
             &CoalesceOpts {
                 mode: CoalesceMode::Conservative,
                 target: Some(&target),
-                fixpoint: true,
             },
         );
         assert!(

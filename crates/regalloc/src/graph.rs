@@ -96,47 +96,9 @@ impl InterferenceGraph {
         self.adj[n as usize].len()
     }
 
-    /// Append a fresh node of `class` with no edges; returns its id.
-    ///
-    /// Triangular-matrix indices depend only on the pair being tested, so
-    /// existing edges keep their bits when the matrix grows.
-    pub fn add_node(&mut self, class: RegClass) -> u32 {
-        let id = self.classes.len() as u32;
-        self.classes.push(class);
-        let n = self.classes.len();
-        self.matrix.grow(n * (n - 1) / 2);
-        self.adj.push(Vec::new());
-        id
-    }
-
-    /// Append one fresh node per entry of `classes` (see [`Self::add_node`]).
-    pub fn add_nodes(&mut self, classes: &[RegClass]) {
-        for &c in classes {
-            self.add_node(c);
-        }
-    }
-
-    /// Remove every edge incident to `n`, leaving the node in place with
-    /// degree zero. Used by the incremental rebuild to retire the edges of a
-    /// live range that spill code has shortened or eliminated.
-    pub fn remove_node_edges(&mut self, n: u32) {
-        let neighbors = std::mem::take(&mut self.adj[n as usize]);
-        self.num_edges -= neighbors.len();
-        for m in neighbors {
-            let (lo, hi) = if n < m { (n, m) } else { (m, n) };
-            self.matrix.remove(tri_index(lo as usize, hi as usize));
-            let list = &mut self.adj[m as usize];
-            let pos = list
-                .iter()
-                .position(|&x| x == n)
-                .expect("adjacency lists are symmetric");
-            list.swap_remove(pos);
-        }
-    }
-
     /// True if `self` and `other` describe the same graph: same node count,
     /// same classes, and the same edge set (adjacency order is ignored).
-    /// Used by the debug cross-check of the incremental rebuild.
+    /// Used by the differential tests against reference models.
     pub fn same_edges(&self, other: &InterferenceGraph) -> bool {
         if self.classes != other.classes || self.num_edges != other.num_edges {
             return false;
@@ -261,44 +223,6 @@ mod tests {
         assert!(dot.contains("n0 -- n1;"));
         assert!(dot.contains("n1 -- n2;"));
         assert!(!dot.contains("n1 -- n0;"), "each edge rendered once");
-    }
-
-    #[test]
-    fn add_node_grows_matrix_and_keeps_edges() {
-        let mut g = int_graph(3);
-        g.add_edge(0, 1);
-        g.add_edge(1, 2);
-        let id = g.add_node(RegClass::Float);
-        assert_eq!(id, 3);
-        assert_eq!(g.num_nodes(), 4);
-        assert!(g.interferes(0, 1) && g.interferes(1, 2));
-        assert_eq!(g.degree(3), 0);
-        // Cross-class edge to the new float node is still rejected.
-        g.add_edge(0, 3);
-        assert!(!g.interferes(0, 3));
-        let i = g.add_node(RegClass::Int);
-        g.add_edge(0, i);
-        assert!(g.interferes(0, i));
-        assert_eq!(g.num_edges(), 3);
-    }
-
-    #[test]
-    fn remove_node_edges_detaches_symmetrically() {
-        let mut g = int_graph(4);
-        g.add_edge(0, 1);
-        g.add_edge(0, 2);
-        g.add_edge(1, 2);
-        g.add_edge(2, 3);
-        g.remove_node_edges(2);
-        assert_eq!(g.num_edges(), 1);
-        assert!(g.interferes(0, 1));
-        assert!(!g.interferes(0, 2) && !g.interferes(1, 2) && !g.interferes(2, 3));
-        assert_eq!(g.degree(2), 0);
-        assert_eq!(g.neighbors(0), &[1]);
-        assert_eq!(g.neighbors(3), &[] as &[u32]);
-        // Re-adding after removal works (matrix bit was cleared).
-        g.add_edge(2, 3);
-        assert!(g.interferes(2, 3));
     }
 
     #[test]

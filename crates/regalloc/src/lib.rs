@@ -86,7 +86,7 @@ pub use allocator::{
     allocate, allocate_with_deadline, fnv1a, AllocError, AllocStats, Allocation, AllocatorConfig,
     PassRecord, PhaseTimes, Strategy,
 };
-pub use build::{build_graph, build_graph_par, update_graph_after_spill};
+pub use build::{build_graph, build_graph_par};
 pub use coalesce::{coalesce, CoalesceMode, CoalesceOpts};
 pub use cost::{depth_weight, spill_costs};
 pub use deadline::Deadline;
@@ -100,4 +100,4 @@ pub use simplify::{
     simplify, simplify_with_metric, simplify_with_metric_threads, Heuristic, SimplifyOutcome,
     SpillMetric,
 };
-pub use spill::{insert_spill_code, SpillOpts, SpillOutcome, SpillStats};
+pub use spill::{insert_spill_code, SpillOpts, SpillStats};

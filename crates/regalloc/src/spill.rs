@@ -7,8 +7,7 @@
 //! converges (each spilled range is divided "into several shorter live
 //! ranges, one for each definition or use", §3.3).
 
-use optimist_ir::{Addr, BlockId, FrameSlot, Function, GlobalId, Imm, Inst, RegClass, VReg};
-use std::ops::Range;
+use optimist_ir::{Addr, FrameSlot, Function, GlobalId, Imm, Inst, RegClass, VReg};
 
 /// How a rematerializable spilled range is recomputed in front of each use
 /// instead of being reloaded from a spill slot.
@@ -99,41 +98,19 @@ pub struct SpillOpts {
     pub rematerialize: bool,
 }
 
-/// Everything [`insert_spill_code`] did to the function, in the form the
-/// incremental graph repair
-/// ([`update_graph_after_spill`](crate::update_graph_after_spill)) consumes.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SpillOutcome {
-    /// Static counts of inserted spill instructions.
-    pub stats: SpillStats,
-    /// Blocks whose instruction list was modified (deduplicated, in block
-    /// order of the rewrite). Every reload/store temporary is live only
-    /// inside one of these, and a spilled parameter's residual range lives
-    /// only in the entry block, which inserting its store marks touched.
-    pub touched_blocks: Vec<BlockId>,
-    /// The contiguous range of fresh temporary vregs appended to the
-    /// function (empty when nothing was spilled).
-    pub new_vregs: Range<u32>,
-}
-
 /// Insert spill code for every register in `spilled`.
 ///
 /// Each spilled register gets an 8-byte frame slot. Uses are rewritten to
 /// freshly loaded temporaries (one load per instruction even if the value is
 /// used twice in it); definitions are rewritten to temporaries that are
 /// immediately stored. A spilled *parameter* additionally gets a store at
-/// function entry, since it arrives in a register.
-pub fn insert_spill_code(func: &mut Function, spilled: &[VReg], opts: &SpillOpts) -> SpillOutcome {
+/// function entry, since it arrives in a register. Returns the static
+/// counts of what was inserted.
+pub fn insert_spill_code(func: &mut Function, spilled: &[VReg], opts: &SpillOpts) -> SpillStats {
     let rematerialize = opts.rematerialize;
     let mut stats = SpillStats::default();
-    let mut touched_blocks: Vec<BlockId> = Vec::new();
     if spilled.is_empty() {
-        let nv = func.num_vregs() as u32;
-        return SpillOutcome {
-            stats,
-            touched_blocks,
-            new_vregs: nv..nv,
-        };
+        return stats;
     }
 
     let nv = func.num_vregs();
@@ -218,7 +195,6 @@ pub fn insert_spill_code(func: &mut Function, spilled: &[VReg], opts: &SpillOpts
 
     func.rewrite_blocks(|bid, insts| {
         let mut out = Vec::with_capacity(insts.len());
-        let mut modified = false;
 
         // A spilled parameter is stored to its slot on function entry.
         if bid == entry {
@@ -230,7 +206,6 @@ pub fn insert_spill_code(func: &mut Function, spilled: &[VReg], opts: &SpillOpts
                         addr: Addr::Frame { slot, offset: 0 },
                     });
                     stats.stores += 1;
-                    modified = true;
                 }
             }
         }
@@ -260,7 +235,6 @@ pub fn insert_spill_code(func: &mut Function, spilled: &[VReg], opts: &SpillOpts
                 }
             }
             if !reloaded.is_empty() {
-                modified = true;
                 inst.map_uses(|u| {
                     reloaded
                         .iter()
@@ -276,7 +250,6 @@ pub fn insert_spill_code(func: &mut Function, spilled: &[VReg], opts: &SpillOpts
             let def = inst.def();
             match def {
                 Some(d) if d.index() < nv && is_spilled[d.index()] => {
-                    modified = true;
                     if remat[d.index()].is_some() {
                         debug_assert!(RematRecipe::of(&inst).is_some());
                         // deleted: every use recomputes the value in place
@@ -295,9 +268,6 @@ pub fn insert_spill_code(func: &mut Function, spilled: &[VReg], opts: &SpillOpts
                 _ => out.push(inst),
             }
         }
-        if modified {
-            touched_blocks.push(bid);
-        }
         out
     });
 
@@ -315,11 +285,7 @@ pub fn insert_spill_code(func: &mut Function, spilled: &[VReg], opts: &SpillOpts
         }
     }
 
-    SpillOutcome {
-        stats,
-        touched_blocks,
-        new_vregs: nv as u32..ctx.next,
-    }
+    stats
 }
 
 /// Bit-exact immediate equality (floats compared by bits so `-0.0 ≠ 0.0`).
@@ -346,7 +312,7 @@ mod tests {
         let t = b.binv(BinOp::AddI, x, y);
         b.ret(Some(t));
         let mut f = b.finish();
-        let stats = insert_spill_code(&mut f, &[x], &SpillOpts::default()).stats;
+        let stats = insert_spill_code(&mut f, &[x], &SpillOpts::default());
         assert_eq!(stats.stores, 1);
         assert_eq!(stats.loads, 1);
         verify_function(&f).unwrap();
@@ -368,7 +334,7 @@ mod tests {
         let t = b.binv(BinOp::AddI, x, x);
         b.ret(Some(t));
         let mut f = b.finish();
-        let stats = insert_spill_code(&mut f, &[x], &SpillOpts::default()).stats;
+        let stats = insert_spill_code(&mut f, &[x], &SpillOpts::default());
         assert_eq!(stats.loads, 1);
         verify_function(&f).unwrap();
     }
@@ -382,7 +348,7 @@ mod tests {
         let t = b.binv(BinOp::AddI, p, one);
         b.ret(Some(t));
         let mut f = b.finish();
-        let stats = insert_spill_code(&mut f, &[p], &SpillOpts::default()).stats;
+        let stats = insert_spill_code(&mut f, &[p], &SpillOpts::default());
         assert_eq!(stats.stores, 1);
         assert_eq!(stats.loads, 1);
         // First instruction of entry is the parameter store.
@@ -402,7 +368,7 @@ mod tests {
         b.bin(BinOp::AddI, i, i, one);
         b.ret(Some(i));
         let mut f = b.finish();
-        let stats = insert_spill_code(&mut f, &[i], &SpillOpts::default()).stats;
+        let stats = insert_spill_code(&mut f, &[i], &SpillOpts::default());
         // stores: initial def + increment def; loads: increment use + ret use.
         assert_eq!(stats.stores, 2);
         assert_eq!(stats.loads, 2);
@@ -445,8 +411,7 @@ mod tests {
             &SpillOpts {
                 rematerialize: true,
             },
-        )
-        .stats;
+        );
         assert_eq!(stats.rematerialized, 1);
         assert_eq!(stats.loads, 0);
         assert_eq!(stats.stores, 0);
@@ -493,8 +458,7 @@ mod tests {
             &SpillOpts {
                 rematerialize: true,
             },
-        )
-        .stats;
+        );
         assert_eq!(stats.rematerialized, 0);
         assert!(stats.stores >= 2);
         assert_eq!(f.num_slots(), 1);
@@ -518,8 +482,7 @@ mod tests {
             &SpillOpts {
                 rematerialize: true,
             },
-        )
-        .stats;
+        );
         assert_eq!(stats.rematerialized, 0);
         assert!(stats.loads > 0);
         verify_function(&f).unwrap();
@@ -535,7 +498,7 @@ mod tests {
         let t = b.binv(BinOp::AddI, x, y);
         b.ret(Some(t));
         let mut f = b.finish();
-        let stats = insert_spill_code(&mut f, &[x], &SpillOpts::default()).stats;
+        let stats = insert_spill_code(&mut f, &[x], &SpillOpts::default());
         assert_eq!(stats.rematerialized, 0);
         assert_eq!(f.num_slots(), 1);
     }
@@ -557,9 +520,9 @@ mod tests {
     }
 
     #[test]
-    fn outcome_reports_touched_blocks_and_new_vregs() {
-        // Spill x, used in entry and in a second block; a third block never
-        // mentions it and must not be reported as touched.
+    fn spilling_across_blocks_adds_one_temporary_per_def_and_use() {
+        // Spill x, defined in entry and used in a second block; a third
+        // block never mentions it.
         let mut b = FunctionBuilder::new("f");
         b.set_ret_class(Some(RegClass::Int));
         let p = b.add_param(RegClass::Int, "p");
@@ -575,11 +538,10 @@ mod tests {
         b.switch_to(hot);
         b.ret(Some(x));
         let mut f = b.finish();
-        let nv_before = f.num_vregs() as u32;
-        let out = insert_spill_code(&mut f, &[x], &SpillOpts::default());
-        assert_eq!(out.touched_blocks, vec![f.entry(), hot]);
-        assert_eq!(out.new_vregs, nv_before..f.num_vregs() as u32);
-        assert_eq!(out.new_vregs.len(), 2); // one store temp, one reload temp
+        let nv_before = f.num_vregs();
+        insert_spill_code(&mut f, &[x], &SpillOpts::default());
+        // One store temp, one reload temp.
+        assert_eq!(f.num_vregs(), nv_before + 2);
         verify_function(&f).unwrap();
     }
 
@@ -605,8 +567,7 @@ mod tests {
             &SpillOpts {
                 rematerialize: true,
             },
-        )
-        .stats;
+        );
         assert_eq!(stats.rematerialized, 1);
         assert_eq!(stats.loads, 0);
         assert_eq!(stats.stores, 0);
@@ -646,8 +607,7 @@ mod tests {
             &SpillOpts {
                 rematerialize: true,
             },
-        )
-        .stats;
+        );
         assert_eq!(stats.rematerialized, 1);
         assert_eq!(stats.stores, 0);
         assert_eq!(f.num_slots(), 1, "no new spill slot");
@@ -690,8 +650,7 @@ mod tests {
             &SpillOpts {
                 rematerialize: true,
             },
-        )
-        .stats;
+        );
         assert_eq!(stats.rematerialized, 0);
         assert_eq!(f.num_slots(), 2, "a real spill slot was needed");
         verify_function(&f).unwrap();
@@ -719,8 +678,7 @@ mod tests {
             &SpillOpts {
                 rematerialize: true,
             },
-        )
-        .stats;
+        );
         assert_eq!(stats.rematerialized, 0);
         verify_function(&f).unwrap();
     }
@@ -732,16 +690,16 @@ mod tests {
         let x = b.int(1);
         b.ret(Some(x));
         let mut f = b.finish();
-        let out = insert_spill_code(
+        let nv_before = f.num_vregs();
+        let stats = insert_spill_code(
             &mut f,
             &[],
             &SpillOpts {
                 rematerialize: true,
             },
         );
-        assert_eq!(out.stats, SpillStats::default());
-        assert!(out.touched_blocks.is_empty());
-        assert!(out.new_vregs.is_empty());
+        assert_eq!(stats, SpillStats::default());
+        assert_eq!(f.num_vregs(), nv_before);
         assert_eq!(f.num_slots(), 0);
     }
 }

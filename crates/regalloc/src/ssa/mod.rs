@@ -128,7 +128,6 @@ pub(crate) fn allocate_ssa(
         spilled: spilled.len(),
         spilled_cost,
         coalesced,
-        incremental: false,
     };
     Ok(Allocation {
         func: out,
@@ -139,7 +138,6 @@ pub(crate) fn allocate_ssa(
             spill_cost: spilled_cost,
             passes: 1,
             coalesced_copies: coalesced,
-            incremental_passes: 0,
         },
         passes: vec![record],
     })

@@ -12,7 +12,7 @@
 //! {"req":"alloc","ir":"fn F(v0:int) {...}","config":{"strategy":"briggs",
 //!  "target":"rt-pc","int_regs":16,"float_regs":8,"coalesce":"aggressive",
 //!  "spill_metric":"cost/degree","rematerialize":false,"max_passes":64,
-//!  "graph_threads":1,"incremental":false}}
+//!  "graph_threads":1}}
 //! {"req":"batch","config":{...},"items":[
 //!  {"id":"mod-a","ir":"func A() ..."},
 //!  {"id":7,"key":"00baadf00dcafe42"}]}
@@ -31,7 +31,9 @@
 //!
 //! Every `config` field is optional; the default is the paper's Briggs
 //! configuration on the RT/PC. `graph_threads` is bounded by
-//! [`MAX_GRAPH_THREADS`]. The `alloc` response carries one entry per
+//! [`MAX_GRAPH_THREADS`], and `int_regs` and `float_regs` by
+//! [`MAX_REGS_PER_CLASS`] (a request past it is refused before any table is
+//! sized by it). The `alloc` response carries one entry per
 //! function with the register assignment (vreg index → `r3`/`f1`/`spill`),
 //! the spilled vregs, the headline `AllocStats`, and the function's
 //! 16-hex-digit content address (`"key"`) — the handle a client hands
@@ -51,7 +53,7 @@
 //! interleaving.
 
 use crate::json::Json;
-use optimist_machine::Target;
+use optimist_machine::{Target, MAX_REGS_PER_CLASS};
 use optimist_regalloc::{
     AllocStats, Allocation, AllocatorConfig, CoalesceMode, SpillMetric, Strategy,
 };
@@ -261,14 +263,13 @@ pub fn parse_config(spec: Option<&Json>) -> Result<AllocatorConfig, ProtocolErro
 
     let mut strategy: Option<Strategy> = None;
     let mut target_name: Option<String> = None;
-    let mut int_regs: Option<u64> = None;
-    let mut float_regs: Option<u64> = None;
+    let mut int_regs: Option<usize> = None;
+    let mut float_regs: Option<usize> = None;
     let mut coalesce = None;
     let mut spill_metric = None;
     let mut rematerialize = None;
     let mut max_passes = None;
     let mut graph_threads = None;
-    let mut incremental = None;
 
     for (key, value) in spec {
         match key.as_str() {
@@ -293,22 +294,8 @@ pub fn parse_config(spec: Option<&Json>) -> Result<AllocatorConfig, ProtocolErro
                         .to_string(),
                 )
             }
-            "int_regs" => {
-                int_regs = Some(
-                    value
-                        .as_u64()
-                        .filter(|&n| n > 0)
-                        .ok_or_else(|| bad("int_regs must be a positive integer"))?,
-                )
-            }
-            "float_regs" => {
-                float_regs = Some(
-                    value
-                        .as_u64()
-                        .filter(|&n| n > 0)
-                        .ok_or_else(|| bad("float_regs must be a positive integer"))?,
-                )
-            }
+            "int_regs" => int_regs = Some(register_count("int_regs", value)?),
+            "float_regs" => float_regs = Some(register_count("float_regs", value)?),
             "coalesce" => {
                 coalesce = Some(match value.as_str() {
                     Some("aggressive") => CoalesceMode::Aggressive,
@@ -361,13 +348,6 @@ pub fn parse_config(spec: Option<&Json>) -> Result<AllocatorConfig, ProtocolErro
                         })?,
                 )
             }
-            "incremental" => {
-                incremental = Some(
-                    value
-                        .as_bool()
-                        .ok_or_else(|| bad("incremental must be a boolean"))?,
-                )
-            }
             other => return Err(bad(format!("unknown config field {other:?}"))),
         }
     }
@@ -376,8 +356,8 @@ pub fn parse_config(spec: Option<&Json>) -> Result<AllocatorConfig, ProtocolErro
         (None | Some("rt-pc"), None, None) => Target::rt_pc(),
         (name, ints, floats) => Target::custom(
             name.unwrap_or("custom"),
-            ints.unwrap_or(16) as usize,
-            floats.unwrap_or(8) as usize,
+            ints.unwrap_or(16),
+            floats.unwrap_or(8),
         ),
     };
 
@@ -411,10 +391,22 @@ pub fn parse_config(spec: Option<&Json>) -> Result<AllocatorConfig, ProtocolErro
     if let Some(n) = graph_threads {
         config = config.with_graph_threads(n);
     }
-    if let Some(on) = incremental {
-        config = config.with_incremental(on);
-    }
     Ok(config)
+}
+
+/// A register-file size: an integer from 1 to [`MAX_REGS_PER_CLASS`], the
+/// most colors a register index can name. Checked before any allocation
+/// sizes a per-node table by it.
+fn register_count(key: &str, value: &Json) -> Result<usize, ProtocolError> {
+    value
+        .as_u64()
+        .and_then(|n| usize::try_from(n).ok())
+        .filter(|n| (1..=MAX_REGS_PER_CLASS).contains(n))
+        .ok_or_else(|| {
+            bad(format!(
+                "{key} must be an integer from 1 to {MAX_REGS_PER_CLASS}"
+            ))
+        })
 }
 
 /// The cached portion of one function's allocation result: everything the
@@ -491,10 +483,6 @@ impl FnResult {
                     ("spill_cost", Json::from(self.stats.spill_cost)),
                     ("passes", Json::from(self.stats.passes)),
                     ("coalesced_copies", Json::from(self.stats.coalesced_copies)),
-                    (
-                        "incremental_passes",
-                        Json::from(self.stats.incremental_passes),
-                    ),
                 ]),
             ),
         ])
@@ -529,7 +517,6 @@ impl FnResult {
                 spill_cost: stats.get("spill_cost")?.as_f64()?,
                 passes: count("passes")?,
                 coalesced_copies: count("coalesced_copies")?,
-                incremental_passes: count("incremental_passes")?,
             },
         })
     }
@@ -556,7 +543,7 @@ mod tests {
         let line = r#"{"req":"alloc","ir":"","config":{
             "strategy":"chaitin","target":"tiny","int_regs":4,"float_regs":2,
             "coalesce":"off","spill_metric":"cost","rematerialize":true,
-            "max_passes":7,"graph_threads":4,"incremental":true}}"#
+            "max_passes":7,"graph_threads":4}}"#
             .replace('\n', " ");
         let Request::Alloc { config, .. } = Request::parse(&line).unwrap() else {
             panic!("wrong kind")
@@ -570,7 +557,6 @@ mod tests {
         assert!(config.rematerialize);
         assert_eq!(config.max_passes, 7);
         assert_eq!(config.graph_threads.get(), 4);
-        assert!(config.incremental);
     }
 
     #[test]
@@ -592,6 +578,34 @@ mod tests {
                 panic!("wrong kind")
             };
             assert_eq!(config.graph_threads.get().to_string(), good);
+        }
+    }
+
+    #[test]
+    fn register_counts_must_fit_a_register_index() {
+        let parse = |key: &str, n: &str| {
+            Request::parse(&format!(
+                r#"{{"req":"alloc","ir":"","config":{{"{key}":{n}}}}}"#
+            ))
+        };
+        for key in ["int_regs", "float_regs"] {
+            for bad in ["0", "65537", "1000000000000", "-1", "2.5", "\"16\""] {
+                let err = parse(key, bad).unwrap_err();
+                assert_eq!(
+                    err.0,
+                    format!("{key} must be an integer from 1 to 65536"),
+                    "{key}:{bad}"
+                );
+            }
+            let Request::Alloc { config, .. } = parse(key, "65536").unwrap() else {
+                panic!("wrong kind")
+            };
+            let class = if key == "int_regs" {
+                RegClass::Int
+            } else {
+                RegClass::Float
+            };
+            assert_eq!(config.target.regs(class), 65_536, "{key}");
         }
     }
 
@@ -724,9 +738,9 @@ mod tests {
             Request::parse(r#"{"req":"alloc","ir":"","config":{"heuristc":"briggs"}}"#).is_err()
         );
         // Worker counts are the daemon's business, not a config field:
-        // sending one is a typo like any other. So is the pre-`Strategy`
-        // selector key.
-        for field in ["threads", "thread_budget", "heuristic"] {
+        // sending one is a typo like any other. So are the pre-`Strategy`
+        // selector key and the removed graph-repair switch.
+        for field in ["threads", "thread_budget", "heuristic", "incremental"] {
             let line = format!(r#"{{"req":"alloc","ir":"","config":{{"{field}":2}}}}"#);
             let err = Request::parse(&line).unwrap_err();
             assert_eq!(err.0, format!("unknown config field \"{field}\""));

@@ -58,7 +58,6 @@ fn every_result_relevant_knob_changes_the_key() {
         base.clone().with_coalesce(CoalesceMode::Conservative),
         base.clone().with_spill_metric(SpillMetric::Cost),
         base.clone().with_rematerialize(true),
-        base.clone().with_incremental(true),
     ];
     let base_key = cache_key(f, &base);
     let mut seen = vec![base_key];

@@ -7,7 +7,11 @@
 //!   blank-line HTTP preamble. Each must be answered (`"ok":false`, or
 //!   the request after the preamble) and leave the connection usable; a
 //!   decoder that recursed per byte would instead overflow a connection
-//!   thread's stack and abort the whole process.
+//!   thread's stack and abort the whole process. Likewise a register count
+//!   of 10¹², which an allocator that sized a per-node table by it would
+//!   turn into an allocation failure that aborts the daemon; that one runs
+//!   against a spawned `optimist-serve`, so an abort fails the test rather
+//!   than killing the test binary.
 //! * **Unbounded lines** — an NDJSON line one byte past
 //!   `MAX_LINE_BYTES` (serving and store daemons) and an HTTP request
 //!   line one byte past the 16 KiB head cap, neither ever terminated.
@@ -36,7 +40,7 @@ use optimist_store::net::StoreServer;
 use optimist_store::{Store, StoreOptions};
 use proptest::prelude::*;
 use proptest::TestRng;
-use serve_test_util::{corpus_modules, scratch, StoreDaemon, TestDaemon};
+use serve_test_util::{corpus_modules, scratch, Process, StoreDaemon, TestDaemon};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::OnceLock;
@@ -149,6 +153,75 @@ fn a_deeply_nested_store_field_is_refused_and_the_connection_survives() {
     exchange(&mut conn, r#"{"req":"shutdown"}"#);
     stored.stop();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_register_count_no_index_can_name_is_refused_and_the_daemon_survives() {
+    use std::process::{Command, Stdio};
+    use std::sync::mpsc;
+
+    let mut daemon = Process(
+        Command::new(env!("CARGO_BIN_EXE_optimist-serve"))
+            .args([
+                "--listen",
+                "127.0.0.1:0",
+                "--http",
+                "127.0.0.1:0",
+                "--quiet",
+            ])
+            .stdin(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("optimist-serve runs"),
+    );
+    let (tx, rx) = mpsc::channel();
+    let stderr = daemon.0.stderr.take().unwrap();
+    std::thread::spawn(move || {
+        for line in BufReader::new(stderr).lines().map_while(Result::ok) {
+            let _ = tx.send(line);
+        }
+    });
+    let (mut ndjson, mut http) = (None, None);
+    while ndjson.is_none() || http.is_none() {
+        let line = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the daemon announces its ports");
+        if let Some((head, addr)) = line.split_once("listening on ") {
+            let addr: SocketAddr = addr.trim().parse().unwrap();
+            if head.ends_with("http ") {
+                http = Some(addr);
+            } else {
+                ndjson = Some(addr);
+            }
+        }
+    }
+    let ir = Json::from(FUNC);
+    let huge = format!(r#"{{"req":"alloc","ir":{ir},"config":{{"int_regs":1000000000000}}}}"#);
+    let normal = format!(r#"{{"req":"alloc","ir":{ir}}}"#);
+    let refused = |answer: &str| {
+        assert!(answer.starts_with(r#"{"ok":false"#), "{answer}");
+        assert!(
+            answer.contains("int_regs must be an integer from 1 to 65536"),
+            "{answer}"
+        );
+    };
+
+    let mut conn = BufReader::new(timed_connect(ndjson.unwrap(), 30));
+    refused(&exchange(&mut conn, &huge));
+    let mut web = BufReader::new(timed_connect(http.unwrap(), 30));
+    let (status, body) = http_exchange(&mut web, &post_alloc(&huge));
+    assert_eq!(status, 200, "protocol errors stay in-band");
+    refused(&body);
+    let answer = exchange(&mut conn, &normal);
+    assert!(answer.starts_with(r#"{"ok":true"#), "{answer}");
+    let (status, body) = http_exchange(&mut web, &post_alloc(&normal));
+    assert_eq!(status, 200);
+    assert!(body.starts_with(r#"{"ok":true"#), "{body}");
+
+    drop(web);
+    exchange(&mut conn, r#"{"req":"shutdown"}"#);
+    let status = daemon.exit_within(Duration::from_secs(10));
+    assert!(status.expect("the daemon exits after shutdown").success());
 }
 
 /// A client socket that gives up after `secs` instead of hanging on a

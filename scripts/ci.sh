@@ -91,6 +91,21 @@ case "$smoke_resp" in
         exit 1
         ;;
 esac
+# A register count no register index can name is refused in-band, and the
+# daemon exits 0; one that sized a per-node table by it would abort.
+huge_req='{"req":"alloc","ir":"func smoke(v0:int) -> int {\nb0:\n    v1 = add.i v0, v0\n    ret v1\n}\n","config":{"int_regs":1000000000000}}'
+if ! huge_resp="$(printf '%s\n' "$huge_req" | ./target/debug/optimist-serve --oneshot --quiet)"; then
+    echo "server smoke test failed: the daemon died on int_regs 10^12" >&2
+    exit 1
+fi
+case "$huge_resp" in
+    *'"ok":false'*'int_regs must be an integer from 1 to 65536'*)
+        ;;
+    *)
+        echo "server smoke test failed: int_regs 10^12 not refused; response: $huge_resp" >&2
+        exit 1
+        ;;
+esac
 
 echo "==> stream smoke test (3-module batch over one TCP connection)"
 stream_log="$(mktemp)"

@@ -20,8 +20,8 @@
 //!                      run/compare; use --no-opt to disable)
 //!   --no-opt           skip the optimizer
 //!   --strategy S       chaitin | briggs | irc | ssa (default briggs)
-//!   --int-regs N       integer registers (default 16)
-//!   --float-regs N     float registers (default 8)
+//!   --int-regs N       integer registers, 1 to 65536 (default 16)
+//!   --float-regs N     float registers, 1 to 65536 (default 8)
 //!   --virtual          (run) use virtual registers instead of allocating
 //!   --remat            rematerialize spilled constants
 //!   --coalesce M       aggressive | conservative | off (default aggressive;
@@ -32,8 +32,6 @@
 //!   --graph-threads N  intra-function threads for graph build and
 //!                      speculative coloring (default 1); neither thread
 //!                      flag changes any result
-//!   --incremental      repair the interference graph after spilling
-//!                      instead of rebuilding it each pass
 //!   --batch DIR        (remote) compile every .ft/.ir file in DIR and
 //!                      stream them as one batch request; item reports
 //!                      print in completion order
@@ -67,7 +65,6 @@ struct Options {
     coalesce: Option<optimist::regalloc::CoalesceMode>,
     threads: Option<std::num::NonZeroUsize>,
     graph_threads: Option<std::num::NonZeroUsize>,
-    incremental: bool,
     routine: Option<String>,
     batch: Option<std::path::PathBuf>,
     positional: Vec<String>,
@@ -84,7 +81,6 @@ fn parse_options(args: &[String], default_opt: bool) -> Result<Options, String> 
         coalesce: None,
         threads: None,
         graph_threads: None,
-        incremental: false,
         routine: None,
         batch: None,
         positional: Vec::new(),
@@ -96,7 +92,6 @@ fn parse_options(args: &[String], default_opt: bool) -> Result<Options, String> 
             "--no-opt" => o.optimize = false,
             "--virtual" => o.run_virtual = true,
             "--remat" => o.rematerialize = true,
-            "--incremental" => o.incremental = true,
             "--threads" => {
                 let v = it.next().ok_or("--threads needs a value")?;
                 o.threads =
@@ -131,11 +126,11 @@ fn parse_options(args: &[String], default_opt: bool) -> Result<Options, String> 
             }
             "--int-regs" => {
                 let v = it.next().ok_or("--int-regs needs a value")?;
-                o.int_regs = v.parse().map_err(|_| format!("bad --int-regs `{v}`"))?;
+                o.int_regs = register_count("--int-regs", v)?;
             }
             "--float-regs" => {
                 let v = it.next().ok_or("--float-regs needs a value")?;
-                o.float_regs = v.parse().map_err(|_| format!("bad --float-regs `{v}`"))?;
+                o.float_regs = register_count("--float-regs", v)?;
             }
             "--routine" => {
                 o.routine = Some(it.next().ok_or("--routine needs a value")?.clone());
@@ -164,6 +159,18 @@ fn parse_options(args: &[String], default_opt: bool) -> Result<Options, String> 
     Ok(o)
 }
 
+/// A register-file size given to `flag`: an integer a register index can
+/// name, so that no allocation sizes a table by a count it cannot hold.
+fn register_count(flag: &str, v: &str) -> Result<usize, String> {
+    use optimist::machine::MAX_REGS_PER_CLASS;
+    v.parse()
+        .ok()
+        .filter(|n| (1..=MAX_REGS_PER_CLASS).contains(n))
+        .ok_or_else(|| {
+            format!("bad {flag} `{v}` (expected an integer from 1 to {MAX_REGS_PER_CLASS})")
+        })
+}
+
 impl Options {
     fn target(&self) -> Target {
         Target::custom("cli", self.int_regs, self.float_regs)
@@ -172,8 +179,7 @@ impl Options {
     /// Allocator configuration from the parsed flags.
     fn allocator_config(&self) -> AllocatorConfig {
         let mut cfg = AllocatorConfig::new(self.target(), self.strategy)
-            .with_rematerialize(self.rematerialize)
-            .with_incremental(self.incremental);
+            .with_rematerialize(self.rematerialize);
         if let Some(mode) = self.coalesce {
             cfg = cfg.with_coalesce(mode);
         }
@@ -450,7 +456,6 @@ fn remote_config(o: &Options) -> optimist::serve::Json {
         );
     }
     config.push("rematerialize", Json::from(o.rematerialize));
-    config.push("incremental", Json::from(o.incremental));
     if let Some(n) = o.graph_threads {
         config.push("graph_threads", Json::from(n.get() as u64));
     }

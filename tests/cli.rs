@@ -228,3 +228,34 @@ fn thread_budget_is_an_unknown_option() {
         "stderr: {err}"
     );
 }
+
+#[test]
+fn incremental_is_an_unknown_option() {
+    let out = optimist(&["allocate", &example("pressure.ft"), "--incremental"]);
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("unknown option `--incremental`"),
+        "stderr: {err}"
+    );
+}
+
+#[test]
+fn register_counts_outside_a_register_index_are_usage_errors() {
+    for (flag, count) in [
+        ("--int-regs", "0"),
+        ("--int-regs", "65537"),
+        ("--float-regs", "0"),
+        ("--float-regs", "65537"),
+    ] {
+        let out = optimist(&["allocate", &example("pressure.ft"), flag, count]);
+        assert_eq!(out.status.code(), Some(1), "{flag} {count}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!(
+                "bad {flag} `{count}` (expected an integer from 1 to 65536)"
+            )),
+            "{flag} {count}: {err}"
+        );
+    }
+}

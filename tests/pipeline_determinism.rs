@@ -1,5 +1,5 @@
 //! Property-based tests for module allocation on a worker pool and the
-//! incremental interference-graph rebuild.
+//! block structure the allocator's passes share.
 //!
 //! Two invariants:
 //!
@@ -8,16 +8,17 @@
 //!    order. Allocation is a pure function of its input, so the pool may
 //!    only change *when* each function is allocated, never *what* comes
 //!    out.
-//! 2. **Incremental rebuild fidelity** — after spill-code insertion,
-//!    [`update_graph_after_spill`] repairs the pre-spill graph into exactly
-//!    the graph a full [`build_graph`] would construct from scratch.
+//! 2. **Block-structure stability** — renumbering, coalescing and
+//!    spill-code insertion leave the CFG exactly as it was, which is what
+//!    lets [`allocate`] build the CFG, dominators and loop nesting once per
+//!    allocation instead of once per pass.
 
-use optimist::analysis::{renumber, Cfg, Liveness};
+use optimist::analysis::{renumber, Cfg};
 use optimist::ir::{Module, VReg};
 use optimist::machine::Target;
 use optimist::regalloc::{
-    allocate, build_graph, insert_spill_code, update_graph_after_spill, Allocation,
-    AllocatorConfig, SpillOpts, Strategy, WorkerPool,
+    allocate, coalesce, insert_spill_code, Allocation, AllocatorConfig, CoalesceOpts, SpillOpts,
+    Strategy, WorkerPool,
 };
 use optimist::workloads::{generate_routine, GenConfig};
 use proptest::prelude::*;
@@ -68,12 +69,10 @@ proptest! {
         seeds in proptest::collection::vec(0u64..500, 1..6),
         threads in 1usize..9,
         strategy in 0usize..4,
-        incremental in any::<bool>(),
         regs in 4usize..12,
     ) {
         let module = module_from_seeds(&seeds);
-        let config = AllocatorConfig::new(Target::with_int_regs(regs), STRATEGIES[strategy])
-            .with_incremental(incremental);
+        let config = AllocatorConfig::new(Target::with_int_regs(regs), STRATEGIES[strategy]);
         let seq: Vec<_> = module.functions().iter().map(|f| allocate(f, &config)).collect();
         let par = WorkerPool::new(NonZeroUsize::new(threads).unwrap())
             .allocate_module(&config, &module);
@@ -90,7 +89,7 @@ proptest! {
     }
 
     #[test]
-    fn incremental_rebuild_equals_full_rebuild(
+    fn renumber_coalesce_and_spill_code_keep_the_cfg(
         seed in 0u64..800,
         picks in proptest::collection::vec(any::<u32>(), 1..5),
         rematerialize in any::<bool>(),
@@ -99,38 +98,24 @@ proptest! {
         let module = optimist::frontend::compile(&src)
             .unwrap_or_else(|e| panic!("seed {seed}: {e}\n{src}"));
         let mut f = module.functions()[0].clone();
+        let before = format!("{:?}", Cfg::new(&f));
+
         renumber(&mut f);
-
-        let cfg = Cfg::new(&f);
-        let live = Liveness::new(&f, &cfg);
-        let mut graph = build_graph(&f, &cfg, &live);
-
-        // Pick a random non-empty set of live ranges to spill.
+        coalesce(&mut f, &CoalesceOpts::default());
+        renumber(&mut f);
+        // Spill a random non-empty set of live ranges, then renumber as the
+        // next pass does.
         let nv = f.num_vregs() as u32;
-        let mut spilled: Vec<u32> = picks.iter().map(|p| p % nv).collect();
+        let mut spilled: Vec<VReg> = picks.iter().map(|p| VReg::new(p % nv)).collect();
         spilled.sort_unstable();
         spilled.dedup();
-        let spill_vregs: Vec<VReg> = spilled.iter().map(|&v| VReg::new(v)).collect();
+        insert_spill_code(&mut f, &spilled, &SpillOpts { rematerialize });
+        renumber(&mut f);
 
-        let outcome = insert_spill_code(&mut f, &spill_vregs, &SpillOpts { rematerialize });
-
-        // Spill insertion never adds or removes blocks, so the CFG is
-        // reusable; only liveness must be recomputed.
-        let live = Liveness::new(&f, &cfg);
-        update_graph_after_spill(
-            &f,
-            &cfg,
-            &live,
-            &mut graph,
-            &spilled,
-            outcome.new_vregs,
-            &outcome.touched_blocks,
-        );
-
-        let full = build_graph(&f, &cfg, &live);
-        prop_assert!(
-            graph.same_edges(&full),
-            "seed {seed} spilling {spilled:?}: repaired graph diverged from rebuild\n{src}"
+        prop_assert_eq!(
+            format!("{:?}", Cfg::new(&f)),
+            before,
+            "seed {seed} spilling {spilled:?}: the CFG changed\n{src}"
         );
     }
 }

@@ -7,27 +7,35 @@
 //! never-spill flag, frame-slot names — is emitted as `reg`/`slot`
 //! metadata lines, so `parse(display(f)) == f` holds exactly. The
 //! `optimist-serve` result cache depends on this round trip; the proptests
-//! in the workspace root pin it down. [`canonical_text`] renders a
-//! function with metadata that does not affect allocation (register and
-//! slot *names*) stripped, which is what content-addressed caching hashes.
+//! in the workspace root pin it down.
+//!
+//! One printer writes both forms into any [`fmt::Write`]: `Display` and
+//! [`write_canonical`], which renders as if every register and slot
+//! carried its default name. That canonical text is what
+//! content-addressed caching hashes, streamed straight into the hash
+//! state without building a string.
 
-use crate::func::{Function, VRegData};
-use crate::inst::Inst;
+use crate::func::{digits, Function};
+use crate::inst::{Inst, RegClass};
 use crate::module::Module;
 use crate::{FrameSlot, VReg};
 use std::fmt;
 
 /// Write `name` as a double-quoted string, escaping `\` and `"`.
-fn write_quoted(f: &mut fmt::Formatter<'_>, name: &str) -> fmt::Result {
-    write!(f, "\"")?;
+fn write_quoted(out: &mut impl fmt::Write, name: &str) -> fmt::Result {
+    out.write_char('"')?;
     for c in name.chars() {
-        match c {
-            '\\' => write!(f, "\\\\")?,
-            '"' => write!(f, "\\\"")?,
-            c => write!(f, "{c}")?,
+        if c == '\\' || c == '"' {
+            out.write_char('\\')?;
         }
+        out.write_char(c)?;
     }
-    write!(f, "\"")
+    out.write_char('"')
+}
+
+/// True if `name` is the default name `{prefix}{index}`.
+fn is_default_name(name: &str, prefix: char, index: usize) -> bool {
+    name.strip_prefix(prefix) == Some(digits(index as u32, &mut [0; 10]))
 }
 
 impl fmt::Display for Inst {
@@ -69,77 +77,79 @@ impl fmt::Display for Inst {
     }
 }
 
+/// The one function printer. With `canonical` set, every register and
+/// slot is written as if it carried its default name `v<N>`/`s<N>`.
+fn write_function(out: &mut impl fmt::Write, func: &Function, canonical: bool) -> fmt::Result {
+    write!(out, "func {}(", func.name())?;
+    for (i, p) in func.params().iter().enumerate() {
+        if i > 0 {
+            out.write_str(", ")?;
+        }
+        write!(out, "{p}:{}", func.class_of(*p))?;
+    }
+    out.write_char(')')?;
+    if let Some(rc) = func.ret_class() {
+        write!(out, " -> {rc}")?;
+    }
+    out.write_str(" {\n")?;
+    for s in 0..func.num_slots() {
+        let slot = FrameSlot::new(s as u32);
+        let data = func.slot(slot);
+        write!(out, "    slot {slot} = {} bytes", data.size)?;
+        if !canonical && !is_default_name(&data.name, 's', s) {
+            out.write_char(' ')?;
+            write_quoted(out, &data.name)?;
+        }
+        if data.is_spill {
+            out.write_str(" (spill)")?;
+        }
+        out.write_char('\n')?;
+    }
+    // `reg` metadata lines carry everything the instructions don't:
+    // names, the never-spill flag, and any class the parser's type
+    // inference could not recover (float is always spelled out;
+    // unreferenced registers would otherwise vanish entirely).
+    let mut referenced = vec![false; func.num_vregs()];
+    let mut uses = Vec::new();
+    for &p in func.params() {
+        referenced[p.index()] = true;
+    }
+    for (_, _, inst) in func.insts() {
+        uses.clear();
+        inst.uses_into(&mut uses);
+        for v in inst.def().iter().chain(&uses) {
+            referenced[v.index()] = true;
+        }
+    }
+    for (i, &is_referenced) in referenced.iter().enumerate() {
+        let v = VReg::new(i as u32);
+        let data = func.vreg(v);
+        let named = !canonical && !is_default_name(&data.name, 'v', i);
+        if !named && data.spillable && data.class == RegClass::Int && is_referenced {
+            continue;
+        }
+        write!(out, "    reg {v}:{}", data.class)?;
+        if named {
+            out.write_char(' ')?;
+            write_quoted(out, &data.name)?;
+        }
+        if !data.spillable {
+            out.write_str(" nospill")?;
+        }
+        out.write_char('\n')?;
+    }
+    for (bid, block) in func.blocks() {
+        writeln!(out, "{bid}:")?;
+        for inst in &block.insts {
+            writeln!(out, "    {inst}")?;
+        }
+    }
+    out.write_char('}')
+}
+
 impl fmt::Display for Function {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "func {}(", self.name())?;
-        for (i, p) in self.params().iter().enumerate() {
-            if i > 0 {
-                write!(f, ", ")?;
-            }
-            write!(f, "{p}:{}", self.class_of(*p))?;
-        }
-        write!(f, ")")?;
-        if let Some(rc) = self.ret_class() {
-            write!(f, " -> {rc}")?;
-        }
-        writeln!(f, " {{")?;
-        for s in 0..self.num_slots() {
-            let slot = crate::FrameSlot::new(s as u32);
-            let data = self.slot(slot);
-            write!(f, "    slot {slot} = {} bytes", data.size)?;
-            if data.name != format!("s{s}") {
-                write!(f, " ")?;
-                write_quoted(f, &data.name)?;
-            }
-            if data.is_spill {
-                write!(f, " (spill)")?;
-            }
-            writeln!(f)?;
-        }
-        // `reg` metadata lines carry everything the instructions don't:
-        // names, the never-spill flag, and any class the parser's type
-        // inference could not recover (float is always spelled out;
-        // unreferenced registers would otherwise vanish entirely).
-        let mut referenced = vec![false; self.num_vregs()];
-        for &p in self.params() {
-            referenced[p.index()] = true;
-        }
-        for (_, _, inst) in self.insts() {
-            if let Some(d) = inst.def() {
-                referenced[d.index()] = true;
-            }
-            for u in inst.uses() {
-                referenced[u.index()] = true;
-            }
-        }
-        for (i, &is_referenced) in referenced.iter().enumerate() {
-            let v = VReg::new(i as u32);
-            let data = self.vreg(v);
-            let canonical = format!("v{i}");
-            if data.name == canonical
-                && data.spillable
-                && data.class == crate::RegClass::Int
-                && is_referenced
-            {
-                continue;
-            }
-            write!(f, "    reg {v}:{}", data.class)?;
-            if data.name != canonical {
-                write!(f, " ")?;
-                write_quoted(f, &data.name)?;
-            }
-            if !data.spillable {
-                write!(f, " nospill")?;
-            }
-            writeln!(f)?;
-        }
-        for (bid, block) in self.blocks() {
-            writeln!(f, "{bid}:")?;
-            for inst in &block.insts {
-                writeln!(f, "    {inst}")?;
-            }
-        }
-        write!(f, "}}")
+        write_function(f, self, false)
     }
 }
 
@@ -158,34 +168,27 @@ impl fmt::Display for Module {
     }
 }
 
-/// Render `func` in **canonical text form**: the lossless text format with
-/// every register renamed to `v<N>` and every slot renamed to `s<N>`.
+/// Write `func` in **canonical text form**: the lossless text format with
+/// every register written as `v<N>` and every slot as `s<N>`, whatever
+/// its name.
 ///
 /// Names are the only function state with no effect on register
 /// allocation, so two functions have equal canonical text exactly when
 /// they are α-equivalent for the allocator: same instructions, classes,
 /// slots, and never-spill flags. The `optimist-serve` result cache hashes
 /// this text (together with a configuration fingerprint) as its
-/// content address.
-pub fn canonical_text(func: &Function) -> String {
-    let mut f = func.clone();
-    let table: Vec<VRegData> = (0..f.num_vregs())
-        .map(|i| VRegData {
-            class: f.class_of(VReg::new(i as u32)),
-            name: format!("v{i}"),
-            spillable: f.vreg(VReg::new(i as u32)).spillable,
-        })
-        .collect();
-    f.set_vreg_table(table);
-    for i in 0..f.num_slots() {
-        f.rename_slot(FrameSlot::new(i as u32), format!("s{i}"));
-    }
-    f.to_string()
+/// content address, streaming it into the hash state.
+///
+/// # Errors
+///
+/// Only those of `out`.
+pub fn write_canonical(out: &mut impl fmt::Write, func: &Function) -> fmt::Result {
+    write_function(out, func, true)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::canonical_text;
+    use super::write_canonical;
     use crate::builder::FunctionBuilder;
     use crate::inst::{BinOp, RegClass};
 
@@ -202,6 +205,12 @@ mod tests {
         assert!(s.contains("ret v1"));
         // The parameter's source name rides along as metadata.
         assert!(s.contains("reg v0:int \"x\""));
+    }
+
+    fn canonical_text(f: &crate::Function) -> String {
+        let mut s = String::new();
+        write_canonical(&mut s, f).unwrap();
+        s
     }
 
     #[test]

@@ -24,11 +24,27 @@ macro_rules! entity_id {
         }
 
         impl fmt::Display for $name {
+            /// Writes the prefix and index; width and fill are ignored.
             fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                write!(f, concat!($prefix, "{}"), self.0)
+                f.write_str($prefix)?;
+                f.write_str(digits(self.0, &mut [0; 10]))
             }
         }
     };
+}
+
+/// `n` in decimal, written into `buf`.
+pub(crate) fn digits(mut n: u32, buf: &mut [u8; 10]) -> &str {
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    std::str::from_utf8(&buf[at..]).expect("ASCII digits")
 }
 
 entity_id! {
@@ -171,14 +187,19 @@ impl Function {
         s
     }
 
-    /// Rename a frame slot (used by canonical-text rendering).
+    /// Rename a frame slot.
     pub fn rename_slot(&mut self, s: FrameSlot, name: impl Into<String>) {
         self.slots[s.index()].name = name.into();
     }
 
-    /// Rename a virtual register (used by canonical-text rendering).
+    /// Rename a virtual register.
     pub fn rename_vreg(&mut self, v: VReg, name: impl Into<String>) {
         self.vregs[v.index()].name = name.into();
+    }
+
+    /// Set the register class of `v` (the parser's class inference).
+    pub(crate) fn set_class(&mut self, v: VReg, class: RegClass) {
+        self.vregs[v.index()].class = class;
     }
 
     /// Create a fresh empty block.

@@ -34,10 +34,10 @@ impl RegClass {
 
 impl fmt::Display for RegClass {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RegClass::Int => write!(f, "int"),
-            RegClass::Float => write!(f, "float"),
-        }
+        f.write_str(match self {
+            RegClass::Int => "int",
+            RegClass::Float => "float",
+        })
     }
 }
 
@@ -122,7 +122,7 @@ impl fmt::Display for Cmp {
             Cmp::Gt => "gt",
             Cmp::Ge => "ge",
         };
-        write!(f, "{s}")
+        f.write_str(s)
     }
 }
 
@@ -180,7 +180,7 @@ impl UnOp {
 
 impl fmt::Display for UnOp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.mnemonic())
+        f.write_str(self.mnemonic())
     }
 }
 
@@ -255,36 +255,41 @@ impl BinOp {
         matches!(self, BinOp::CmpI(_) | BinOp::CmpF(_))
     }
 
-    fn mnemonic(self) -> String {
+    fn mnemonic(self) -> &'static str {
         use BinOp::*;
         match self {
-            AddI => "add.i".into(),
-            SubI => "sub.i".into(),
-            MulI => "mul.i".into(),
-            DivI => "div.i".into(),
-            RemI => "rem.i".into(),
-            And => "and".into(),
-            Or => "or".into(),
-            Xor => "xor".into(),
-            Shl => "shl".into(),
-            Shr => "shr".into(),
-            MinI => "min.i".into(),
-            MaxI => "max.i".into(),
-            AddF => "add.f".into(),
-            SubF => "sub.f".into(),
-            MulF => "mul.f".into(),
-            DivF => "div.f".into(),
-            MinF => "min.f".into(),
-            MaxF => "max.f".into(),
-            CmpI(c) => format!("cmp.i.{c}"),
-            CmpF(c) => format!("cmp.f.{c}"),
+            AddI => "add.i",
+            SubI => "sub.i",
+            MulI => "mul.i",
+            DivI => "div.i",
+            RemI => "rem.i",
+            And => "and",
+            Or => "or",
+            Xor => "xor",
+            Shl => "shl",
+            Shr => "shr",
+            MinI => "min.i",
+            MaxI => "max.i",
+            AddF => "add.f",
+            SubF => "sub.f",
+            MulF => "mul.f",
+            DivF => "div.f",
+            MinF => "min.f",
+            MaxF => "max.f",
+            // Indexed in `Cmp`'s declaration order.
+            CmpI(c) => [
+                "cmp.i.eq", "cmp.i.ne", "cmp.i.lt", "cmp.i.le", "cmp.i.gt", "cmp.i.ge",
+            ][c as usize],
+            CmpF(c) => [
+                "cmp.f.eq", "cmp.f.ne", "cmp.f.lt", "cmp.f.le", "cmp.f.gt", "cmp.f.ge",
+            ][c as usize],
         }
     }
 }
 
 impl fmt::Display for BinOp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.mnemonic())
+        f.write_str(self.mnemonic())
     }
 }
 
@@ -674,6 +679,27 @@ mod tests {
             assert_eq!(c.negated().negated(), c);
             assert_eq!(c.swapped().swapped(), c);
         }
+    }
+
+    #[test]
+    fn operators_print_their_mnemonics() {
+        for c in [Cmp::Eq, Cmp::Ne, Cmp::Lt, Cmp::Le, Cmp::Gt, Cmp::Ge] {
+            assert_eq!(BinOp::CmpI(c).to_string(), format!("cmp.i.{c}"));
+            assert_eq!(BinOp::CmpF(c).to_string(), format!("cmp.f.{c}"));
+        }
+        assert_eq!(BinOp::MaxF.to_string(), "max.f");
+        assert_eq!(UnOp::FloatToInt.to_string(), "cvt.fi");
+        // Width and fill are ignored, as every listing expects.
+        let padded = format!(
+            "{:>8}|{:<8}|{:^8}|{:>8}|{:>8}|{:>8}",
+            RegClass::Float,
+            Cmp::Le,
+            BinOp::AddI,
+            VReg::new(12),
+            BlockId::new(0),
+            FrameSlot::new(4_294_967_295)
+        );
+        assert_eq!(padded, "float|le|add.i|v12|b0|s4294967295");
     }
 
     #[test]

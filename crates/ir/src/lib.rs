@@ -51,7 +51,7 @@ mod parse;
 mod verify;
 
 pub use builder::FunctionBuilder;
-pub use display::canonical_text;
+pub use display::write_canonical;
 pub use func::{Block, BlockId, FrameSlot, Function, SlotData, VReg, VRegData};
 pub use inst::{Addr, BinOp, Cmp, Imm, Inst, RegClass, UnOp};
 pub use module::{Global, GlobalId, Module};

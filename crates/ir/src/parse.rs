@@ -18,7 +18,7 @@
 use crate::func::{BlockId, FrameSlot, Function, VReg};
 use crate::inst::{Addr, BinOp, Cmp, Imm, Inst, RegClass, UnOp};
 use crate::module::{GlobalId, Module};
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
 
@@ -53,18 +53,18 @@ fn err<T>(line: u32, msg: impl Into<String>) -> Result<T, ParseError> {
 /// Returns a [`ParseError`] with the offending line.
 pub fn parse_module(text: &str) -> Result<Module, ParseError> {
     let mut module = Module::new();
+    // Every consumer reads lines trimmed, so trim each one once here.
     let lines: Vec<(u32, &str)> = text
         .lines()
         .enumerate()
-        .map(|(i, l)| (i as u32 + 1, l.trim_end()))
-        .filter(|(_, l)| !l.trim().is_empty())
+        .map(|(i, l)| (i as u32 + 1, l.trim()))
+        .filter(|(_, l)| !l.is_empty())
         .collect();
 
     let mut i = 0;
     // Globals first: `global NAME [SIZE bytes]`.
     while i < lines.len() {
-        let (ln, l) = lines[i];
-        let t = l.trim();
+        let (ln, t) = lines[i];
         if let Some(rest) = t.strip_prefix("global ") {
             let (name, size) = parse_global(rest, ln)?;
             module.add_global(name, size);
@@ -73,18 +73,17 @@ pub fn parse_module(text: &str) -> Result<Module, ParseError> {
             break;
         }
     }
-    // Functions.
-    let mut pending: HashMap<String, Constraints> = HashMap::new();
+    // Functions, with their constraints in module order.
+    let mut pending: Vec<Constraints> = Vec::new();
+    let mut names: HashSet<String> = HashSet::new();
     while i < lines.len() {
         let (func, consumed, constraints) = parse_function_lines(&lines[i..])?;
         // Names address functions (calls, allocations, the simulator), so
         // a second body under one name would silently replace the first.
-        if pending
-            .insert(func.name().to_string(), constraints)
-            .is_some()
-        {
+        if !names.insert(func.name().to_string()) {
             return err(lines[i].0, format!("duplicate function `{}`", func.name()));
         }
+        pending.push(constraints);
         module.add_function(func);
         i += consumed;
     }
@@ -103,7 +102,7 @@ pub fn parse_module(text: &str) -> Result<Module, ParseError> {
 /// Returns a [`ParseError`] with the offending line.
 pub fn parse_function(text: &str) -> Result<Function, ParseError> {
     let m = parse_module(text)?;
-    m.functions().first().cloned().ok_or(ParseError {
+    m.functions().first().cloned().ok_or_else(|| ParseError {
         line: 0,
         message: "no function found".into(),
     })
@@ -118,7 +117,7 @@ fn parse_global(rest: &str, ln: u32) -> Result<(String, u64), ParseError> {
     let inner = tail
         .strip_prefix('[')
         .and_then(|t| t.strip_suffix(" bytes]"))
-        .ok_or(ParseError {
+        .ok_or_else(|| ParseError {
             line: ln,
             message: "expected `[N bytes]`".into(),
         })?;
@@ -146,17 +145,16 @@ fn parse_function_lines(
     lines: &[(u32, &str)],
 ) -> Result<(Function, usize, Constraints), ParseError> {
     let (ln0, header) = lines[0];
-    let header = header.trim();
-    let rest = header.strip_prefix("func ").ok_or(ParseError {
+    let rest = header.strip_prefix("func ").ok_or_else(|| ParseError {
         line: ln0,
         message: format!("expected `func`, found `{header}`"),
     })?;
-    let open = rest.find('(').ok_or(ParseError {
+    let open = rest.find('(').ok_or_else(|| ParseError {
         line: ln0,
         message: "missing `(` in func header".into(),
     })?;
-    let name = rest[..open].trim().to_string();
-    let close = rest.find(')').ok_or(ParseError {
+    let name = rest[..open].trim();
+    let close = rest.find(')').ok_or_else(|| ParseError {
         line: ln0,
         message: "missing `)` in func header".into(),
     })?;
@@ -176,7 +174,7 @@ fn parse_function_lines(
         return err(ln0, "func header must end with `{`");
     }
 
-    let mut func = Function::new(&name);
+    let mut func = Function::new(name);
     func.set_ret_class(ret_class);
     let mut constraints = Constraints::default();
 
@@ -208,9 +206,9 @@ fn parse_function_lines(
     let mut max_block: i64 = -1;
     let mut done = false;
 
-    for &(ln, raw) in &lines[1..] {
+    let mut uses = Vec::new();
+    for &(ln, t) in &lines[1..] {
         consumed += 1;
-        let t = raw.trim();
         if t == "}" {
             done = true;
             break;
@@ -235,7 +233,7 @@ fn parse_function_lines(
             rest = rest
                 .trim_start()
                 .strip_prefix("bytes")
-                .ok_or(ParseError {
+                .ok_or_else(|| ParseError {
                     line: ln,
                     message: "expected `= N bytes`".into(),
                 })?
@@ -296,7 +294,9 @@ fn parse_function_lines(
         if let Some(d) = inst.def() {
             max_vreg = max_vreg.max(d.index() as i64);
         }
-        for u in inst.uses() {
+        uses.clear();
+        inst.uses_into(&mut uses);
+        for u in &uses {
             max_vreg = max_vreg.max(u.index() as i64);
         }
         for s in inst.successors() {
@@ -319,22 +319,27 @@ fn parse_function_lines(
         return err(ln0, format!("function `{name}` has no closing brace"));
     }
 
-    // Materialize tables.
-    while func.num_vregs() as i64 <= max_vreg {
-        let n = func.num_vregs();
-        func.new_vreg(RegClass::Int, format!("v{n}"));
+    // Materialize tables. Declared names move in; only registers without
+    // one get a default name (parameters are named by the header).
+    let mut named = vec![false; (max_vreg + 1) as usize];
+    named[..func.num_vregs()].fill(true);
+    while func.num_vregs() < named.len() {
+        func.new_vreg(RegClass::Int, String::new());
     }
-    for &(idx, class, ref name, spillable) in &declared_regs {
+    for (idx, class, name, spillable) in declared_regs {
         let v = VReg::new(idx);
         constraints.known.push((idx, class));
         if let Some(n) = name {
-            func.rename_vreg(v, n.clone());
+            func.rename_vreg(v, n);
+            named[idx as usize] = true;
         }
         func.set_spillable(v, spillable);
     }
-    for (i, (size, spill, name)) in declared_slots.iter().enumerate() {
-        let name = name.clone().unwrap_or_else(|| format!("s{i}"));
-        func.new_slot(*size, name, *spill);
+    for (i, _) in named.iter().enumerate().filter(|(_, &n)| !n) {
+        func.rename_vreg(VReg::new(i as u32), format!("v{i}"));
+    }
+    for (i, (size, spill, name)) in declared_slots.into_iter().enumerate() {
+        func.new_slot(size, name.unwrap_or_else(|| format!("s{i}")), spill);
     }
     while (func.num_slots() as i64) <= max_slot {
         let n = func.num_slots();
@@ -353,10 +358,17 @@ fn parse_function_lines(
 /// Parse a leading double-quoted string (with `\"`/`\\` escapes); returns
 /// the unescaped contents and the text after the closing quote.
 fn parse_quoted(s: &str, ln: u32) -> Result<(String, &str), ParseError> {
-    let body = s.strip_prefix('"').ok_or(ParseError {
+    let body = s.strip_prefix('"').ok_or_else(|| ParseError {
         line: ln,
         message: "expected `\"`".into(),
     })?;
+    // Most names have no escape: slice them.
+    if let Some(end) = body
+        .find(['"', '\\'])
+        .filter(|&i| body.as_bytes()[i] == b'"')
+    {
+        return Ok((body[..end].to_string(), &body[end + 1..]));
+    }
     let mut out = String::new();
     let mut chars = body.char_indices();
     while let Some((i, c)) = chars.next() {
@@ -388,7 +400,7 @@ fn parse_index(s: &str, prefix: char, ln: u32) -> Result<u32, ParseError> {
     let s = s.trim();
     s.strip_prefix(prefix)
         .and_then(|n| n.parse().ok())
-        .ok_or(ParseError {
+        .ok_or_else(|| ParseError {
             line: ln,
             message: format!("expected `{prefix}<N>`, found `{s}`"),
         })
@@ -403,7 +415,7 @@ fn parse_addr(s: &str, ln: u32) -> Result<Addr, ParseError> {
         .trim()
         .strip_prefix('[')
         .and_then(|t| t.strip_suffix(']'))
-        .ok_or(ParseError {
+        .ok_or_else(|| ParseError {
             line: ln,
             message: format!("expected `[base±off]`, found `{s}`"),
         })?;
@@ -413,7 +425,7 @@ fn parse_addr(s: &str, ln: u32) -> Result<Addr, ParseError> {
         .skip(1)
         .find(|&(_, c)| c == '+' || c == '-')
         .map(|(i, _)| i)
-        .ok_or(ParseError {
+        .ok_or_else(|| ParseError {
             line: ln,
             message: format!("missing offset in address `{s}`"),
         })?;
@@ -513,16 +525,18 @@ fn parse_inst(t: &str, ln: u32, cons: &mut Constraints) -> Result<Inst, ParseErr
         });
     }
     if let Some(rest) = t.strip_prefix("branch ") {
-        let parts: Vec<&str> = rest.split(',').map(str::trim).collect();
-        if parts.len() != 3 {
+        let mut parts = rest.split(',');
+        let (Some(c), Some(t), Some(f), None) =
+            (parts.next(), parts.next(), parts.next(), parts.next())
+        else {
             return err(ln, "branch needs `cond, bT, bF`");
-        }
-        let cond = vreg(parts[0], ln)?;
+        };
+        let cond = vreg(c, ln)?;
         cons.known.push((cond.index() as u32, RegClass::Int));
         return Ok(Inst::Branch {
             cond,
-            if_true: BlockId::new(parse_index(parts[1], 'b', ln)?),
-            if_false: BlockId::new(parse_index(parts[2], 'b', ln)?),
+            if_true: BlockId::new(parse_index(t, 'b', ln)?),
+            if_false: BlockId::new(parse_index(f, 'b', ln)?),
         });
     }
     if t == "ret" {
@@ -604,7 +618,7 @@ fn parse_inst(t: &str, ln: u32, cons: &mut Constraints) -> Result<Inst, ParseErr
     }
 
     // Unary / binary by mnemonic.
-    let (mn, operands) = rhs.split_once(' ').ok_or(ParseError {
+    let (mn, operands) = rhs.split_once(' ').ok_or_else(|| ParseError {
         line: ln,
         message: format!("unrecognized instruction `{t}`"),
     })?;
@@ -633,15 +647,17 @@ fn parse_inst(t: &str, ln: u32, cons: &mut Constraints) -> Result<Inst, ParseErr
 }
 
 fn parse_call(rest: &str, ln: u32) -> Result<(String, Vec<VReg>), ParseError> {
-    let open = rest.find('(').ok_or(ParseError {
+    let open = rest.find('(').ok_or_else(|| ParseError {
         line: ln,
         message: "call needs `name(args)`".into(),
     })?;
     let callee = rest[..open].trim().to_string();
-    let inner = rest[open + 1..].strip_suffix(')').ok_or(ParseError {
-        line: ln,
-        message: "call missing `)`".into(),
-    })?;
+    let inner = rest[open + 1..]
+        .strip_suffix(')')
+        .ok_or_else(|| ParseError {
+            line: ln,
+            message: "call missing `)`".into(),
+        })?;
     let args = if inner.trim().is_empty() {
         Vec::new()
     } else {
@@ -653,39 +669,33 @@ fn parse_call(rest: &str, ln: u32) -> Result<(String, Vec<VReg>), ParseError> {
     Ok((callee, args))
 }
 
-/// Propagate class constraints module-wide and rewrite the vreg tables.
-fn resolve_classes(module: &mut Module, pending: &HashMap<String, Constraints>) {
+/// Propagate class constraints module-wide and set every register's
+/// class. `pending[i]` holds the constraints of the module's `i`th
+/// function.
+fn resolve_classes(module: &mut Module, pending: &[Constraints]) {
     // Per-function class vectors, seeded by parameters (already typed).
-    let mut classes: HashMap<String, Vec<Option<RegClass>>> = HashMap::new();
-    for f in module.functions() {
-        let mut v = vec![None; f.num_vregs()];
-        for &p in f.params() {
-            v[p.index()] = Some(f.class_of(p));
-        }
-        if let Some(c) = pending.get(f.name()) {
+    let mut classes: Vec<Vec<Option<RegClass>>> = module
+        .functions()
+        .iter()
+        .zip(pending)
+        .map(|(f, c)| {
+            let mut v = vec![None; f.num_vregs()];
+            for &p in f.params() {
+                v[p.index()] = Some(f.class_of(p));
+            }
             for &(r, cl) in &c.known {
                 v[r as usize] = Some(cl);
             }
-        }
-        classes.insert(f.name().to_string(), v);
-    }
+            v
+        })
+        .collect();
 
     // Fixpoint over copies, rets, and call edges.
-    let names: Vec<String> = module
-        .functions()
-        .iter()
-        .map(|f| f.name().to_string())
-        .collect();
     let mut changed = true;
     while changed {
         changed = false;
-        for name in &names {
-            let Some(cons) = pending.get(name) else {
-                continue;
-            };
-            let f = module.function(name).expect("exists");
+        for ((f, cons), local) in module.functions().iter().zip(pending).zip(&mut classes) {
             // copies
-            let mut local = classes.remove(name).expect("exists");
             for &(a, b) in &cons.equal {
                 match (local[a as usize], local[b as usize]) {
                     (Some(x), None) => {
@@ -729,21 +739,14 @@ fn resolve_classes(module: &mut Module, pending: &HashMap<String, Constraints>) 
                     }
                 }
             }
-            classes.insert(name.clone(), local);
         }
     }
 
     // Apply (unknowns default to int — class-agnostic bit movement).
-    for f in module.functions_mut() {
-        let local = &classes[f.name()];
-        let table: Vec<crate::func::VRegData> = (0..f.num_vregs())
-            .map(|i| crate::func::VRegData {
-                class: local[i].unwrap_or(RegClass::Int),
-                name: f.vreg(VReg::new(i as u32)).name.clone(),
-                spillable: f.vreg(VReg::new(i as u32)).spillable,
-            })
-            .collect();
-        f.set_vreg_table(table);
+    for (f, local) in module.functions_mut().iter_mut().zip(classes) {
+        for (i, class) in local.into_iter().enumerate() {
+            f.set_class(VReg::new(i as u32), class.unwrap_or(RegClass::Int));
+        }
     }
 }
 
@@ -923,5 +926,147 @@ mod tests {
         assert!(text.contains("(spill)"));
         let parsed = parse_function(&text).unwrap();
         assert!(parsed.slot(FrameSlot::new(0)).is_spill);
+    }
+
+    #[test]
+    fn error_messages_keep_their_text() {
+        // One malformed input per error site. `bad IR: …` responses carry
+        // these messages verbatim, so each must keep its exact text.
+        let body = |insts: &str| format!("func f(v0:int) -> int {{\nb0:\n{insts}}}\n");
+        let cases: Vec<(&str, String, u32, &str)> = vec![
+            (
+                "bad operand",
+                body("    v1 = add.i v0, vx\n    ret v1\n"),
+                3,
+                "expected `v<N>`, found `vx`",
+            ),
+            (
+                "address without offset",
+                body("    v1 = load [v0]\n    ret v1\n"),
+                3,
+                "missing offset in address `[v0]`",
+            ),
+            (
+                "store address without offset",
+                body("    store v0, [v0]\n    ret v0\n"),
+                3,
+                "missing offset in address ` [v0]`",
+            ),
+            (
+                "bad address base",
+                body("    v1 = load [x0+8]\n    ret v1\n"),
+                3,
+                "bad address base `x0`",
+            ),
+            (
+                "address without brackets",
+                body("    v1 = load v0+8\n    ret v1\n"),
+                3,
+                "expected `[base±off]`, found `v0+8`",
+            ),
+            (
+                "bad address register",
+                body("    v1 = load [vq+8]\n    ret v1\n"),
+                3,
+                "expected `v<N>`, found `vq`",
+            ),
+            (
+                "call without `)`",
+                body("    call f(v1\n    ret v0\n"),
+                3,
+                "call missing `)`",
+            ),
+            (
+                "call without `(`",
+                body("    v1 = call f\n    ret v1\n"),
+                3,
+                "call needs `name(args)`",
+            ),
+            (
+                "unknown mnemonic",
+                body("    v1 = frob v0, v0\n    ret v1\n"),
+                3,
+                "unknown mnemonic `frob`",
+            ),
+            (
+                "mnemonic without operands",
+                body("    v1 = neg.i\n    ret v1\n"),
+                3,
+                "unrecognized instruction `v1 = neg.i`",
+            ),
+            (
+                "slot without `bytes`",
+                "func f() {\n    slot s0 = 8 words\nb0:\n    ret\n}\n".into(),
+                2,
+                "expected `= N bytes`",
+            ),
+            (
+                "reg without class",
+                "func f() {\n    reg v0\nb0:\n    ret\n}\n".into(),
+                2,
+                "reg line needs `v<N>:class`",
+            ),
+            (
+                "unterminated name",
+                "func f() {\n    reg v0:int \"abc\nb0:\n    ret\n}\n".into(),
+                2,
+                "unterminated quoted name",
+            ),
+            (
+                "bad escape",
+                "func f() {\n    reg v0:int \"a\\qb\"\nb0:\n    ret\n}\n".into(),
+                2,
+                "bad escape in quoted name",
+            ),
+            (
+                "missing `}`",
+                "func f(v0:int) -> int {\nb0:\n    ret v0\n".into(),
+                1,
+                "function `f` has no closing brace",
+            ),
+            (
+                "duplicate function",
+                body("    ret v0\n").repeat(2),
+                5,
+                "duplicate function `f`",
+            ),
+            (
+                "not a func header",
+                "fun f() {\nb0:\n    ret\n}\n".into(),
+                1,
+                "expected `func`, found `fun f() {`",
+            ),
+            (
+                "header without `(`",
+                "func f {\nb0:\n    ret\n}\n".into(),
+                1,
+                "missing `(` in func header",
+            ),
+            (
+                "header without `)`",
+                "func f( {\nb0:\n    ret\n}\n".into(),
+                1,
+                "missing `)` in func header",
+            ),
+            (
+                "global without size",
+                "global g 8\nfunc f() {\nb0:\n    ret\n}\n".into(),
+                1,
+                "expected `[N bytes]`",
+            ),
+            (
+                "bad block label",
+                "func f() {\nbx:\n    ret\n}\n".into(),
+                2,
+                "expected `b<N>`, found `bx`",
+            ),
+        ];
+        for (what, text, line, message) in cases {
+            let expected = ParseError {
+                line,
+                message: message.into(),
+            };
+            assert_eq!(parse_module(&text), Err(expected), "{what}");
+        }
     }
 }

@@ -59,17 +59,20 @@ pub fn select(graph: &InterferenceGraph, stack: &[u32], target: &Target) -> Colo
     let n = graph.num_nodes();
     let mut color: Vec<Option<u16>> = vec![None; n];
     let mut inserted = vec![false; n];
+    // The lowest free color is at most the number of colored neighbors,
+    // so `min(k, degree + 1)` flags, in one reused buffer, always hold it.
+    let mut used = Vec::new();
 
     for &v in stack.iter().rev() {
         let k = target.regs(graph.class(v));
+        let neighbors = graph.neighbors(v);
+        used.clear();
+        used.resize(k.min(neighbors.len() + 1), false);
         // Collect neighbor colors among already-inserted nodes.
-        let mut used = vec![false; k];
-        for &m in graph.neighbors(v) {
+        for &m in neighbors {
             if inserted[m as usize] {
-                if let Some(c) = color[m as usize] {
-                    if (c as usize) < k {
-                        used[c as usize] = true;
-                    }
+                if let Some(flag) = color[m as usize].and_then(|c| used.get_mut(c as usize)) {
+                    *flag = true;
                 }
             }
         }

@@ -12,26 +12,50 @@
 //! logical clock (one atomic increment per touch); eviction drops the
 //! least-recently-used entry of the full shard.
 
-use optimist_ir::{canonical_text, Function};
-use optimist_regalloc::{fnv1a, AllocatorConfig};
+use optimist_ir::{write_canonical, Function};
+use optimist_regalloc::AllocatorConfig;
 use std::collections::HashMap;
+use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// The cache key of one (function, configuration) pair: FNV-1a over the
-/// function's [`canonical_text`] (names stripped — α-renaming a function
-/// does not change its key) extended with the configuration's
-/// [`fingerprint`](AllocatorConfig::fingerprint).
-///
-/// Stable across processes and runs, so a future on-disk cache can reuse
-/// the same addresses.
-pub fn cache_key(func: &Function, config: &AllocatorConfig) -> u64 {
-    let mut h = fnv1a(canonical_text(func).as_bytes());
-    for b in config.fingerprint().to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// A running 64-bit FNV-1a hash: what `optimist_regalloc::fnv1a` computes
+/// over all the bytes fed to it, in order. Text written to it through
+/// [`fmt::Write`] is hashed as it is rendered, with no string built.
+pub(crate) struct Fnv(pub(crate) u64);
+
+impl Fnv {
+    pub(crate) fn new() -> Fnv {
+        Fnv(0xcbf2_9ce4_8422_2325)
     }
-    h
+
+    pub(crate) fn bytes(&mut self, bytes: &[u8]) -> &mut Fnv {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        self
+    }
+}
+
+impl fmt::Write for Fnv {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.bytes(s.as_bytes());
+        Ok(())
+    }
+}
+
+/// The cache key of one (function, configuration) pair: FNV-1a over the
+/// function's canonical text ([`write_canonical`]: names stripped, so
+/// α-renaming a function does not change its key) extended with the
+/// configuration's [`fingerprint`](AllocatorConfig::fingerprint). The
+/// text is streamed into the hash, never built.
+///
+/// Stable across processes and runs: persisted store records and store
+/// peers are addressed by it.
+pub fn cache_key(func: &Function, config: &AllocatorConfig) -> u64 {
+    let mut h = Fnv::new();
+    write_canonical(&mut h, func).expect("hashing never fails");
+    h.bytes(&config.fingerprint().to_le_bytes()).0
 }
 
 /// The memo key of one *raw request text* under a configuration: FNV-1a
@@ -46,17 +70,11 @@ pub fn cache_key(func: &Function, config: &AllocatorConfig) -> u64 {
 /// resubmission is answered without parsing the IR or canonicalizing any
 /// function: the editor-loop warm path costs one hash of the text.
 pub fn text_key(ir: &str, config: &AllocatorConfig) -> u64 {
-    let mut h = fnv1a(ir.as_bytes());
-    for b in config
-        .fingerprint()
-        .to_le_bytes()
-        .into_iter()
-        .chain((config.max_passes as u64).to_le_bytes())
-    {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    Fnv::new()
+        .bytes(ir.as_bytes())
+        .bytes(&config.fingerprint().to_le_bytes())
+        .bytes(&(config.max_passes as u64).to_le_bytes())
+        .0
 }
 
 /// A sharded, bounded, least-recently-used map from [`cache_key`]s to

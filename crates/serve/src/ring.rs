@@ -25,6 +25,9 @@
 //! Everything is deterministic from the label list alone: same labels,
 //! same routing, on every daemon, every process, every architecture.
 
+use crate::cache::Fnv;
+use std::fmt::{self, Write};
+
 /// A deterministic consistent-hash ring over peer labels.
 #[derive(Debug, Clone)]
 pub struct HashRing {
@@ -34,15 +37,13 @@ pub struct HashRing {
     labels: Vec<String>,
 }
 
-/// FNV-1a over `bytes` — the same family the cache keys use — followed
-/// by a splitmix64 finalizer so sequential vnode suffixes land far
-/// apart on the circle.
-fn ring_hash(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+/// FNV-1a over the formatted `text` — the same hash the cache keys use,
+/// fed without building the string — followed by a splitmix64 finalizer
+/// so sequential vnode suffixes land far apart on the circle.
+fn ring_hash(text: fmt::Arguments<'_>) -> u64 {
+    let mut fnv = Fnv::new();
+    fnv.write_fmt(text).expect("hashing never fails");
+    let mut hash = fnv.0;
     // splitmix64 finalizer: FNV alone clusters short suffix changes.
     hash = (hash ^ (hash >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     hash = (hash ^ (hash >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -69,7 +70,7 @@ impl HashRing {
         let mut points = Vec::with_capacity(labels.len() * vnodes);
         for (index, label) in labels.iter().enumerate() {
             for vnode in 0..vnodes {
-                let point = ring_hash(format!("{label}#{vnode}").as_bytes());
+                let point = ring_hash(format_args!("{label}#{vnode}"));
                 points.push((point, index));
             }
         }
@@ -89,7 +90,7 @@ impl HashRing {
     /// construction bug, not a runtime state.
     pub fn route(&self, key: u64) -> usize {
         assert!(!self.points.is_empty(), "routing on an empty ring");
-        let position = ring_hash(format!("{key:016x}").as_bytes());
+        let position = ring_hash(format_args!("{key:016x}"));
         let at = self.points.partition_point(|&(p, _)| p < position);
         let (_, index) = self.points[at % self.points.len()];
         index
@@ -114,7 +115,7 @@ impl HashRing {
         assert!(!self.points.is_empty(), "routing on an empty ring");
         assert!(r > 0, "a replica chain needs at least one peer");
         let want = r.min(self.labels.len());
-        let position = ring_hash(format!("{key:016x}").as_bytes());
+        let position = ring_hash(format_args!("{key:016x}"));
         let start = self.points.partition_point(|&(p, _)| p < position);
         let mut chain = Vec::with_capacity(want);
         for offset in 0..self.points.len() {
@@ -164,6 +165,21 @@ mod tests {
             x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
             x ^ (x >> 27)
         })
+    }
+
+    #[test]
+    fn placement_is_pinned() {
+        // Every daemon of a fleet, whatever its version, must put a key on
+        // the same replica chain, so these chains never change.
+        let ring = HashRing::new(&["127.0.0.1:47301", "127.0.0.1:47302", "127.0.0.1:47303"]);
+        let chains: Vec<String> = keys(48)
+            .map(|k| ring.route_n(k, 2).iter().map(|p| p.to_string()).collect())
+            .collect();
+        assert_eq!(
+            chains.join(" "),
+            "20 02 10 20 10 21 12 10 01 01 10 12 02 01 10 20 01 02 20 21 21 01 02 02 \
+             20 20 02 20 10 02 10 02 01 12 10 10 21 12 01 10 02 21 10 10 02 01 01 01"
+        );
     }
 
     #[test]

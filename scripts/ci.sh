@@ -40,11 +40,20 @@ if [[ $quick -eq 0 ]]; then
     # The analyses against their reference models, including `renumber`
     # against its reaching-definitions formulation (same webs, same
     # numbering) over the corpus, generated routines and post-spill code,
-    # and the IRC engine against its `BTreeSet` formulation (the same
+    # the IRC engine against its `BTreeSet` formulation (the same
     # outcome, field for field) on the first-pass graphs of the corpus
-    # and of generated routines.
+    # and of generated routines, the IR printer against its
+    # clone-and-rename formulation (the same `to_string`, canonical text
+    # and cache key) on the corpus, generated routines, their allocations
+    # and adversarial renamings, and `select` against its k-sized scratch
+    # on corpus and random graphs up to 65,536 registers.
     echo "==> reference models under --release (full proptest case count)"
     cargo test --release -q --test reference_models
+
+    # The lossless IR text round trip, `parse(display(f)) == f`, over the
+    # corpus and generated routines under adversarial renamings.
+    echo "==> IR round trip under --release (full proptest case count)"
+    cargo test --release -q --test ir_roundtrip
 
     # Chordality, round-trip behavior preservation and single-pass
     # allocation of the SSA track, also at the full case count.
@@ -76,6 +85,7 @@ if [[ $quick -eq 0 ]]; then
     cargo test --release -q -p optimist-store
 fi
 
+# Every optimist-bench bench, `warm` (the daemon's warm path) included.
 echo "==> benches compile"
 cargo build -q --benches -p optimist-bench
 

@@ -4,10 +4,34 @@
 //! identically on the second trip, and compute the same results in the
 //! simulator.
 
-use optimist::ir::{canonical_text, parse_module, verify_module, VReg};
+use optimist::ir::{parse_module, verify_module, write_canonical, FrameSlot, Function, VReg};
 use optimist::prelude::*;
 use optimist::workloads::{self, generate_routine, DriverArg, GenConfig};
 use proptest::prelude::*;
+
+/// Debug test runs keep the budget small; release runs (the CI gate) use
+/// the full count.
+const CASES: u32 = if cfg!(debug_assertions) { 32 } else { 256 };
+
+/// Names that a printer comparing, escaping or defaulting names carelessly
+/// would get wrong: another register's default name, a slot's default
+/// name on a register, the empty name, quotes, backslashes and non-ASCII.
+const ADVERSARIAL: [&str; 8] = [
+    "v007",
+    "s1",
+    "",
+    "q\"uote",
+    "back\\slash",
+    "ñ☃",
+    "v1",
+    "\\\"",
+];
+
+fn canonical_text(f: &Function) -> String {
+    let mut s = String::new();
+    write_canonical(&mut s, f).expect("writing to a String never fails");
+    s
+}
 
 fn args_of(p: &workloads::Program) -> Vec<Scalar> {
     p.smoke_args
@@ -66,7 +90,7 @@ fn round_trip_survives_allocation() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+    #![proptest_config(ProptestConfig::with_cases(CASES))]
 
     /// `parse(display(f)) == f`, structurally, over generator output — the
     /// invariant the serve protocol's content-addressed cache rests on.
@@ -80,13 +104,24 @@ proptest! {
             .unwrap_or_else(|e| panic!("seed {seed}: {e}\n{text}"));
         prop_assert_eq!(&parsed, &module);
 
-        // Canonical text is invariant under α-renaming of registers…
+        // Canonical text is invariant under α-renaming of registers and
+        // slots, adversarial names included, and the renamed function
+        // still round-trips exactly…
         for f in module.functions() {
             let mut renamed = f.clone();
-            for i in 0..renamed.num_vregs() as u32 {
-                renamed.rename_vreg(VReg::new(i), format!("weird.{i}"));
+            let pick = |i: usize| ADVERSARIAL[(i + seed as usize) % ADVERSARIAL.len()];
+            for i in 0..renamed.num_vregs() {
+                let name = if i % 2 == 0 { pick(i).to_string() } else { format!("weird.{i}") };
+                renamed.rename_vreg(VReg::new(i as u32), name);
+            }
+            for i in 0..renamed.num_slots() {
+                renamed.rename_slot(FrameSlot::new(i as u32), pick(i + 1));
             }
             prop_assert_eq!(canonical_text(&renamed), canonical_text(f));
+            let text = renamed.to_string();
+            let back = optimist::ir::parse_function(&text)
+                .unwrap_or_else(|e| panic!("seed {seed}: {e}\n{text}"));
+            prop_assert_eq!(&back, &renamed);
             // …and parsing canonical text reproduces the allocation-relevant
             // state (everything but names).
             let back = optimist::ir::parse_function(&canonical_text(f)).unwrap();

@@ -13,16 +13,29 @@
 //! * the IRC engine vs. [`reference::irc`], the `BTreeSet` engine it was
 //!   rewritten from: the same outcome, field for field, on the first-pass
 //!   graphs of the corpus and of generated routines, under every spill
-//!   metric, with and without a third of the nodes unspillable.
+//!   metric, with and without a third of the nodes unspillable;
+//! * the IR printer vs. [`reference::display`] and
+//!   [`reference::canonical_text`], `Function`'s `Display` and the
+//!   clone-and-rename canonical text it was rewritten from: the same bytes
+//!   from `to_string` and `write_canonical`, and the same `cache_key`, on
+//!   the corpus, generated routines, their allocations under every
+//!   strategy, α-renamings and adversarial names;
+//! * `select` vs. [`reference::select`], its loop with a fresh `k`-entry
+//!   scratch per node: the same colors on first-pass graphs of the corpus
+//!   and on random graphs, from one register to 65,536.
 
 use optimist::analysis::{renumber, Cfg, Dominators, Liveness, LoopInfo};
-use optimist::ir::{parse_function, BlockId, Function, Inst, VReg};
+use optimist::ir::{
+    parse_function, write_canonical, BlockId, FrameSlot, Function, Inst, RegClass, VReg,
+};
 use optimist::machine::Target;
 use optimist::regalloc::irc::{collect_moves, irc};
 use optimist::regalloc::{
-    build_graph, insert_spill_code, spill_costs, ConservativeTest, InterferenceGraph, IrcOutcome,
-    SpillMetric, SpillOpts,
+    allocate, build_graph, fnv1a, insert_spill_code, select, simplify, spill_costs,
+    AllocatorConfig, ConservativeTest, Heuristic, InterferenceGraph, IrcOutcome, SpillMetric,
+    SpillOpts, Strategy,
 };
+use optimist::serve::cache_key;
 use optimist::workloads::{generate_routine, GenConfig};
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -626,9 +639,221 @@ proptest! {
     }
 }
 
-/// The reference models of `renumber` and of the IRC engine, which the
-/// library's must match exactly: the library's implementations before
-/// their rewrites, moved here with only their paths changed.
+// ---- the printer vs. its reference model ----------------------------------
+
+/// Names that a printer comparing, escaping or defaulting names carelessly
+/// would get wrong: another register's default name, a slot's default
+/// name on a register, the empty name, quotes, backslashes and non-ASCII.
+const ADVERSARIAL: [&str; 8] = [
+    "v007",
+    "s1",
+    "",
+    "q\"uote",
+    "back\\slash",
+    "ñ☃",
+    "v1",
+    "\\\"",
+];
+
+/// `f` with every register and slot renamed: adversarial names mixed with
+/// plain ones, chosen by `seed`, so slot 2 may be called `s1`.
+fn renamed(f: &Function, seed: u64) -> Function {
+    let mut g = f.clone();
+    let pick = |i: usize| ADVERSARIAL[(i + seed as usize) % ADVERSARIAL.len()];
+    for i in 0..g.num_vregs() {
+        let name = if i % 3 == 0 {
+            format!("x.{i}")
+        } else {
+            pick(i).to_string()
+        };
+        g.rename_vreg(VReg::new(i as u32), name);
+    }
+    for i in 0..g.num_slots() {
+        g.rename_slot(FrameSlot::new(i as u32), pick(i + 1));
+    }
+    g
+}
+
+/// The same bytes from both printers, in both forms, and the cache key
+/// the daemon would have derived from the reference's canonical text.
+fn check_printer(f: &Function, what: &str) {
+    assert_eq!(f.to_string(), reference::display(f), "{what}: text differs");
+    let canonical = reference::canonical_text(f);
+    let mut streamed = String::new();
+    write_canonical(&mut streamed, f).expect("writing to a String never fails");
+    assert_eq!(streamed, canonical, "{what}: canonical text differs");
+    for config in [
+        AllocatorConfig::new(Target::rt_pc(), Strategy::Briggs),
+        AllocatorConfig::new(Target::custom("x", 5, 2), Strategy::Ssa),
+    ] {
+        let mut key = fnv1a(canonical.as_bytes());
+        for b in config.fingerprint().to_le_bytes() {
+            key = (key ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        assert_eq!(cache_key(f, &config), key, "{what}: cache key differs");
+    }
+}
+
+/// [`check_printer`] on `f`, on a renaming of it, and on its allocations
+/// under every strategy at `target` (spill slots and never-spill
+/// temporaries included). Returns how many allocations carried both.
+fn check_printer_family(f: &Function, target: &Target, seed: u64, what: &str) -> usize {
+    check_printer(f, what);
+    check_printer(&renamed(f, seed), &format!("{what}, renamed"));
+    let mut spilled = 0;
+    for strategy in [
+        Strategy::Chaitin,
+        Strategy::Briggs,
+        Strategy::Irc,
+        Strategy::Ssa,
+    ] {
+        let config = AllocatorConfig::new(target.clone(), strategy);
+        let Ok(out) = allocate(f, &config) else {
+            continue;
+        };
+        let what = format!("{what}, allocated by {strategy:?}");
+        check_printer(&out.func, &what);
+        check_printer(&renamed(&out.func, seed), &format!("{what}, renamed"));
+        let spill_slot =
+            (0..out.func.num_slots()).any(|s| out.func.slot(FrameSlot::new(s as u32)).is_spill);
+        let nospill =
+            (0..out.func.num_vregs()).any(|v| !out.func.vreg(VReg::new(v as u32)).spillable);
+        spilled += usize::from(spill_slot && nospill);
+    }
+    spilled
+}
+
+#[test]
+fn printer_matches_reference_on_the_corpus() {
+    let mut spilled = 0;
+    for p in optimist::workloads::programs() {
+        let compiled = optimist::frontend::compile(&p.source).expect("compiles");
+        for (i, f) in compiled.functions().iter().enumerate() {
+            check_printer(f, &format!("{} {} (compile)", p.name, f.name()));
+            check_printer(
+                &renamed(f, i as u64),
+                &format!("{} {} (compile), renamed", p.name, f.name()),
+            );
+        }
+        let optimized = optimist::compile_optimized(&p.source).expect("compiles");
+        for (i, f) in optimized.functions().iter().enumerate() {
+            let what = format!("{} {} (compile_optimized)", p.name, f.name());
+            spilled += check_printer_family(f, &Target::rt_pc(), i as u64, &what);
+        }
+    }
+    assert!(
+        spilled > 0,
+        "no allocation carried spill slots and never-spill temporaries"
+    );
+}
+
+#[test]
+fn printer_matches_reference_on_hand_made_edge_cases() {
+    // Default-looking names on the wrong index, names a parser would
+    // misread, unreferenced and never-spill registers, spill slots.
+    let mut f = Function::new("edge");
+    let p = f.add_param(RegClass::Float, "v1");
+    let dead = f.new_vreg(RegClass::Int, "v1");
+    let t = f.new_vreg(RegClass::Int, "v007");
+    f.new_vreg(RegClass::Float, "");
+    f.set_spillable(t, false);
+    f.new_slot(8, "s1", false);
+    f.new_slot(16, "s1", true);
+    f.new_slot(24, "q\"\\ñ☃", true);
+    let _ = dead;
+    f.block_mut(f.entry())
+        .insts
+        .push(Inst::Ret { value: Some(p) });
+    for seed in 0..ADVERSARIAL.len() as u64 {
+        check_printer(&f, "edge");
+        check_printer(
+            &renamed(&f, seed),
+            &format!("edge, renamed with seed {seed}"),
+        );
+    }
+}
+
+// ---- select vs. its reference model ---------------------------------------
+
+/// Both selects color `stack` of `graph` alike at every register count of
+/// the sweep.
+fn check_select(graph: &InterferenceGraph, stack: &[u32], what: &str) {
+    for k in [1, 2, 3, 16, 4096, 65536] {
+        let target = Target::custom("k", k, k);
+        assert_eq!(
+            select(graph, stack, &target),
+            reference::select(graph, stack, &target),
+            "{what}, k = {k}: colors differ"
+        );
+    }
+}
+
+#[test]
+fn select_matches_reference_on_the_corpus() {
+    for p in optimist::workloads::programs() {
+        let module = optimist::compile_optimized(&p.source).expect("compiles");
+        for f in module.functions() {
+            let (graph, _, costs) = first_pass_input(f);
+            for (k, heuristic) in [
+                (3, Heuristic::ChaitinPessimistic),
+                (16, Heuristic::BriggsOptimistic),
+            ] {
+                let stack = simplify(&graph, &costs, &Target::custom("k", k, k), heuristic).stack;
+                check_select(
+                    &graph,
+                    &stack,
+                    &format!("{} {}, {heuristic:?} at {k}", p.name, f.name()),
+                );
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(CASES))]
+
+    /// Random two-class graphs, colored in a random order that leaves a
+    /// random few nodes off the stack, as Chaitin's spill marks do.
+    #[test]
+    fn select_matches_reference_on_random_graphs(seed in 0u64..1_000_000, n in 1usize..120) {
+        let mut next = xorshift(seed);
+        let classes = (0..n)
+            .map(|_| if next().is_multiple_of(4) { RegClass::Float } else { RegClass::Int })
+            .collect();
+        let mut graph = InterferenceGraph::new(classes);
+        let density = 1 + next() % 60;
+        for a in 0..n as u32 {
+            for b in a + 1..n as u32 {
+                if graph.class(a) == graph.class(b) && next() % 100 < density {
+                    graph.add_edge(a, b);
+                }
+            }
+        }
+        let mut stack: Vec<u32> = (0..n as u32).filter(|_| !next().is_multiple_of(8)).collect();
+        for i in (1..stack.len()).rev() {
+            stack.swap(i, (next() % (i as u64 + 1)) as usize);
+        }
+        check_select(&graph, &stack, &format!("seed {seed}, {n} nodes"));
+    }
+
+    /// Generated routines and their allocations, optimized as
+    /// `paper_invariants` compiles them.
+    #[test]
+    fn printer_matches_reference_on_generated_routines(seed in 0u64..1_000_000) {
+        let src = generate_routine("GEN", seed, &GenConfig::default());
+        let module = optimist::compile_optimized(&src)
+            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        for f in module.functions() {
+            let what = format!("seed {seed} {}", f.name());
+            check_printer_family(f, &Target::custom("t", 4, 3), seed, &what);
+        }
+    }
+}
+
+/// The reference models of `renumber`, the IRC engine, the IR printer and
+/// `select`, which the library's must match exactly: the library's
+/// implementations before their rewrites, moved here with only their
+/// paths changed (the printer with its own number formatting).
 ///
 /// Reaching-definitions analysis: each definition point of each virtual
 /// register gets a *def-site* id; the analysis computes which def sites
@@ -1370,6 +1595,250 @@ mod reference {
                 events: self.events,
             }
         }
+    }
+
+    // ---- the IR printer before it was streamed -------------------------
+    //
+    // `Function`'s `Display` and `canonical_text` as they stood, when the
+    // canonical text was a renamed clone printed into a `String`. Numbers,
+    // operators and names are formatted here, not by the IR's `Display`
+    // impls, so a change to those shows as a difference.
+
+    use optimist::ir::{Addr, BinOp, Cmp, FrameSlot, Imm, Inst, RegClass, UnOp};
+
+    fn class(c: RegClass) -> &'static str {
+        match c {
+            RegClass::Int => "int",
+            RegClass::Float => "float",
+        }
+    }
+
+    fn cmp(c: Cmp) -> &'static str {
+        match c {
+            Cmp::Eq => "eq",
+            Cmp::Ne => "ne",
+            Cmp::Lt => "lt",
+            Cmp::Le => "le",
+            Cmp::Gt => "gt",
+            Cmp::Ge => "ge",
+        }
+    }
+
+    fn unop(op: UnOp) -> &'static str {
+        match op {
+            UnOp::NegI => "neg.i",
+            UnOp::NegF => "neg.f",
+            UnOp::Not => "not",
+            UnOp::AbsI => "abs.i",
+            UnOp::AbsF => "abs.f",
+            UnOp::SqrtF => "sqrt.f",
+            UnOp::IntToFloat => "cvt.if",
+            UnOp::FloatToInt => "cvt.fi",
+        }
+    }
+
+    fn binop(op: BinOp) -> String {
+        match op {
+            BinOp::AddI => "add.i".into(),
+            BinOp::SubI => "sub.i".into(),
+            BinOp::MulI => "mul.i".into(),
+            BinOp::DivI => "div.i".into(),
+            BinOp::RemI => "rem.i".into(),
+            BinOp::And => "and".into(),
+            BinOp::Or => "or".into(),
+            BinOp::Xor => "xor".into(),
+            BinOp::Shl => "shl".into(),
+            BinOp::Shr => "shr".into(),
+            BinOp::MinI => "min.i".into(),
+            BinOp::MaxI => "max.i".into(),
+            BinOp::AddF => "add.f".into(),
+            BinOp::SubF => "sub.f".into(),
+            BinOp::MulF => "mul.f".into(),
+            BinOp::DivF => "div.f".into(),
+            BinOp::MinF => "min.f".into(),
+            BinOp::MaxF => "max.f".into(),
+            BinOp::CmpI(c) => format!("cmp.i.{}", cmp(c)),
+            BinOp::CmpF(c) => format!("cmp.f.{}", cmp(c)),
+        }
+    }
+
+    fn v(r: VReg) -> String {
+        format!("v{}", r.index())
+    }
+
+    fn addr(a: &Addr) -> String {
+        match *a {
+            Addr::Reg { base, offset } => format!("[v{}{offset:+}]", base.index()),
+            Addr::Frame { slot, offset } => format!("[s{}{offset:+}]", slot.index()),
+            Addr::Global { global, offset } => format!("[g{}{offset:+}]", global.index()),
+        }
+    }
+
+    fn inst(i: &Inst) -> String {
+        match i {
+            Inst::Copy { dst, src } => format!("{} = copy {}", v(*dst), v(*src)),
+            Inst::LoadImm { dst, imm } => match imm {
+                Imm::Int(x) => format!("{} = imm {x}", v(*dst)),
+                Imm::Float(x) => format!("{} = imm {x:?}", v(*dst)),
+            },
+            Inst::Un { op, dst, src } => format!("{} = {} {}", v(*dst), unop(*op), v(*src)),
+            Inst::Bin { op, dst, lhs, rhs } => {
+                format!("{} = {} {}, {}", v(*dst), binop(*op), v(*lhs), v(*rhs))
+            }
+            Inst::Load { dst, addr: a } => format!("{} = load {}", v(*dst), addr(a)),
+            Inst::Store { src, addr: a } => format!("store {}, {}", v(*src), addr(a)),
+            Inst::FrameAddr { dst, slot } => format!("{} = frameaddr s{}", v(*dst), slot.index()),
+            Inst::GlobalAddr { dst, global } => {
+                format!("{} = globaladdr g{}", v(*dst), global.index())
+            }
+            Inst::Call { dst, callee, args } => {
+                let args: Vec<String> = args.iter().map(|a| v(*a)).collect();
+                let call = format!("call {callee}({})", args.join(", "));
+                match dst {
+                    Some(d) => format!("{} = {call}", v(*d)),
+                    None => call,
+                }
+            }
+            Inst::Jump { target } => format!("jump b{}", target.index()),
+            Inst::Branch {
+                cond,
+                if_true,
+                if_false,
+            } => format!(
+                "branch {}, b{}, b{}",
+                v(*cond),
+                if_true.index(),
+                if_false.index()
+            ),
+            Inst::Ret { value: Some(x) } => format!("ret {}", v(*x)),
+            Inst::Ret { value: None } => "ret".into(),
+        }
+    }
+
+    /// `name` double-quoted, with `\` and `"` escaped.
+    fn quoted(name: &str) -> String {
+        let mut out = String::from("\"");
+        for c in name.chars() {
+            match c {
+                '\\' => out.push_str("\\\\"),
+                '"' => out.push_str("\\\""),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    /// `Function`'s lossless text, as its `Display` wrote it.
+    pub fn display(f: &Function) -> String {
+        let params: Vec<String> = f
+            .params()
+            .iter()
+            .map(|&p| format!("{}:{}", v(p), class(f.class_of(p))))
+            .collect();
+        let mut out = format!("func {}({})", f.name(), params.join(", "));
+        if let Some(rc) = f.ret_class() {
+            out += &format!(" -> {}", class(rc));
+        }
+        out += " {\n";
+        for s in 0..f.num_slots() {
+            let data = f.slot(FrameSlot::new(s as u32));
+            out += &format!("    slot s{s} = {} bytes", data.size);
+            if data.name != format!("s{s}") {
+                out += &format!(" {}", quoted(&data.name));
+            }
+            if data.is_spill {
+                out += " (spill)";
+            }
+            out += "\n";
+        }
+        let mut referenced = vec![false; f.num_vregs()];
+        for &p in f.params() {
+            referenced[p.index()] = true;
+        }
+        for (_, _, i) in f.insts() {
+            if let Some(d) = i.def() {
+                referenced[d.index()] = true;
+            }
+            for u in i.uses() {
+                referenced[u.index()] = true;
+            }
+        }
+        for (i, &is_referenced) in referenced.iter().enumerate() {
+            let data = f.vreg(VReg::new(i as u32));
+            let default = format!("v{i}");
+            if data.name == default
+                && data.spillable
+                && data.class == RegClass::Int
+                && is_referenced
+            {
+                continue;
+            }
+            out += &format!("    reg v{i}:{}", class(data.class));
+            if data.name != default {
+                out += &format!(" {}", quoted(&data.name));
+            }
+            if !data.spillable {
+                out += " nospill";
+            }
+            out += "\n";
+        }
+        for (bid, block) in f.blocks() {
+            out += &format!("b{}:\n", bid.index());
+            for i in &block.insts {
+                out += &format!("    {}\n", inst(i));
+            }
+        }
+        out + "}"
+    }
+
+    /// The canonical text as it was built: a clone with every register
+    /// renamed `v<N>` and every slot `s<N>`, printed.
+    pub fn canonical_text(func: &Function) -> String {
+        let mut f = func.clone();
+        let table: Vec<VRegData> = (0..f.num_vregs())
+            .map(|i| VRegData {
+                class: f.class_of(VReg::new(i as u32)),
+                name: format!("v{i}"),
+                spillable: f.vreg(VReg::new(i as u32)).spillable,
+            })
+            .collect();
+        f.set_vreg_table(table);
+        for i in 0..f.num_slots() {
+            f.rename_slot(FrameSlot::new(i as u32), format!("s{i}"));
+        }
+        display(&f)
+    }
+
+    // ---- select with a fresh k-entry scratch per node ------------------
+
+    use optimist::regalloc::Coloring;
+
+    /// `select` as it stood: every stack node allocates and zeroes a
+    /// `k`-entry table of its neighbours' colors.
+    pub fn select(graph: &InterferenceGraph, stack: &[u32], target: &Target) -> Coloring {
+        let n = graph.num_nodes();
+        let mut color: Vec<Option<u16>> = vec![None; n];
+        let mut inserted = vec![false; n];
+
+        for &v in stack.iter().rev() {
+            let k = target.regs(graph.class(v));
+            // Collect neighbor colors among already-inserted nodes.
+            let mut used = vec![false; k];
+            for &m in graph.neighbors(v) {
+                if inserted[m as usize] {
+                    if let Some(c) = color[m as usize] {
+                        if (c as usize) < k {
+                            used[c as usize] = true;
+                        }
+                    }
+                }
+            }
+            color[v as usize] = used.iter().position(|&u| !u).map(|c| c as u16);
+            inserted[v as usize] = true;
+        }
+
+        Coloring { color }
     }
 
     // The reaching-definitions unit tests, moved with the analysis.

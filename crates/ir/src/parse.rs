@@ -318,6 +318,20 @@ fn parse_function_lines(
     if !done {
         return err(ln0, format!("function `{name}` has no closing brace"));
     }
+    // The tables below are sized by the largest index. A printed function
+    // writes every index at least once, so none reaches the byte length of
+    // its text (header through closing brace); a larger one would size a
+    // table by a number that no text of this length can justify.
+    let close = lines[consumed - 1].1;
+    let len = close.as_ptr() as usize + close.len() - header.as_ptr() as usize;
+    for (max, prefix) in [(max_vreg, 'v'), (max_slot, 's'), (max_block, 'b')] {
+        if max >= len as i64 {
+            return err(
+                ln0,
+                format!("`{prefix}{max}` is out of range for a {len}-byte function"),
+            );
+        }
+    }
 
     // Materialize tables. Declared names move in; only registers without
     // one get a default name (parameters are named by the header).
@@ -1059,6 +1073,24 @@ mod tests {
                 "func f() {\nbx:\n    ret\n}\n".into(),
                 2,
                 "expected `b<N>`, found `bx`",
+            ),
+            (
+                "register index past the text",
+                body("    v4000000000 = imm 1\n    ret v4000000000\n"),
+                1,
+                "`v4000000000` is out of range for a 73-byte function",
+            ),
+            (
+                "slot index past the text",
+                body("    v1 = frameaddr s99\n    ret v1\n"),
+                1,
+                "`s99` is out of range for a 63-byte function",
+            ),
+            (
+                "block index past the text",
+                body("    jump b99\n").replace("b0:", "b35:"),
+                1,
+                "`b99` is out of range for a 43-byte function",
             ),
         ];
         for (what, text, line, message) in cases {

@@ -46,8 +46,8 @@ options:
                         through any single store-daemon death [default 2]
   --store-max-bytes N   compact the store log when it exceeds N bytes
                         [default 67108864; 0 = never]
-  --max-inflight N      concurrently-executing work units (requests or batch
-                        items) allowed per TCP connection [default 8]
+  --max-inflight N      batch items one connection runs at once; a connection
+                        answers its requests one at a time [default 8]
   --max-load N          daemon-wide work-unit cap; past it requests are shed
                         with {\"err\":\"overloaded\"} [default 1024; 0 = unbounded]
   --deadline-ms N       default compute budget per work unit; a request's own
@@ -315,7 +315,7 @@ fn main() -> ExitCode {
         }),
         (Some(ndjson), None) => server.run_listener(ndjson),
         (None, Some(http)) => optimist_serve::run_http(&server, http),
-        (None, None) => server.run_io(io::stdin().lock(), io::stdout().lock(), opts.oneshot),
+        (None, None) => server.serve_lines(io::stdin().lock(), io::stdout(), opts.oneshot),
     };
 
     // Flush the persistent tier before reporting: a drained daemon must

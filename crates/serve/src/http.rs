@@ -7,15 +7,18 @@
 //! * `POST /v1/alloc` — the body is NDJSON request lines (the exact
 //!   wire protocol); the response body is the matching NDJSON response
 //!   lines. One line or a whole batch — HTTP is purely a framing
-//!   adapter, so responses are byte-identical to the raw socket's.
+//!   adapter, so responses are the raw socket's: a batch's item records
+//!   come in completion order, then its `done` record.
 //! * `GET /v1/health` — the `{"req":"health"}` response.
 //! * `GET /v1/stats` — the `{"req":"stats"}` response.
 //!
-//! Everything routes through [`Server::handle_line`], so admission
-//! control, deadlines, caching, and metrics behave identically on both
-//! front-ends. Protocol-level failures stay in-band (`"ok":false` with
-//! HTTP 200); HTTP status codes are reserved for framing problems
-//! (malformed request line, missing length, oversized body).
+//! Every line goes through the one dispatcher, `Server::answer`, whose
+//! lines [`Server::handle_line`] collects per body, so admission control
+//! (per batch item), deadlines, caching, and metrics behave identically
+//! on every front-end. Protocol-level failures stay in-band
+//! (`"ok":false` with HTTP 200); HTTP status codes are reserved for
+//! framing problems (malformed request line, missing length, oversized
+//! body).
 //!
 //! The listener runs on the same shared accept/drain loop as the NDJSON
 //! one ([`optimist_store::daemon::Daemon`]): connections register in the
@@ -96,8 +99,8 @@ fn serve_connection(server: &Server, stream: TcpStream) -> io::Result<()> {
 
         let mut stop_after = head.close || server.draining();
         let outcome = match (head.method.as_str(), head.target.as_str()) {
-            ("GET", "/v1/health") => Route::Line(r#"{"req":"health"}"#.to_string()),
-            ("GET", "/v1/stats") => Route::Line(r#"{"req":"stats"}"#.to_string()),
+            ("GET", "/v1/health") => Route::Lines(r#"{"req":"health"}"#.to_string()),
+            ("GET", "/v1/stats") => Route::Lines(r#"{"req":"stats"}"#.to_string()),
             ("POST", "/v1/alloc") => match head.content_length {
                 None => Route::Error(411, "length required"),
                 Some(n) if n > MAX_BODY_BYTES => Route::Error(413, "body too large"),
@@ -105,7 +108,7 @@ fn serve_connection(server: &Server, stream: TcpStream) -> io::Result<()> {
                     let mut body = vec![0u8; n];
                     reader.read_exact(&mut body)?;
                     match String::from_utf8(body) {
-                        Ok(text) => Route::Body(text),
+                        Ok(text) => Route::Lines(text),
                         Err(_) => Route::Error(400, "body must be UTF-8 NDJSON"),
                     }
                 }
@@ -117,12 +120,7 @@ fn serve_connection(server: &Server, stream: TcpStream) -> io::Result<()> {
         };
 
         match outcome {
-            Route::Line(line) => {
-                let (resp, disposition) = server.handle_line(&line);
-                stop_after |= disposition == Disposition::Shutdown;
-                write_ok(&mut writer, &resp, stop_after)?;
-            }
-            Route::Body(text) => {
+            Route::Lines(text) => {
                 let mut lines = Vec::new();
                 for line in text.lines().filter(|l| !l.trim().is_empty()) {
                     let (resp, disposition) = server.handle_line(line);
@@ -150,10 +148,9 @@ fn serve_connection(server: &Server, stream: TcpStream) -> io::Result<()> {
 
 /// What a routed request needs next.
 enum Route {
-    /// Synthesize this protocol line (no body expected).
-    Line(String),
-    /// The request body, to be fed line by line.
-    Body(String),
+    /// Protocol lines to answer: the request body, or the one line a GET
+    /// route stands for.
+    Lines(String),
     /// An HTTP-level refusal.
     Error(u16, &'static str),
 }

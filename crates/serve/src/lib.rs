@@ -22,19 +22,21 @@
 //!
 //! Beyond one-request-one-response, the protocol has a **streaming batch
 //! mode** ([`protocol::BatchItem`]): one `batch` request carries many
-//! modules (or references to already-cached keys), and over TCP the item
-//! records stream back *as each finishes*, out of order, tagged with the
-//! client's ids, terminated by an aggregate `done` record. Inside one
-//! connection, work units execute concurrently under a bounded in-flight
-//! window ([`stream::run_stream`], `--max-inflight`), feeding a worker
+//! modules (or references to already-cached keys), and the item records
+//! stream back *as each finishes*, in completion order, tagged with the
+//! client's ids, terminated by an aggregate `done` record. Every
+//! front-end answers through one dispatcher, `Server::answer`: a
+//! connection runs one request at a time, and only a batch's items run
+//! concurrently, on at most `--max-inflight` workers that feed a worker
 //! pool shared across connections — see the [`stream`] module docs for
 //! the ordering and backpressure rules.
 //!
 //! Front-ends: the `optimist-serve` binary (TCP `--listen`, HTTP
-//! `--http`, stdio, and `--oneshot` modes) and the [`client::Client`]
-//! used by `optimist remote`. The crate's `tests/drills.rs` drives real
-//! listeners end to end: store chaos, a fleet losing a store peer, giant
-//! kernels under parallel coloring, and streamed batches.
+//! `--http`, stdio, and `--oneshot` modes, all over the same dispatcher)
+//! and the [`client::Client`] used by `optimist remote`. The crate's
+//! `tests/drills.rs` drives real listeners end to end: store chaos, a
+//! fleet losing a store peer, giant kernels under parallel coloring, and
+//! streamed batches.
 
 #![warn(missing_docs)]
 
@@ -63,5 +65,4 @@ pub use persist::CacheEntry;
 pub use protocol::{BatchItem, BatchPayload, FnResult, ProtocolError, Request};
 pub use ring::HashRing;
 pub use server::{Disposition, Server, DEFAULT_MAX_INFLIGHT};
-pub use stream::{run_stream, StreamOpts};
 pub use tier::{DEFAULT_PEER_TIMEOUT, DEFAULT_REPLICAS};

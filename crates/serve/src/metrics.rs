@@ -267,24 +267,23 @@ pub struct Metrics {
     pub batch_requests: Counter,
     /// Items carried by `batch` requests.
     pub batch_items: Counter,
-    /// Work units (plain `alloc` requests and batch items) admitted into a
-    /// connection's in-flight window.
+    /// Work units (plain `alloc` requests and batch items) admitted, on
+    /// every front-end.
     pub stream_units: Counter,
-    /// Unit responses emitted by streaming connections. Every admitted
-    /// unit emits exactly one, so after a connection drains this equals
-    /// [`Metrics::stream_units`].
+    /// Unit responses emitted. Every admitted unit emits exactly one, so
+    /// once its connection drains this equals [`Metrics::stream_units`].
     pub stream_responses: Counter,
     /// Worker-pool occupancy: how many requests are inside the allocator
     /// right now, with a high-water mark.
     pub workers_busy: Gauge,
-    /// Work units concurrently in flight across all streaming connections
-    /// (admitted but not yet responded), with a high-water mark. Returns
+    /// Work units concurrently in flight across all connections (admitted
+    /// but not yet responded), with a high-water mark. Returns
     /// to zero whenever every connection has drained — including after a
     /// mid-batch client disconnect.
     pub inflight: Gauge,
-    /// In-flight window occupancy sampled at each unit admission — how
-    /// full the window was when each unit entered (a count, not a
-    /// duration).
+    /// The [`Metrics::inflight`] gauge sampled at each unit admission —
+    /// how many units were in flight when each one entered (a count, not
+    /// a duration).
     pub inflight_depth: Histogram,
     /// Allocation worker-pool queue depth sampled at each submission to
     /// the pool — how many jobs were already waiting (a count, not a

@@ -45,12 +45,17 @@
 //! content address (`"key"`, see [`crate::cache::cache_key`] — a key item
 //! never computes; a miss is an error for that id). Items are answered by
 //! *individual* response lines tagged with the client-supplied `"id"` —
-//! over a streaming connection these arrive **as each item finishes, in
+//! on every front-end these arrive **as each item finishes, in
 //! completion order** — followed by one final record
-//! `{"done":true,"ok":…,"items":N,"errors":M,"elapsed_us":…}`. Item
-//! records carry no latency field: the same item always yields a
-//! byte-identical record given the same cache state, regardless of
-//! interleaving.
+//! `{"done":true,"ok":…,"items":N,"errors":M,"latency_us":…}`. Each item
+//! is admitted on its own, so an overloaded daemon sheds single items
+//! (counted in `errors`), not whole batches. Item records carry no
+//! latency field: the same item always yields a byte-identical record
+//! given the same cache state, regardless of interleaving.
+//!
+//! A connection answers one request at a time, in order: a request
+//! pipelined behind another waits for it, and the `done` record of a
+//! batch precedes the answer to the next request.
 
 use crate::json::Json;
 use optimist_machine::{Target, MAX_REGS_PER_CLASS};

@@ -1,7 +1,12 @@
-//! The request engine and the two front-ends (TCP listener, stdio).
+//! The request engine: one dispatcher behind every front-end.
 //!
 //! A [`Server`] owns the result cache tiers and the metrics registry;
-//! [`Server::handle_line`] turns one request line into one response line.
+//! `Server::answer` answers one request line, writing its response
+//! lines as they are ready — one line, or a batch's item records and its
+//! `done` record. NDJSON connections and stdio feed it line by line
+//! ([`Server::serve_lines`], in `stream.rs`, which also runs a batch's
+//! items); the HTTP front-end collects its lines per body through
+//! [`Server::handle_line`].
 //! The lookup path is **memory → store → compute**: a sharded in-memory
 //! LRU in front, an optional persistent store tier behind it — an
 //! embedded [`Store`] ([`Server::with_store`]) or `optimist-stored` peers
@@ -13,10 +18,9 @@
 //! mode — lives in `tier.rs`; this module keeps only the glue between it
 //! and the cache (`store_lookup`, `insert_both_tiers`).
 //!
-//! The front-ends are thin: `run_io` reads lines from a reader,
-//! `run_listener` accepts TCP connections on the shared
-//! [`Daemon`] loop and serves each on its own thread. Both stop
-//! when a `shutdown` request arrives.
+//! [`Server::run_listener`] accepts NDJSON connections on the shared
+//! [`Daemon`] loop and serves each on its own thread until a `shutdown`
+//! request arrives.
 //!
 //! ## Hardening
 //!
@@ -41,23 +45,22 @@ use crate::cache::{cache_key, text_key, ShardedLru};
 use crate::json::Json;
 use crate::metrics::Metrics;
 use crate::persist::{self, CacheEntry};
-use crate::protocol::{BatchItem, BatchPayload, FnResult, Request};
-use crate::stream::StreamOpts;
+use crate::protocol::{FnResult, Request};
+use crate::stream::write_line;
 use crate::tier::StoreTier;
 use optimist_ir::parse_module;
 use optimist_regalloc::{default_threads, AllocError, AllocatorConfig, Deadline, WorkerPool};
-use optimist_store::daemon::{read_line_capped, Daemon, MAX_LINE_BYTES};
+use optimist_store::daemon::Daemon;
 use optimist_store::Store;
-use std::io::{self, BufReader, Write};
+use std::io::{self, Write};
 use std::net::TcpListener;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Default bound on concurrently-executing work units per connection when
-/// the server is not configured otherwise (see
-/// [`Server::with_max_inflight`]).
+/// Default bound on the batch items one connection runs at once when the
+/// server is not configured otherwise (see [`Server::with_max_inflight`]).
 pub const DEFAULT_MAX_INFLIGHT: usize = 8;
 
 /// How a handled request affects the serving loop.
@@ -197,7 +200,7 @@ impl Server {
     /// Apply read/write timeouts to accepted TCP connections. A
     /// connection whose client stops sending (read) or stops consuming
     /// responses (write) past the timeout is reaped — counted in
-    /// [`Metrics::idle_reaps`] — instead of holding its thread and window
+    /// [`Metrics::idle_reaps`] — instead of holding its thread and workers
     /// forever. `None` (the default) leaves the socket blocking
     /// indefinitely.
     pub fn with_socket_timeouts(mut self, read: Option<Duration>, write: Option<Duration>) -> Self {
@@ -220,17 +223,17 @@ impl Server {
         self
     }
 
-    /// Bound the number of work units (plain `alloc` requests and batch
-    /// items) a single connection may have executing concurrently. The
-    /// window also bounds memory: a unit's slot is returned only once its
-    /// response bytes are written, so a client that stops reading stops
-    /// being served new compute once its window fills.
+    /// Bound the number of batch items one connection runs at once (a
+    /// connection runs one request at a time, so a plain `alloc` is always
+    /// alone). A worker takes its next item only once the last record it
+    /// computed is written, so a client that stops reading stops being
+    /// served new compute.
     pub fn with_max_inflight(mut self, max_inflight: usize) -> Self {
         self.max_inflight = max_inflight.max(1);
         self
     }
 
-    /// The per-connection in-flight window size.
+    /// The most batch items one connection runs at once.
     pub fn max_inflight(&self) -> usize {
         self.max_inflight
     }
@@ -262,8 +265,8 @@ impl Server {
         self.store.as_ref().is_some_and(StoreTier::degraded)
     }
 
-    /// Ask the serving loops to stop: `run_listener` finishes its drain,
-    /// `run_io` stops at its next line. This is the programmatic face of
+    /// Ask the serving loops to stop: the listeners stop accepting and
+    /// drain their connections. This is the programmatic face of
     /// the `shutdown` request — the binary's SIGTERM handler calls it.
     pub fn request_shutdown(&self) {
         self.daemon.request_shutdown();
@@ -365,93 +368,79 @@ impl Server {
         Json::obj([("ok", Json::from(true)), ("health", health)])
     }
 
-    /// Handle one request line, returning the response text (no trailing
-    /// newline) and whether the server should keep running. A `batch`
-    /// request returns multiple newline-separated response lines — the
-    /// item records **in submission order** (this is the serial mode; the
-    /// streaming front-end answers out of order) followed by the `done`
-    /// record.
-    pub fn handle_line(&self, line: &str) -> (String, Disposition) {
+    /// Answer one request line, writing each response line to `out` as
+    /// soon as it is ready: one line for most requests, and for a `batch`
+    /// the item records in completion order and then the `done` record.
+    /// A plain `alloc` is one admitted work unit run on the calling thread;
+    /// a batch fans its items out ([`Server::with_max_inflight`]).
+    ///
+    /// # Errors
+    ///
+    /// Only a failed write to `out`.
+    pub(crate) fn answer(
+        &self,
+        line: &str,
+        out: &mut (impl Write + Send),
+    ) -> io::Result<Disposition> {
         self.metrics.requests.inc();
+        let mut disposition = Disposition::Continue;
         let response = match Request::parse(line) {
             Err(e) => {
                 self.metrics.parse_errors.inc();
-                return (
-                    error_response(&e.to_string()).to_string(),
-                    Disposition::Continue,
-                );
+                error_response(&e.to_string())
             }
-            Ok(req) => req,
-        };
-        match response {
-            Request::Ping => (
-                Json::obj([("ok", Json::from(true)), ("pong", Json::from(true))]).to_string(),
-                Disposition::Continue,
-            ),
-            Request::Stats => {
+            Ok(Request::Ping) => Json::obj([("ok", Json::from(true)), ("pong", Json::from(true))]),
+            Ok(Request::Stats) => {
                 let mut obj = Json::obj([("ok", Json::from(true))]);
                 obj.push("stats", self.stats_json());
-                (obj.to_string(), Disposition::Continue)
+                obj
             }
-            Request::Health => (self.health_json().to_string(), Disposition::Continue),
-            Request::Shutdown => {
+            Ok(Request::Health) => self.health_json(),
+            Ok(Request::Shutdown) => {
                 self.request_shutdown();
-                (
-                    Json::obj([("ok", Json::from(true)), ("shutdown", Json::from(true))])
-                        .to_string(),
-                    Disposition::Shutdown,
-                )
+                disposition = Disposition::Shutdown;
+                Json::obj([("ok", Json::from(true)), ("shutdown", Json::from(true))])
             }
-            Request::Alloc {
+            Ok(Request::Alloc {
                 ir,
                 config,
                 deadline_ms,
-            } => {
-                if !self.try_admit_unit() {
-                    return (
-                        self.overloaded_response().to_string(),
-                        Disposition::Continue,
-                    );
-                }
-                let deadline = self.deadline_for(deadline_ms);
-                let resp = self.alloc_response(&ir, &config, true, &deadline);
-                self.release_unit();
-                (resp.to_string(), Disposition::Continue)
+            }) => {
+                // The deadline clock starts at admission.
+                let body =
+                    || self.alloc_response(&ir, &config, true, &self.deadline_for(deadline_ms));
+                self.unit(body, |response| write_line(out, &response))?;
+                return Ok(Disposition::Continue);
             }
-            Request::Batch {
+            Ok(Request::Batch {
                 items,
                 config,
                 deadline_ms,
-            } => {
-                let started = Instant::now();
+            }) => {
                 self.metrics.batch_requests.inc();
-                // Serial mode admits the whole batch as one unit: items
-                // run one at a time here, so the daemon-wide load the
-                // batch adds is one.
-                if !self.try_admit_unit() {
-                    return (
-                        self.overloaded_response().to_string(),
-                        Disposition::Continue,
-                    );
-                }
+                self.metrics.batch_items.add(items.len() as u64);
                 // One absolute deadline for the whole batch; every item
                 // races it.
                 let deadline = self.deadline_for(deadline_ms);
-                let mut lines = Vec::with_capacity(items.len() + 1);
-                let mut errors = 0usize;
-                for item in &items {
-                    self.metrics.batch_items.inc();
-                    let record = self.item_response(item, &config, &deadline);
-                    if record.get("ok").and_then(Json::as_bool) != Some(true) {
-                        errors += 1;
-                    }
-                    lines.push(record.to_string());
-                }
-                self.release_unit();
-                lines.push(done_record(items.len(), errors, started.elapsed()).to_string());
-                (lines.join("\n"), Disposition::Continue)
+                self.run_batch(&items, &config, &deadline, out)?;
+                return Ok(Disposition::Continue);
             }
-        }
+        };
+        write_line(out, &response)?;
+        Ok(disposition)
+    }
+
+    /// Answer one request line and collect the response: its lines joined
+    /// by newlines, with no trailing one. The HTTP front-end frames a body
+    /// this way, and tests read answers through it.
+    pub fn handle_line(&self, line: &str) -> (String, Disposition) {
+        let mut out = Vec::new();
+        let disposition = self
+            .answer(line, &mut out)
+            .expect("a Vec takes every write");
+        out.pop(); // the last line's newline
+        let text = String::from_utf8(out).expect("responses are JSON text");
+        (text, disposition)
     }
 
     /// The metrics registry plus cache geometry (and, when a persistent
@@ -627,7 +616,7 @@ impl Server {
         let funcs = module.functions();
         let mut entries: Vec<Option<(Arc<CacheEntry>, bool)>> = vec![None; funcs.len()];
         let mut keys = Vec::with_capacity(funcs.len());
-        let mut cold = Vec::new(); // (index into `entries`, key, function clone)
+        let mut cold = Vec::new(); // (index into `funcs` and `entries`, key)
         let mut errors = Vec::new();
         for (i, f) in funcs.iter().enumerate() {
             self.metrics.strategies.of(config.strategy).requests.inc();
@@ -656,13 +645,13 @@ impl Server {
                             // The caller will spend more passes than the
                             // recorded failure: invalidate and recompute.
                             self.metrics.cache_misses.inc();
-                            cold.push((i, key, f.clone()));
+                            cold.push((i, key));
                         }
                     }
                 },
                 None => {
                     self.metrics.cache_misses.inc();
-                    cold.push((i, key, f.clone()));
+                    cold.push((i, key));
                 }
             }
         }
@@ -677,13 +666,14 @@ impl Server {
                 .pool_queue_depth
                 .record_value(self.pool.pending() as u64);
             self.metrics.workers_busy.raise(1);
-            let inputs: Vec<_> = cold.iter().map(|(_, _, f)| f.clone()).collect();
+            let inputs: Vec<_> = cold.iter().map(|&(i, _)| funcs[i].clone()).collect();
             let results = self
                 .pool
                 .allocate_functions_with_deadline(config, &inputs, deadline);
             self.metrics.workers_busy.lower(1);
 
-            for ((i, key, f), result) in cold.into_iter().zip(results) {
+            for ((i, key), result) in cold.into_iter().zip(results) {
+                let f = &funcs[i];
                 match result {
                     Ok(alloc) => {
                         for pass in &alloc.passes {
@@ -796,29 +786,11 @@ impl Server {
         resp
     }
 
-    /// Answer one batch item: allocate its IR, or look up its cache key.
-    /// The record carries the client-supplied `id` so out-of-order stream
-    /// delivery stays attributable.
-    pub(crate) fn item_response(
-        &self,
-        item: &BatchItem,
-        config: &AllocatorConfig,
-        deadline: &Deadline,
-    ) -> Json {
-        let mut record = match &item.payload {
-            // Key items never compute, so they never race the deadline.
-            BatchPayload::Ir(ir) => self.alloc_response(ir, config, false, deadline),
-            BatchPayload::Key(key) => self.key_response(*key, config),
-        };
-        record.push("id", item.id.clone());
-        record
-    }
-
     /// Answer a by-key batch item from the cache tiers alone. A key only
     /// the compute path could satisfy is an error: the client referenced a
     /// result it never submitted (or one that was evicted), and silently
     /// recomputing is impossible without the IR.
-    fn key_response(&self, key: u64, config: &AllocatorConfig) -> Json {
+    pub(crate) fn key_response(&self, key: u64, config: &AllocatorConfig) -> Json {
         let fingerprint = config.fingerprint();
         self.metrics.strategies.of(config.strategy).requests.inc();
         let found = self
@@ -858,49 +830,6 @@ impl Server {
         }
     }
 
-    /// Serve newline-delimited requests from `input`, writing one response
-    /// line each to `output`. Stops at EOF, after a `shutdown` request, or
-    /// after the first request if `oneshot` is set. A line longer than
-    /// [`MAX_LINE_BYTES`] is answered `{"ok":false,"error":"line too
-    /// long"}` and ends the stream with that error.
-    pub fn run_io(
-        &self,
-        input: impl io::Read,
-        mut output: impl Write,
-        oneshot: bool,
-    ) -> io::Result<()> {
-        let mut reader = BufReader::new(input);
-        let mut buf = Vec::new();
-        loop {
-            match read_line_capped(&mut reader, &mut buf, MAX_LINE_BYTES) {
-                Ok(0) => break,
-                Ok(_) => {}
-                Err(e) => {
-                    if e.kind() == io::ErrorKind::InvalidData {
-                        let refusal = format!("{}\n", error_response("line too long"));
-                        output.write_all(refusal.as_bytes())?;
-                    }
-                    return Err(e);
-                }
-            }
-            let line = std::str::from_utf8(&buf)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-            if line.trim().is_empty() {
-                continue;
-            }
-            let (mut resp, disposition) = self.handle_line(line);
-            resp.push('\n');
-            // One write per response: a formatted write into a raw socket
-            // would emit a syscall per fragment and stall on Nagle.
-            output.write_all(resp.as_bytes())?;
-            output.flush()?;
-            if oneshot || disposition == Disposition::Shutdown {
-                break;
-            }
-        }
-        Ok(())
-    }
-
     /// Serve NDJSON connections on the bound `listener`, one thread per
     /// connection, until a `shutdown` request (or
     /// [`Server::request_shutdown`] — the SIGTERM path) arrives. The
@@ -914,34 +843,14 @@ impl Server {
     /// [`Server::with_drain_timeout`]. Stragglers past the deadline are
     /// force-closed.
     pub fn run_listener(&self, listener: TcpListener) -> io::Result<()> {
-        let opts = StreamOpts {
-            max_inflight: self.max_inflight,
-        };
         self.daemon.serve(listener, "ndjson", |stream| {
-            if let Ok(reader) = stream.try_clone() {
-                let _ = crate::stream::run_stream(self, reader, stream, opts);
-            }
+            let _ = self.serve_lines(&stream, &stream, false);
         })
     }
 }
 
 pub(crate) fn error_response(message: &str) -> Json {
     Json::obj([("ok", Json::from(false)), ("error", Json::from(message))])
-}
-
-/// The aggregate record that terminates a batch response: item count,
-/// error count, and wall time for the whole batch.
-pub(crate) fn done_record(items: usize, errors: usize, elapsed: Duration) -> Json {
-    Json::obj([
-        ("done", Json::from(true)),
-        ("ok", Json::from(errors == 0)),
-        ("items", Json::from(items as u64)),
-        ("errors", Json::from(errors as u64)),
-        (
-            "latency_us",
-            Json::from(elapsed.as_micros().min(u128::from(u64::MAX)) as u64),
-        ),
-    ])
 }
 
 #[cfg(test)]
@@ -1153,7 +1062,9 @@ mod tests {
         let server = Server::new(4, 1);
         let input = format!("{}\n{}\n", alloc_line(FUNC), alloc_line(FUNC));
         let mut out = Vec::new();
-        server.run_io(input.as_bytes(), &mut out, true).unwrap();
+        server
+            .serve_lines(input.as_bytes(), &mut out, true)
+            .unwrap();
         let text = String::from_utf8(out).unwrap();
         assert_eq!(text.lines().count(), 1, "oneshot must answer one line");
     }
@@ -1163,7 +1074,9 @@ mod tests {
         let server = Server::new(4, 1);
         let input = "{\"req\":\"shutdown\"}\n{\"req\":\"ping\"}\n";
         let mut out = Vec::new();
-        server.run_io(input.as_bytes(), &mut out, false).unwrap();
+        server
+            .serve_lines(input.as_bytes(), &mut out, false)
+            .unwrap();
         let text = String::from_utf8(out).unwrap();
         assert_eq!(text.lines().count(), 1);
         assert!(text.contains("\"shutdown\":true"));

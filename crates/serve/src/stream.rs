@@ -1,415 +1,191 @@
-//! The streaming connection front-end: intra-connection concurrency.
+//! Serving a stream of request lines: one request at a time, with a
+//! batch's items fanned out.
 //!
-//! [`run_stream`] serves one connection with three kinds of thread:
+//! Every front-end answers a line through `Server::answer`. NDJSON
+//! connections and stdio run [`Server::serve_lines`], which reads a line,
+//! answers it, and reads the next only after the answer is written, so
+//! requests pipelined on one connection run one after another and are
+//! answered in order. Clients wait for each reply anyway; the only work
+//! one connection overlaps is a batch's items.
 //!
-//! * the **reader** (the calling thread) parses request lines and *admits*
-//!   work units — plain `alloc` requests and individual batch items — into
-//!   a bounded in-flight window;
-//! * one short-lived **unit** thread per admitted unit runs the cache
-//!   lookup / allocation (the heavy lifting still happens on the server's
-//!   shared worker pool) and hands its response to the writer;
-//! * the **writer** owns the socket's write half, restores submission
-//!   order for plain responses via a sequence-numbered reorder buffer, and
-//!   emits id-tagged batch item records immediately, in completion order.
+//! A batch runs its items on at most
+//! [`max_inflight`](Server::with_max_inflight) scoped workers. Each worker
+//! takes the next item, admits it under the daemon-wide load cap, computes
+//! it under `catch_unwind`, writes its record, and only then takes another
+//! item. Hence:
 //!
-//! The window is the backpressure rule: a unit's slot is returned only
-//! after its response bytes are written (or the write has failed), so a
-//! client that stops reading stops being served new compute once
-//! `max_inflight` responses are queued, and buffered-response memory is
-//! bounded by the window. Because the reader admits units in request
-//! order, every response a buffered plain response waits on belongs to a
-//! unit that already holds a slot — the window can always drain, so the
-//! ordering rule cannot deadlock.
-//!
-//! On a write error (client gone mid-batch) the writer keeps draining the
-//! response channel without writing, still releasing window slots, so the
-//! [`inflight`](crate::metrics::Metrics::inflight) gauge returns to zero
-//! and no pool capacity leaks.
+//! * **backpressure** — a client that stops reading stops being served new
+//!   compute once every worker waits on the socket, so at most
+//!   `max_inflight` records are ever pending;
+//! * **ordering** — item records go out in completion order, tagged with
+//!   the client's ids, and the `done` record follows the last of them;
+//! * **isolation** — a panicking item answers an error record of its own
+//!   and the rest of the batch runs on;
+//! * **disconnects** — after a failed write no worker writes again or
+//!   takes another item, so the [`load`](crate::metrics::Metrics::load)
+//!   and [`inflight`](crate::metrics::Metrics::inflight) gauges return to
+//!   zero and no pool capacity leaks.
 
 use crate::json::Json;
 use crate::log_warn;
-use crate::protocol::Request;
-use crate::server::{done_record, error_response, Disposition, Server, DEFAULT_MAX_INFLIGHT};
+use crate::protocol::{BatchItem, BatchPayload};
+use crate::server::{error_response, Disposition, Server};
+use optimist_regalloc::{AllocatorConfig, Deadline};
 use optimist_store::daemon::{read_line_capped, MAX_LINE_BYTES};
-use std::collections::BTreeMap;
-use std::io::{self, BufReader, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::Instant;
+use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
-/// Knobs for one streaming connection.
-#[derive(Debug, Clone, Copy)]
-pub struct StreamOpts {
-    /// Bound on concurrently-executing work units for this connection.
-    /// Values below 1 are treated as 1 (a window must admit something).
-    pub max_inflight: usize,
-}
-
-impl Default for StreamOpts {
-    fn default() -> Self {
-        StreamOpts {
-            max_inflight: DEFAULT_MAX_INFLIGHT,
-        }
-    }
-}
-
-/// A counting semaphore over a mutex and condvar: the in-flight window.
-#[derive(Debug)]
-struct Window {
-    free: Mutex<usize>,
-    available: Condvar,
-}
-
-impl Window {
-    fn new(slots: usize) -> Window {
-        Window {
-            free: Mutex::new(slots.max(1)),
-            available: Condvar::new(),
-        }
-    }
-
-    /// Block until a slot is free, then take it.
-    fn acquire(&self) {
-        let mut free = self.free.lock().unwrap();
-        while *free == 0 {
-            free = self.available.wait(free).unwrap();
-        }
-        *free -= 1;
-    }
-
-    /// Return a slot taken by [`Window::acquire`].
-    fn release(&self) {
-        *self.free.lock().unwrap() += 1;
-        self.available.notify_one();
-    }
-}
-
-/// One line handed to the writer thread.
-enum Emit {
-    /// A plain response: held until every lower sequence number has been
-    /// written, so non-batch clients see strict submission order.
-    Ordered {
-        seq: u64,
-        line: String,
-        /// Whether writing this line returns an in-flight window slot.
-        permit: bool,
-    },
-    /// A batch item record: written immediately, in completion order. The
-    /// embedded `id` is the client's correlation handle.
-    Tagged {
-        line: String,
-        /// Whether writing this line returns an in-flight window slot
-        /// (false for records the admission gate refused — those never
-        /// took a slot).
-        permit: bool,
-    },
-}
-
-/// Progress of one in-flight `batch` request, shared by its item units.
-/// The last item to finish emits the `done` record into the batch's
-/// reserved sequence slot.
-struct BatchProgress {
-    remaining: AtomicUsize,
-    errors: AtomicUsize,
-    items: usize,
-    seq: u64,
-    started: Instant,
-}
-
-/// Serve one connection with out-of-order execution inside a bounded
-/// in-flight window. Plain requests are answered in submission order;
-/// batch item records stream back as they finish. Returns when the client
-/// disconnects or a `shutdown` request arrives (the stop flag is set by
-/// [`Server::handle_line`] as usual).
-pub fn run_stream(
-    server: &Server,
-    input: impl io::Read,
-    output: impl Write + Send,
-    opts: StreamOpts,
-) -> io::Result<()> {
-    let window = Window::new(opts.max_inflight);
-    let (tx, rx) = mpsc::channel::<Emit>();
-    let metrics = server.metrics();
-
-    std::thread::scope(|s| {
-        let writer = s.spawn(|| write_loop(server, rx, &window, output));
-
+impl Server {
+    /// Serve newline-delimited requests from `input`, writing each answer
+    /// to `output` before reading the next line. Stops at end of input,
+    /// after a `shutdown` request, or after the first request if `oneshot`
+    /// is set. NDJSON connections and stdio both run this loop.
+    ///
+    /// # Errors
+    ///
+    /// A line longer than [`MAX_LINE_BYTES`] is answered
+    /// `{"ok":false,"error":"line too long"}` and ends the stream with that
+    /// error, since the rest of the line is still unread. A read error, a
+    /// line that is not UTF-8 and a failed write end it too; a read timeout
+    /// (an idle client) is counted in
+    /// [`idle_reaps`](crate::metrics::Metrics::idle_reaps).
+    pub fn serve_lines(
+        &self,
+        input: impl Read,
+        mut output: impl Write + Send,
+        oneshot: bool,
+    ) -> io::Result<()> {
         let mut reader = BufReader::new(input);
         let mut buf = Vec::new();
-        let mut seq = 0u64;
         loop {
-            let line = match read_line_capped(&mut reader, &mut buf, MAX_LINE_BYTES) {
-                Ok(0) => break,
-                Ok(_) => match std::str::from_utf8(&buf) {
-                    Ok(line) => line,
-                    Err(_) => break, // not NDJSON; drain and leave
-                },
-                // The rest of the line is still unread, so the stream
-                // cannot resynchronize: answer and close.
-                Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                    let line = error_response("line too long").to_string();
-                    let _ = tx.send(Emit::Ordered {
-                        seq,
-                        line,
-                        permit: false,
-                    });
-                    break;
-                }
+            match read_line_capped(&mut reader, &mut buf, MAX_LINE_BYTES) {
+                Ok(0) => return Ok(()),
+                Ok(_) => {}
                 Err(e) => {
-                    // A read timeout means the client sat silent past the
-                    // socket's idle budget: reap the connection (in-flight
-                    // responses still drain through the writer below).
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    ) {
-                        metrics.idle_reaps.inc();
-                        log_warn!("connection idle past its read timeout; reaping");
+                    match e.kind() {
+                        io::ErrorKind::InvalidData => {
+                            write_line(&mut output, &error_response("line too long"))?;
+                        }
+                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => {
+                            self.metrics().idle_reaps.inc();
+                            log_warn!("connection idle past its read timeout; reaping");
+                        }
+                        _ => {}
                     }
-                    break; // client gone; drain and leave
+                    return Err(e);
                 }
-            };
+            }
+            let line = std::str::from_utf8(&buf)
+                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
             if line.trim().is_empty() {
                 continue;
             }
-            let my_seq = seq;
-            seq += 1;
-
-            // Peek at the request kind. Work-carrying requests are
-            // executed concurrently below; everything else — control
-            // requests and unparsable lines — goes through the ordinary
-            // serial path (which owns the request/parse-error counters).
-            let req = Request::parse(line);
-            match req {
-                Ok(Request::Alloc {
-                    ir,
-                    config,
-                    deadline_ms,
-                }) => {
-                    metrics.requests.inc();
-                    // Admission control runs in the reader — sequentially,
-                    // *before* the window — so an overloaded daemon sheds
-                    // instantly instead of blocking new requests behind a
-                    // full window.
-                    if !server.try_admit_unit() {
-                        let _ = tx.send(Emit::Ordered {
-                            seq: my_seq,
-                            line: server.overloaded_response().to_string(),
-                            permit: false,
-                        });
-                        continue;
-                    }
-                    // The deadline clock starts at admission: queue time
-                    // inside the daemon counts against the budget.
-                    let deadline = server.deadline_for(deadline_ms);
-                    admit(server, &window);
-                    let tx = tx.clone();
-                    s.spawn(move || {
-                        let resp =
-                            unit_guarded(|| server.alloc_response(&ir, &config, true, &deadline));
-                        server.release_unit();
-                        let _ = tx.send(Emit::Ordered {
-                            seq: my_seq,
-                            line: resp.to_string(),
-                            permit: true,
-                        });
-                    });
-                }
-                Ok(Request::Batch {
-                    items,
-                    config,
-                    deadline_ms,
-                }) => {
-                    metrics.requests.inc();
-                    metrics.batch_requests.inc();
-                    if items.is_empty() {
-                        let _ = tx.send(Emit::Ordered {
-                            seq: my_seq,
-                            line: done_record(0, 0, Instant::now().elapsed()).to_string(),
-                            permit: false,
-                        });
-                        continue;
-                    }
-                    let progress = Arc::new(BatchProgress {
-                        remaining: AtomicUsize::new(items.len()),
-                        errors: AtomicUsize::new(0),
-                        items: items.len(),
-                        seq: my_seq,
-                        started: Instant::now(),
-                    });
-                    let config = Arc::new(config);
-                    // One absolute deadline for the whole batch, started
-                    // at admission; every item races it.
-                    let deadline = server.deadline_for(deadline_ms);
-                    for item in items {
-                        metrics.batch_items.inc();
-                        if !server.try_admit_unit() {
-                            // Shed this item (it never takes a slot) but
-                            // keep the batch's accounting exact: the done
-                            // record still arrives after the last item.
-                            let mut record = server.overloaded_response();
-                            record.push("id", item.id.clone());
-                            progress.errors.fetch_add(1, Ordering::Relaxed);
-                            let _ = tx.send(Emit::Tagged {
-                                line: record.to_string(),
-                                permit: false,
-                            });
-                            finish_batch_item(&progress, &tx);
-                            continue;
-                        }
-                        admit(server, &window);
-                        let tx = tx.clone();
-                        let progress = Arc::clone(&progress);
-                        let config = Arc::clone(&config);
-                        let deadline = deadline.clone();
-                        s.spawn(move || {
-                            let record =
-                                unit_guarded(|| server.item_response(&item, &config, &deadline));
-                            server.release_unit();
-                            if record.get("ok").and_then(Json::as_bool) != Some(true) {
-                                progress.errors.fetch_add(1, Ordering::Relaxed);
-                            }
-                            let _ = tx.send(Emit::Tagged {
-                                line: record.to_string(),
-                                permit: true,
-                            });
-                            finish_batch_item(&progress, &tx);
-                        });
-                    }
-                }
-                _ => {
-                    // ping / stats / shutdown / parse error: cheap and
-                    // synchronous, so answer inline and emit in order.
-                    let (resp, disposition) = server.handle_line(line);
-                    let _ = tx.send(Emit::Ordered {
-                        seq: my_seq,
-                        line: resp,
-                        permit: false,
-                    });
-                    if disposition == Disposition::Shutdown {
-                        break;
-                    }
-                }
+            if self.answer(line, &mut output)? == Disposition::Shutdown || oneshot {
+                return Ok(());
             }
         }
+    }
 
-        // Close the reader's sender: once every unit thread in this scope
-        // finishes and drops its clone, the writer sees the channel close
-        // and exits. The scope then joins everything.
-        drop(tx);
-        writer.join().unwrap_or(Ok(()))
-    })
-}
-
-/// Count one finished (or shed) batch item; the last one emits the `done`
-/// record into the batch's reserved sequence slot.
-fn finish_batch_item(progress: &BatchProgress, tx: &mpsc::Sender<Emit>) {
-    if progress.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-        let done = done_record(
-            progress.items,
-            progress.errors.load(Ordering::Relaxed),
-            progress.started.elapsed(),
-        );
-        let _ = tx.send(Emit::Ordered {
-            seq: progress.seq,
-            line: done.to_string(),
-            permit: false,
+    /// Answer a batch's items on at most `max_inflight` workers, writing
+    /// each record to `out` as it finishes, then the `done` record. Every
+    /// item races the one `deadline`.
+    pub(crate) fn run_batch<W: Write + Send>(
+        &self,
+        items: &[BatchItem],
+        config: &AllocatorConfig,
+        deadline: &Deadline,
+        out: &mut W,
+    ) -> io::Result<()> {
+        let started = Instant::now();
+        let next = AtomicUsize::new(0);
+        let errors = AtomicUsize::new(0);
+        // The writer, or the error that broke it.
+        let sink: Mutex<io::Result<&mut W>> = Mutex::new(Ok(out));
+        let work = || {
+            while let Some(item) = items.get(next.fetch_add(1, Ordering::Relaxed)) {
+                let body = || match &item.payload {
+                    // Key items never compute, so they never race the deadline.
+                    BatchPayload::Ir(ir) => self.alloc_response(ir, config, false, deadline),
+                    BatchPayload::Key(key) => self.key_response(*key, config),
+                };
+                let written = self.unit(body, |mut record| {
+                    record.push("id", item.id.clone());
+                    if record.get("ok").and_then(Json::as_bool) != Some(true) {
+                        errors.fetch_add(1, Ordering::Relaxed);
+                    }
+                    let mut sink = sink.lock().expect("no worker panics while writing");
+                    let Ok(out) = &mut *sink else {
+                        return false;
+                    };
+                    if let Err(e) = write_line(out, &record) {
+                        *sink = Err(e);
+                        return false;
+                    }
+                    true
+                });
+                if !written {
+                    break;
+                }
+            }
+        };
+        std::thread::scope(|s| {
+            for _ in 1..self.max_inflight().min(items.len()) {
+                s.spawn(work);
+            }
+            work();
         });
+        let out = sink.into_inner().expect("no worker panics while writing")?;
+        let done = done_record(items.len(), errors.into_inner(), started.elapsed());
+        write_line(out, &done)
+    }
+
+    /// Run one work unit: admit it under the daemon-wide load cap, compute
+    /// `body` with panic isolation, and hand the response to `emit`. A
+    /// refused unit emits the shed response. An admitted one counts in the
+    /// `inflight` gauge until `emit` returns.
+    pub(crate) fn unit<R>(&self, body: impl FnOnce() -> Json, emit: impl FnOnce(Json) -> R) -> R {
+        if !self.try_admit_unit() {
+            return emit(self.overloaded_response());
+        }
+        let metrics = self.metrics();
+        metrics.stream_units.inc();
+        metrics.inflight.raise(1);
+        metrics.inflight_depth.record_value(metrics.inflight.get());
+        let response = catch_unwind(AssertUnwindSafe(body))
+            .unwrap_or_else(|_| error_response("internal error: work unit panicked"));
+        self.release_unit();
+        let emitted = emit(response);
+        metrics.stream_responses.inc();
+        metrics.inflight.lower(1);
+        emitted
     }
 }
 
-/// Take a window slot for one work unit and record the admission metrics.
-fn admit(server: &Server, window: &Window) {
-    window.acquire();
-    let metrics = server.metrics();
-    metrics.stream_units.inc();
-    metrics.inflight.raise(1);
-    metrics.inflight_depth.record_value(metrics.inflight.get());
+/// The aggregate record that terminates a batch response: item count,
+/// error count, and wall time for the whole batch.
+fn done_record(items: usize, errors: usize, elapsed: Duration) -> Json {
+    Json::obj([
+        ("done", Json::from(true)),
+        ("ok", Json::from(errors == 0)),
+        ("items", Json::from(items as u64)),
+        ("errors", Json::from(errors as u64)),
+        (
+            "latency_us",
+            Json::from(elapsed.as_micros().min(u128::from(u64::MAX)) as u64),
+        ),
+    ])
 }
 
-/// Run one unit's body with panic isolation: a poisoned module fails its
-/// own request/item, never the connection.
-fn unit_guarded(body: impl FnOnce() -> Json) -> Json {
-    catch_unwind(AssertUnwindSafe(body)).unwrap_or_else(|_| {
-        Json::obj([
-            ("ok", Json::from(false)),
-            ("error", Json::from("internal error: work unit panicked")),
-        ])
-    })
-}
-
-/// The writer thread: restore submission order for plain responses, pass
-/// batch item records straight through, and return window slots once the
-/// bytes are out (or the socket is dead — then keep draining so slots and
-/// the in-flight gauge still come back).
-fn write_loop(
-    server: &Server,
-    rx: mpsc::Receiver<Emit>,
-    window: &Window,
-    mut output: impl Write,
-) -> io::Result<()> {
-    let metrics = server.metrics();
-    let mut next_seq = 0u64;
-    let mut held: BTreeMap<u64, (String, bool)> = BTreeMap::new();
-    let mut broken = false;
-
-    // Write one line; after the first failure, discard instead (the
-    // per-emit bookkeeping below still runs).
-    let put = |line: &str, output: &mut dyn Write, broken: &mut bool| {
-        if *broken {
-            return;
-        }
-        let mut bytes = Vec::with_capacity(line.len() + 1);
-        bytes.extend_from_slice(line.as_bytes());
-        bytes.push(b'\n');
-        if output
-            .write_all(&bytes)
-            .and_then(|()| output.flush())
-            .is_err()
-        {
-            *broken = true;
-        }
-    };
-
-    let settle = |permit: bool| {
-        if permit {
-            metrics.stream_responses.inc();
-            metrics.inflight.lower(1);
-            window.release();
-        }
-    };
-
-    for emit in rx {
-        match emit {
-            Emit::Tagged { line, permit } => {
-                put(&line, &mut output, &mut broken);
-                settle(permit);
-            }
-            Emit::Ordered { seq, line, permit } => {
-                held.insert(seq, (line, permit));
-                while let Some((line, permit)) = held.remove(&next_seq) {
-                    put(&line, &mut output, &mut broken);
-                    settle(permit);
-                    next_seq += 1;
-                }
-            }
-        }
-    }
-    // Responses still out of order at channel close can only mean the
-    // reader stopped early (disconnect mid-stream); release their slots.
-    for (_, (_, permit)) in held {
-        settle(permit);
-    }
-    if broken {
-        Err(io::Error::new(
-            io::ErrorKind::BrokenPipe,
-            "client disconnected",
-        ))
-    } else {
-        Ok(())
-    }
+/// Write one response line and flush it. One `write_all` per line: a
+/// formatted write into a raw socket would emit a syscall per fragment.
+pub(crate) fn write_line(out: &mut impl Write, response: &Json) -> io::Result<()> {
+    let mut line = response.to_string();
+    line.push('\n');
+    out.write_all(line.as_bytes())?;
+    out.flush()
 }
 
 #[cfg(test)]
@@ -437,9 +213,11 @@ mod tests {
         req.to_string()
     }
 
-    fn run(server: &Server, input: &str, opts: StreamOpts) -> Vec<Json> {
+    fn run(server: &Server, input: &str) -> Vec<Json> {
         let mut out = Vec::new();
-        run_stream(server, input.as_bytes(), &mut out, opts).unwrap();
+        server
+            .serve_lines(input.as_bytes(), &mut out, false)
+            .unwrap();
         String::from_utf8(out)
             .unwrap()
             .lines()
@@ -449,14 +227,14 @@ mod tests {
 
     #[test]
     fn plain_requests_answer_in_submission_order() {
-        let server = Server::new(16, 1);
+        let server = Server::new(16, 1).with_max_inflight(4);
         let input = format!(
             "{}\n{}\n{}\n",
             alloc_line(FUNC),
             "{\"req\":\"ping\"}",
             alloc_line(FUNC)
         );
-        let records = run(&server, &input, StreamOpts { max_inflight: 4 });
+        let records = run(&server, &input);
         assert_eq!(records.len(), 3);
         assert!(records[0].get("functions").is_some(), "alloc answers first");
         assert_eq!(records[1].get("pong").and_then(Json::as_bool), Some(true));
@@ -465,10 +243,10 @@ mod tests {
 
     #[test]
     fn batch_streams_item_records_then_done() {
-        let server = Server::new(16, 1);
+        let server = Server::new(16, 1).with_max_inflight(4);
         let renamed = FUNC.replace("double", "other");
         let input = format!("{}\n", batch_line(&[("a", FUNC), ("b", &renamed)]));
-        let records = run(&server, &input, StreamOpts { max_inflight: 4 });
+        let records = run(&server, &input);
         assert_eq!(records.len(), 3);
         let done = records.last().unwrap();
         assert_eq!(done.get("done").and_then(Json::as_bool), Some(true));
@@ -489,18 +267,14 @@ mod tests {
     #[test]
     fn empty_batch_is_just_a_done_record() {
         let server = Server::new(4, 1);
-        let records = run(
-            &server,
-            "{\"req\":\"batch\",\"items\":[]}\n",
-            StreamOpts::default(),
-        );
+        let records = run(&server, "{\"req\":\"batch\",\"items\":[]}\n");
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].get("items").and_then(Json::as_u64), Some(0));
     }
 
     #[test]
     fn window_of_one_still_completes_a_wide_batch() {
-        let server = Server::new(64, 1);
+        let server = Server::new(64, 1).with_max_inflight(1);
         let items: Vec<(String, String)> = (0..6)
             .map(|i| (format!("i{i}"), FUNC.replace("double", &format!("f{i}"))))
             .collect();
@@ -509,7 +283,7 @@ mod tests {
             .map(|(id, ir)| (id.as_str(), ir.as_str()))
             .collect();
         let input = format!("{}\n", batch_line(&refs));
-        let records = run(&server, &input, StreamOpts { max_inflight: 1 });
+        let records = run(&server, &input);
         assert_eq!(records.len(), 7);
         assert_eq!(
             records[6].get("items").and_then(Json::as_u64),
@@ -532,7 +306,7 @@ mod tests {
             alloc_line(FUNC),
             alloc_line(FUNC)
         );
-        let records = run(&server, &input, StreamOpts::default());
+        let records = run(&server, &input);
         assert_eq!(records.len(), 2, "nothing after shutdown is served");
         assert_eq!(
             records[1].get("shutdown").and_then(Json::as_bool),

@@ -1,6 +1,6 @@
 //! Fault injection: a client that disconnects mid-batch must not leak
-//! in-flight window slots or pool capacity — the `inflight` gauge returns
-//! to zero and the daemon keeps serving other clients.
+//! in-flight units or pool capacity — the `inflight` gauge returns to
+//! zero and the daemon keeps serving other clients.
 
 mod serve_test_util;
 
@@ -62,8 +62,8 @@ fn mid_batch_disconnect_releases_every_inflight_slot() {
         sock.read_exact(&mut first).expect("first response byte");
     } // drop: RST/FIN mid-stream
 
-    // The connection's reader sees EOF, the writer drains what the units
-    // still produce, and every window slot comes back.
+    // A write to the dead socket fails, the batch's workers stop taking
+    // items, and every in-flight unit comes back.
     let metrics = daemon.server().metrics();
     let deadline = Instant::now() + Duration::from_secs(30);
     while metrics.inflight.get() != 0

@@ -12,7 +12,7 @@ mod serve_test_util;
 use optimist_serve::{Client, Json, RetryPolicy, Server};
 use optimist_store::failpoint::FailKind;
 use optimist_store::{Store, StoreOptions};
-use serve_test_util::{corpus_modules, scratch, Process, TestDaemon};
+use serve_test_util::{corpus_modules, http_post_alloc, scratch, Process, TestDaemon};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::mpsc;
@@ -77,51 +77,67 @@ fn deadline_zero_fails_cold_unit_without_wedging_the_worker() {
 }
 
 #[test]
-fn max_load_one_sheds_pipelined_requests_with_retry_hint() {
-    let mods = corpus_modules();
-    let n = mods.len().min(8);
-    assert!(n >= 2, "corpus suspiciously small");
-    let server = Server::new(256, 4).with_max_load(1);
-    let daemon = TestDaemon::spawn(server);
+fn max_load_one_sheds_batch_items_with_retry_hint() {
+    let items: Vec<(Json, Json)> = corpus_modules()
+        .into_iter()
+        .take(8)
+        .map(|(name, ir)| {
+            let id = Json::from(name.as_str());
+            (id, Json::obj([("ir", Json::from(ir.as_str()))]))
+        })
+        .collect();
+    assert!(items.len() >= 2, "corpus suspiciously small");
+    let mut line = Json::obj([("req", Json::from("batch"))]);
+    let payloads = items.iter().map(|(id, payload)| {
+        let mut item = payload.clone();
+        item.set("id", id.clone());
+        item
+    });
+    line.push("items", Json::Arr(payloads.collect()));
 
-    // Pipeline n cold allocs in one write without reading: the reader
-    // admits the first and must shed follow-ups that arrive while it runs
-    // (admission happens at read time, before any cache or window logic).
-    let mut sock = TcpStream::connect(daemon.addr()).expect("connect");
-    let mut payload = String::new();
-    for (_, ir) in mods.iter().take(n) {
-        payload.push_str(&alloc_line(ir));
-        payload.push('\n');
-    }
-    sock.write_all(payload.as_bytes()).expect("pipeline burst");
-
-    let mut ok = 0usize;
-    let mut shed = 0usize;
-    let mut reader = BufReader::new(sock);
-    for _ in 0..n {
-        let mut line = String::new();
-        assert!(reader.read_line(&mut line).expect("response") > 0);
-        let resp = parse(&line);
-        if resp.get("err").and_then(Json::as_str) == Some("overloaded") {
-            let hint = resp
-                .get("retry_after_ms")
-                .and_then(Json::as_u64)
-                .expect("shed response carries a retry hint");
-            assert!((10..=2_000).contains(&hint), "hint out of range: {resp}");
-            shed += 1;
+    // One batch of cold modules, over NDJSON and then as a POST body, each
+    // to a fresh daemon: the batch's workers take items at once, and each
+    // admits its item as it takes it, so while one item computes the
+    // others must be shed (admission happens before any cache logic).
+    for front in ["ndjson", "http"] {
+        let daemon = TestDaemon::spawn(Server::new(256, 4).with_max_load(1));
+        let mut records = Vec::new();
+        let done = if front == "http" {
+            let (status, body) = http_post_alloc(daemon.http_addr(), &line.to_string());
+            assert_eq!(status, 200, "{body}");
+            records = body.lines().map(parse).collect();
+            records.pop().expect("a done record")
         } else {
-            assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(true));
-            ok += 1;
+            let mut client = daemon.client();
+            let done = client.batch(&items, Json::Null, |r| records.push(r.clone()));
+            done.expect("batch answers")
+        };
+        let mut ok = 0usize;
+        let mut shed = 0usize;
+        for record in &records {
+            if record.get("err").and_then(Json::as_str) == Some("overloaded") {
+                let hint = record
+                    .get("retry_after_ms")
+                    .and_then(Json::as_u64)
+                    .expect("shed record carries a retry hint");
+                assert!((10..=2_000).contains(&hint), "hint out of range: {record}");
+                shed += 1;
+            } else {
+                assert_eq!(record.get("ok").and_then(Json::as_bool), Some(true));
+                ok += 1;
+            }
         }
+        assert_eq!(ok + shed, items.len(), "{front}: every item answered");
+        assert_eq!(done.get("errors").and_then(Json::as_u64), Some(shed as u64));
+        assert!(ok >= 1, "{front}: at least one item is admitted");
+        assert!(
+            shed >= 1,
+            "{front}: a max_load=1 daemon must shed concurrent batch items"
+        );
+        assert_eq!(daemon.server().metrics().shed.get(), shed as u64);
+        assert_eq!(daemon.server().metrics().load.get(), 0, "load drained");
+        daemon.shutdown_with_stats();
     }
-    assert!(ok >= 1, "at least the first request is admitted");
-    assert!(
-        shed >= 1,
-        "a max_load=1 daemon must shed pipelined follow-ups"
-    );
-    assert_eq!(daemon.server().metrics().shed.get(), shed as u64);
-    assert_eq!(daemon.server().metrics().load.get(), 0, "load drained");
-    daemon.shutdown_with_stats();
 }
 
 #[test]
@@ -130,9 +146,9 @@ fn client_retry_converges_while_the_daemon_sheds() {
     let server = Server::new(1024, 4).with_max_load(1);
     let daemon = TestDaemon::spawn(server);
 
-    // Saturate: pipeline the whole corpus cold on a raw connection. With
-    // max_load=1 the daemon computes at most one unit at a time and sheds
-    // the rest of the burst on arrival.
+    // Saturate: pipeline the whole corpus cold on a raw connection. Its
+    // connection runs the burst one request after another, so with
+    // max_load=1 the daemon's one unit is taken almost all the time.
     let mut sock = TcpStream::connect(daemon.addr()).expect("connect");
     let mut payload = String::new();
     for (_, ir) in &mods {

@@ -8,10 +8,11 @@
 //!   the request after the preamble) and leave the connection usable; a
 //!   decoder that recursed per byte would instead overflow a connection
 //!   thread's stack and abort the whole process. Likewise a register count
-//!   of 10¹², which an allocator that sized a per-node table by it would
-//!   turn into an allocation failure that aborts the daemon; that one runs
-//!   against a spawned `optimist-serve`, so an abort fails the test rather
-//!   than killing the test binary.
+//!   of 10¹² and a register index of 4·10⁹, which an allocator that sized
+//!   a per-node table by the count, or a parser that sized its register
+//!   table by the index, would turn into an allocation failure that aborts
+//!   the daemon; those run against a spawned `optimist-serve`, so an abort
+//!   fails the test rather than killing the test binary.
 //! * **Unbounded lines** — an NDJSON line one byte past
 //!   `MAX_LINE_BYTES` (serving and store daemons) and an HTTP request
 //!   line one byte past the 16 KiB head cap, neither ever terminated.
@@ -44,7 +45,7 @@ use serve_test_util::{corpus_modules, scratch, Process, StoreDaemon, TestDaemon}
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::OnceLock;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const FUNC: &str = "func double(v0:int) -> int {\nb0:\n    v1 = add.i v0, v0\n    ret v1\n}\n";
 
@@ -156,18 +157,21 @@ fn a_deeply_nested_store_field_is_refused_and_the_connection_survives() {
 }
 
 #[test]
-fn a_register_count_no_index_can_name_is_refused_and_the_daemon_survives() {
+fn a_table_sized_by_a_hostile_number_is_refused_and_the_daemon_survives() {
     use std::process::{Command, Stdio};
     use std::sync::mpsc;
 
+    // Each request names a number that, unchecked, sizes a table: a
+    // register count that select's per-node table would take, and a
+    // register index that the parser's register table would take (4·10⁹
+    // entries). The 2 GiB address-space cap turns a regression into a
+    // failed allocation in the daemon instead of an exhausted host.
     let mut daemon = Process(
-        Command::new(env!("CARGO_BIN_EXE_optimist-serve"))
+        Command::new("sh")
             .args([
-                "--listen",
-                "127.0.0.1:0",
-                "--http",
-                "127.0.0.1:0",
-                "--quiet",
+                "-c",
+                r#"ulimit -v 2097152 && exec "$0" --listen 127.0.0.1:0 --http 127.0.0.1:0 --pool-threads 1 --quiet"#,
+                env!("CARGO_BIN_EXE_optimist-serve"),
             ])
             .stdin(Stdio::null())
             .stderr(Stdio::piped())
@@ -196,22 +200,37 @@ fn a_register_count_no_index_can_name_is_refused_and_the_daemon_survives() {
         }
     }
     let ir = Json::from(FUNC);
-    let huge = format!(r#"{{"req":"alloc","ir":{ir},"config":{{"int_regs":1000000000000}}}}"#);
+    let huge_index = Json::from(
+        "func f(v0:int) -> int {\nb0:\n    v4000000000 = imm 1\n    ret v4000000000\n}\n",
+    );
+    let hostile = [
+        (
+            format!(r#"{{"req":"alloc","ir":{ir},"config":{{"int_regs":1000000000000}}}}"#),
+            "int_regs must be an integer from 1 to 65536",
+        ),
+        (
+            format!(r#"{{"req":"alloc","ir":{huge_index}}}"#),
+            "`v4000000000` is out of range for a 73-byte function",
+        ),
+    ];
     let normal = format!(r#"{{"req":"alloc","ir":{ir}}}"#);
-    let refused = |answer: &str| {
+    let refused = |answer: &str, message: &str, took: Duration| {
         assert!(answer.starts_with(r#"{"ok":false"#), "{answer}");
-        assert!(
-            answer.contains("int_regs must be an integer from 1 to 65536"),
-            "{answer}"
-        );
+        assert!(answer.contains(message), "{answer}");
+        assert!(took < Duration::from_secs(1), "refused after {took:?}");
     };
 
     let mut conn = BufReader::new(timed_connect(ndjson.unwrap(), 30));
-    refused(&exchange(&mut conn, &huge));
     let mut web = BufReader::new(timed_connect(http.unwrap(), 30));
-    let (status, body) = http_exchange(&mut web, &post_alloc(&huge));
-    assert_eq!(status, 200, "protocol errors stay in-band");
-    refused(&body);
+    for (line, message) in &hostile {
+        let started = Instant::now();
+        let answer = exchange(&mut conn, line);
+        refused(&answer, message, started.elapsed());
+        let started = Instant::now();
+        let (status, body) = http_exchange(&mut web, &post_alloc(line));
+        refused(&body, message, started.elapsed());
+        assert_eq!(status, 200, "protocol errors stay in-band");
+    }
     let answer = exchange(&mut conn, &normal);
     assert!(answer.starts_with(r#"{"ok":true"#), "{answer}");
     let (status, body) = http_exchange(&mut web, &post_alloc(&normal));

@@ -9,8 +9,8 @@
 use optimist_serve::{run_http, Client, Json, Server};
 use optimist_store::net::StoreServer;
 use optimist_store::{Store, StoreOptions};
-use std::io;
-use std::net::{SocketAddr, TcpListener};
+use std::io::{self, Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, ExitStatus};
 use std::sync::Arc;
@@ -39,6 +39,23 @@ pub fn corpus_requests() -> Vec<String> {
             req.to_string()
         })
         .collect()
+}
+
+/// POST `body` (NDJSON request lines) to `/v1/alloc` at `addr` on a
+/// fresh connection; returns the status code and the response body.
+pub fn http_post_alloc(addr: SocketAddr, body: &str) -> (u16, String) {
+    let mut conn = TcpStream::connect(addr).expect("http connects");
+    let head = format!(
+        "POST /v1/alloc HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+        body.len()
+    );
+    conn.write_all(head.as_bytes()).expect("http head");
+    conn.write_all(body.as_bytes()).expect("http body");
+    let mut response = String::new();
+    conn.read_to_string(&mut response).expect("http response");
+    let (head, body) = response.split_once("\r\n\r\n").expect("a response head");
+    let status = head.split(' ').nth(1).and_then(|s| s.parse().ok());
+    (status.expect("a status code"), body.to_string())
 }
 
 /// A per-process scratch directory (removed first if it exists). The

@@ -1,17 +1,21 @@
 //! Stream-mode stress: several concurrent connections each pushing
-//! batched requests through a small in-flight window, with randomized
-//! response-consumption delays on the client side. The assertions are the
-//! tentpole guarantees: no deadlock under a full window, responses
-//! byte-identical to the serial path regardless of completion order, and
-//! a consistent metrics story (every admitted unit answered).
+//! batched requests through a small fan-out (`with_max_inflight`), with
+//! randomized response-consumption delays on the client side. The
+//! assertions: no deadlock while the workers wait on slow readers, records
+//! byte-identical to `handle_line`'s regardless of completion order, and
+//! a consistent metrics story (every admitted unit answered). Also: one
+//! connection answers pipelined plain requests in order, and a warm batch
+//! answers the same bytes per id over NDJSON, HTTP and the stdio loop.
 
 mod serve_test_util;
 
 use optimist_serve::{Json, Server};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serve_test_util::{corpus_modules, TestDaemon};
+use serve_test_util::{corpus_modules, http_post_alloc, TestDaemon};
 use std::collections::HashMap;
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::time::Duration;
 
 /// The corpus as batch items `(id, payload)`, ids stable across runs.
@@ -38,6 +42,25 @@ fn batch_request(items: &[(Json, Json)]) -> String {
     req.to_string()
 }
 
+/// A batch answer's item records by id, and its closing `done` record.
+fn split_batch(text: &str) -> (HashMap<String, String>, Json) {
+    let mut records: Vec<Json> = text
+        .lines()
+        .map(|l| optimist_serve::json::parse(l).unwrap())
+        .collect();
+    let done = records.pop().expect("a done record");
+    assert_eq!(
+        done.get("done").and_then(Json::as_bool),
+        Some(true),
+        "{done}"
+    );
+    let by_id = records.into_iter().map(|record| {
+        let id = record.get("id").and_then(Json::as_str).unwrap().to_string();
+        (id, record.to_string())
+    });
+    (by_id.collect(), done)
+}
+
 #[test]
 fn concurrent_batches_match_serial_responses_byte_for_byte() {
     let items = corpus_items();
@@ -51,25 +74,41 @@ fn concurrent_batches_match_serial_responses_byte_for_byte() {
     let line = batch_request(&items);
     server.handle_line(&line);
 
-    // Serial baseline on the warm server: submission-order item records.
+    // Baseline on the warm server, collected through `handle_line`.
     let (serial, _) = server.handle_line(&line);
-    let mut expected: HashMap<String, String> = HashMap::new();
-    for record_line in serial.lines() {
-        let record = optimist_serve::json::parse(record_line).unwrap();
-        if record.get("done").and_then(Json::as_bool) == Some(true) {
-            assert_eq!(record.get("errors").and_then(Json::as_u64), Some(0));
-            continue;
-        }
-        let id = record.get("id").and_then(Json::as_str).unwrap().to_string();
-        expected.insert(id, record.to_string());
-    }
+    let (expected, done) = split_batch(&serial);
+    assert_eq!(done.get("errors").and_then(Json::as_u64), Some(0));
     assert_eq!(expected.len(), items.len());
 
     let daemon = TestDaemon::spawn(server);
 
+    // The same batch as a `POST /v1/alloc` body and through the stdio
+    // loop: every front-end answers the same records and `done` counts.
+    let (status, http) = http_post_alloc(daemon.http_addr(), &line);
+    assert_eq!(status, 200, "{http}");
+    let mut stdio = Vec::new();
+    let input = format!("{line}\n");
+    daemon
+        .server()
+        .serve_lines(input.as_bytes(), &mut stdio, false)
+        .expect("stdio loop");
+    for (front, text) in [("http", http), ("stdio", String::from_utf8(stdio).unwrap())] {
+        let (records, done) = split_batch(&text);
+        assert_eq!(
+            records, expected,
+            "{front} records differ from handle_line's"
+        );
+        let count = |k| done.get(k).and_then(Json::as_u64);
+        assert_eq!(count("items"), Some(items.len() as u64), "{front}");
+        assert_eq!(count("errors"), Some(0), "{front}");
+    }
+    // Everything above ran its items through the same unit counters;
+    // count the connections' units from here.
+    let units_before = daemon.server().metrics().stream_units.get();
+
     // Four connections, each streaming the whole corpus twice as batches,
-    // consuming responses with randomized delays so the window regularly
-    // fills and drains at arbitrary points.
+    // consuming responses with randomized delays so the workers regularly
+    // wait on the socket at arbitrary points.
     let mut threads = Vec::new();
     for conn in 0..4u64 {
         let items = items.clone();
@@ -121,7 +160,7 @@ fn concurrent_batches_match_serial_responses_byte_for_byte() {
     );
     assert_eq!(metrics.inflight.get(), 0, "window drained");
     assert_eq!(
-        metrics.stream_units.get(),
+        metrics.stream_units.get() - units_before,
         4 * 2 * items.len() as u64,
         "every batch item was admitted as a unit"
     );
@@ -167,5 +206,50 @@ fn plain_and_batch_requests_interleave_on_one_connection() {
     assert_eq!(plain.get("ok").and_then(Json::as_bool), Some(true));
 
     drop(client);
+    daemon.shutdown_with_stats();
+}
+
+#[test]
+fn pipelined_plain_requests_are_answered_in_order() {
+    // A connection answers one request at a time: cold allocs and pings
+    // pipelined in one write come back in the order they were sent.
+    let mods = corpus_modules();
+    let daemon = TestDaemon::spawn(Server::new(4096, 16));
+    let mut sock = TcpStream::connect(daemon.addr()).expect("connect");
+    let mut payload = String::new();
+    for (_, ir) in &mods {
+        let mut req = Json::obj([("req", Json::from("alloc"))]);
+        req.push("ir", Json::from(ir.as_str()));
+        payload.push_str(&format!("{req}\n{{\"req\":\"ping\"}}\n"));
+    }
+    sock.write_all(payload.as_bytes()).expect("pipelined burst");
+
+    let mut reader = BufReader::new(sock);
+    let mut next = || {
+        let mut line = String::new();
+        assert!(reader.read_line(&mut line).expect("response") > 0);
+        optimist_serve::json::parse(&line).unwrap()
+    };
+    for (name, ir) in &mods {
+        let sent: Vec<&str> = ir
+            .lines()
+            .filter_map(|l| l.strip_prefix("func "))
+            .map(|l| &l[..l.find('(').unwrap()])
+            .collect();
+        let resp = next();
+        let functions = resp.get("functions").and_then(Json::as_arr).unwrap();
+        let answered: Vec<&str> = functions
+            .iter()
+            .map(|f| f.get("name").and_then(Json::as_str).unwrap())
+            .collect();
+        assert_eq!(answered, sent, "{name} answered out of order: {resp}");
+        let pong = next();
+        assert_eq!(
+            pong.get("pong").and_then(Json::as_bool),
+            Some(true),
+            "{pong}"
+        );
+    }
+    drop(reader);
     daemon.shutdown_with_stats();
 }

@@ -140,7 +140,7 @@ batch_req="{\"req\":\"batch\",\"items\":[\
 {\"id\":\"c\",\"ir\":\"$(ir_fn fc)\"}]}"
 # One connection: the batch streams three id-tagged item records back in
 # completion order (not necessarily submission order), then the done
-# record; the shutdown response is sequenced after the batch completes.
+# record; the connection reads the shutdown request only after that.
 exec 3<>"/dev/tcp/127.0.0.1/$port"
 printf '%s\n%s\n' "$batch_req" '{"req":"shutdown"}' >&3
 stream_resp="$(head -n 5 <&3)"
@@ -152,6 +152,44 @@ for want in '"id":"a"' '"id":"b"' '"id":"c"' '"done":true,"ok":true,"items":3,"e
         *"$want"*) ;;
         *)
             echo "stream smoke test failed: missing $want; response: $stream_resp" >&2
+            exit 1
+            ;;
+    esac
+done
+
+echo "==> http batch smoke test (the same batch as one POST /v1/alloc body)"
+# The stream smoke's log and pid slots are free again; the trap above
+# still covers them.
+./target/debug/optimist-serve --http 127.0.0.1:0 --quiet 2>"$stream_log" &
+serve_pid=$!
+port=""
+for _ in $(seq 100); do
+    port="$(sed -n 's/.*http listening on .*:\([0-9][0-9]*\)$/\1/p' "$stream_log")"
+    [[ -n "$port" ]] && break
+    sleep 0.1
+done
+if [[ -z "$port" ]]; then
+    echo "http batch smoke test failed: daemon never announced its port" >&2
+    exit 1
+fi
+# HTTP admits and answers a batch per item, exactly like the NDJSON
+# connection: three id-tagged item records, then the done record.
+exec 3<>"/dev/tcp/127.0.0.1/$port"
+printf 'POST /v1/alloc HTTP/1.1\r\nHost: ci\r\nContent-Length: %s\r\nConnection: close\r\n\r\n%s' \
+    "${#batch_req}" "$batch_req" >&3
+http_resp="$(cat <&3)"
+exec 3<&- 3>&-
+kill -TERM "$serve_pid"
+if ! wait "$serve_pid"; then
+    echo "http batch smoke test failed: daemon exited nonzero after SIGTERM" >&2
+    exit 1
+fi
+serve_pid=""
+for want in ' 200 OK' '"id":"a"' '"id":"b"' '"id":"c"' '"done":true,"ok":true,"items":3,"errors":0'; do
+    case "$http_resp" in
+        *"$want"*) ;;
+        *)
+            echo "http batch smoke test failed: missing $want; response: $http_resp" >&2
             exit 1
             ;;
     esac

@@ -183,6 +183,32 @@ fn duplicate_function_names_are_rejected() {
 }
 
 #[test]
+fn an_index_past_the_function_text_is_refused() {
+    // A parser that sized its register table by the largest index would
+    // ask for 4·10⁹ entries here; the 2 GiB address-space cap turns such a
+    // regression into a failed allocation instead of an exhausted host.
+    let path = write_temp(
+        "huge-index.ir",
+        "func f(v0:int) -> int {\nb0:\n    v4000000000 = imm 1\n    ret v4000000000\n}\n",
+    );
+    let out = Command::new("sh")
+        .args([
+            "-c",
+            r#"ulimit -v 2097152 && exec "$0" allocate "$1" --threads 1"#,
+            env!("CARGO_BIN_EXE_optimist"),
+            path.to_str().unwrap(),
+        ])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("`v4000000000` is out of range for a 73-byte function"),
+        "stderr: {err}"
+    );
+}
+
+#[test]
 fn allocate_output_does_not_depend_on_thread_flags() {
     let path = example("pressure.ft");
     let one = stdout_of(&["allocate", &path, "--threads", "1"]);

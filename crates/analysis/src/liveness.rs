@@ -2,7 +2,7 @@
 
 use crate::bitset::DenseBitSet;
 use crate::cfg::Cfg;
-use optimist_ir::{BlockId, Function};
+use optimist_ir::{BlockId, Function, VReg};
 
 /// Per-block live-in / live-out virtual-register sets.
 ///
@@ -19,12 +19,24 @@ pub struct Liveness {
 impl Liveness {
     /// Compute liveness for `func`.
     pub fn new(func: &Function, cfg: &Cfg) -> Self {
+        Self::over(func, cfg, func.num_vregs(), |v| Some(v.index()))
+    }
+
+    /// Liveness of the registers that `position` maps into `0..n`, with
+    /// each set holding positions; the other registers are ignored.
+    /// Liveness is separable per register, so these are the sets of
+    /// [`Liveness::new`] restricted to the chosen registers.
+    pub fn over(
+        func: &Function,
+        cfg: &Cfg,
+        n: usize,
+        position: impl Fn(VReg) -> Option<usize>,
+    ) -> Self {
         let nb = func.num_blocks();
-        let nv = func.num_vregs();
 
         // Per-block gen (upward-exposed uses) and kill (defs).
-        let mut gen = vec![DenseBitSet::new(nv); nb];
-        let mut kill = vec![DenseBitSet::new(nv); nb];
+        let mut gen = vec![DenseBitSet::new(n); nb];
+        let mut kill = vec![DenseBitSet::new(n); nb];
         let mut uses = Vec::new();
         for (bid, block) in func.blocks() {
             let g = &mut gen[bid.index()];
@@ -33,22 +45,24 @@ impl Liveness {
                 uses.clear();
                 inst.uses_into(&mut uses);
                 for &u in &uses {
-                    if !k.contains(u.index()) {
-                        g.insert(u.index());
+                    if let Some(u) = position(u) {
+                        if !k.contains(u) {
+                            g.insert(u);
+                        }
                     }
                 }
-                if let Some(d) = inst.def() {
-                    k.insert(d.index());
+                if let Some(d) = inst.def().and_then(&position) {
+                    k.insert(d);
                 }
             }
         }
 
-        let mut live_in = vec![DenseBitSet::new(nv); nb];
-        let mut live_out = vec![DenseBitSet::new(nv); nb];
+        let mut live_in = vec![DenseBitSet::new(n); nb];
+        let mut live_out = vec![DenseBitSet::new(n); nb];
 
         // Iterate to fixpoint in postorder (reverse RPO) for fast convergence.
         let mut changed = true;
-        let mut tmp = DenseBitSet::new(nv);
+        let mut tmp = DenseBitSet::new(n);
         while changed {
             changed = false;
             for &b in cfg.rpo().iter().rev() {

@@ -3,6 +3,7 @@
 use crate::func::{Function, VReg};
 use crate::inst::{Addr, Inst, RegClass};
 use crate::module::Module;
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
@@ -30,6 +31,8 @@ impl Error for VerifyError {}
 struct Checker<'a> {
     func: &'a Function,
     module: Option<&'a Module>,
+    /// The module's functions by name, for calls.
+    callees: &'a HashMap<&'a str, &'a Function>,
 }
 
 impl Checker<'_> {
@@ -118,8 +121,8 @@ impl Checker<'_> {
                 for (i, a) in args.iter().enumerate() {
                     self.check_vreg(*a, None, &format!("call arg {i}"))?;
                 }
-                if let Some(m) = self.module {
-                    match m.function(callee) {
+                if self.module.is_some() {
+                    match self.callees.get(callee.as_str()) {
                         None => {
                             return Err(self.err(format!("call to unknown function `{callee}`")))
                         }
@@ -208,7 +211,12 @@ impl Checker<'_> {
 /// Returns the first structural or type violation found: empty blocks,
 /// misplaced terminators, out-of-range ids, or register-class mismatches.
 pub fn verify_function(func: &Function) -> Result<(), VerifyError> {
-    Checker { func, module: None }.run()
+    Checker {
+        func,
+        module: None,
+        callees: &HashMap::new(),
+    }
+    .run()
 }
 
 /// Verify a whole module, including call signatures and global references.
@@ -217,10 +225,16 @@ pub fn verify_function(func: &Function) -> Result<(), VerifyError> {
 ///
 /// Returns the first violation found in any function.
 pub fn verify_module(module: &Module) -> Result<(), VerifyError> {
+    // The first function of a name, as `Module::function` finds it.
+    let mut callees = HashMap::new();
+    for f in module.functions() {
+        callees.entry(f.name()).or_insert(f);
+    }
     for func in module.functions() {
         Checker {
             func,
             module: Some(module),
+            callees: &callees,
         }
         .run()?;
     }

@@ -4,10 +4,17 @@
 //! interfere is removed by merging the two live ranges. Because merging
 //! changes the graph, the build phase "repeatedly build[s] the graph and
 //! coalesc[es] registers" ([CACC 81]) until no copy can be merged.
+//!
+//! The aggressive rounds build only what the merge loop reads: whether
+//! two copy endpoints interfere. Every member of a group the loop tests
+//! joined it through a copy, so liveness and interference among the
+//! registers some copy names ([`CopyInterference`]) answer every question
+//! the whole graph would. The conservative rule counts neighbours of
+//! significant degree, so it still builds the whole graph each round.
 
 use crate::build::build_graph;
-use optimist_analysis::{Cfg, Liveness};
-use optimist_ir::{Function, Inst, VReg};
+use optimist_analysis::{Cfg, DenseBitSet, Liveness};
+use optimist_ir::{Function, Inst, RegClass, VReg};
 use optimist_machine::Target;
 
 /// Which coalescing policy the build phase uses.
@@ -51,9 +58,15 @@ impl Default for CoalesceOpts<'_> {
 /// and coalesce registers"). Returns the number of copies merged, totalled
 /// across passes.
 pub fn coalesce(func: &mut Function, opts: &CoalesceOpts) -> usize {
+    if opts.mode == CoalesceMode::Off {
+        return 0;
+    }
+    // A pass renames registers and drops self-copies, never a terminator,
+    // so one CFG serves every pass.
+    let cfg = Cfg::new(func);
     let mut total = 0;
     loop {
-        let merged = one_pass(func, opts.mode, opts.target);
+        let merged = one_pass(func, &cfg, opts.mode, opts.target);
         total += merged;
         if merged == 0 {
             return total;
@@ -61,68 +74,48 @@ pub fn coalesce(func: &mut Function, opts: &CoalesceOpts) -> usize {
     }
 }
 
+fn find(root: &mut [u32], mut x: u32) -> u32 {
+    while root[x as usize] != x {
+        let p = root[root[x as usize] as usize];
+        root[x as usize] = p;
+        x = p;
+    }
+    x
+}
+
 /// One build-and-merge pass. Returns the number of copies coalesced.
-fn one_pass(func: &mut Function, mode: CoalesceMode, target: Option<&Target>) -> usize {
-    if mode == CoalesceMode::Off {
-        return 0;
-    }
-    let cfg = Cfg::new(func);
-    let live = Liveness::new(func, &cfg);
-    let graph = build_graph(func, &cfg, &live);
-
-    let nv = func.num_vregs();
-    let mut root: Vec<u32> = (0..nv as u32).collect();
-    fn find(root: &mut [u32], mut x: u32) -> u32 {
-        while root[x as usize] != x {
-            let p = root[root[x as usize] as usize];
-            root[x as usize] = p;
-            x = p;
+fn one_pass(func: &mut Function, cfg: &Cfg, mode: CoalesceMode, target: Option<&Target>) -> usize {
+    let (merged, mut root) = match mode {
+        CoalesceMode::Off => return 0,
+        CoalesceMode::Aggressive => {
+            let ends = CopyInterference::new(func, cfg);
+            merge_copies(func, |x, y| ends.interferes(x, y), |_, _, _| true)
         }
-        x
-    }
-    // Members of each union group (lazily: singleton unless merged).
-    let mut members: Vec<Vec<u32>> = (0..nv as u32).map(|v| vec![v]).collect();
-
-    let mut merged = 0usize;
-    for b in func.block_ids() {
-        for inst in &func.block(b).insts {
-            if let Inst::Copy { dst, src } = inst {
-                let (d, s) = (dst.index() as u32, src.index() as u32);
-                let (rd, rs) = (find(&mut root, d), find(&mut root, s));
-                if rd == rs {
-                    continue; // already merged; copy will collapse
-                }
-                let conflict = members[rd as usize]
-                    .iter()
-                    .any(|&x| members[rs as usize].iter().any(|&y| graph.interferes(x, y)));
-                if conflict {
-                    continue;
-                }
-                if mode == CoalesceMode::Conservative {
+        CoalesceMode::Conservative => {
+            let live = Liveness::new(func, cfg);
+            let graph = build_graph(func, cfg, &live);
+            let target = target.expect("conservative coalescing needs a target");
+            merge_copies(
+                func,
+                |x, y| graph.interferes(x, y),
+                |a, b, d| {
                     // Count the combined group's distinct neighbors of
                     // significant degree (>= k for the group's class).
-                    let target = target.expect("conservative coalescing needs a target");
                     let k = target.regs(graph.class(d));
                     let mut heavy = std::collections::HashSet::new();
-                    for &m in members[rd as usize].iter().chain(&members[rs as usize]) {
+                    for &m in a.iter().chain(b) {
                         for &nb in graph.neighbors(m) {
                             if graph.degree(nb) >= k {
                                 heavy.insert(nb);
                             }
                         }
                     }
-                    if heavy.len() >= k {
-                        continue; // merging could make the graph uncolorable
-                    }
-                }
-                // Union rd into rs.
-                root[rd as usize] = rs;
-                let moved = std::mem::take(&mut members[rd as usize]);
-                members[rs as usize].extend(moved);
-                merged += 1;
-            }
+                    // Merging could make the graph uncolorable.
+                    heavy.len() < k
+                },
+            )
         }
-    }
+    };
 
     if merged == 0 {
         return 0;
@@ -130,7 +123,7 @@ fn one_pass(func: &mut Function, mode: CoalesceMode, target: Option<&Target>) ->
 
     // A merged range is unspillable if any member was (conservative: keeps
     // spill temporaries protected after they coalesce with something).
-    for v in 0..nv as u32 {
+    for v in 0..func.num_vregs() as u32 {
         let r = find(&mut root, v);
         if r != v && !func.vreg(VReg::new(v)).spillable {
             func.set_spillable(VReg::new(r), false);
@@ -156,6 +149,135 @@ fn one_pass(func: &mut Function, mode: CoalesceMode, target: Option<&Target>) ->
     });
 
     merged
+}
+
+/// The merge loop: visit every copy in block order and union the groups
+/// of its two ends unless a member of one interferes with a member of
+/// the other, or `admit` (given both groups' members and the copy's
+/// destination) declines. Returns the merge count and the union-find.
+fn merge_copies(
+    func: &Function,
+    interferes: impl Fn(u32, u32) -> bool,
+    mut admit: impl FnMut(&[u32], &[u32], u32) -> bool,
+) -> (usize, Vec<u32>) {
+    let nv = func.num_vregs();
+    let mut root: Vec<u32> = (0..nv as u32).collect();
+    // Members of each union group (lazily: singleton unless merged).
+    let mut members: Vec<Vec<u32>> = (0..nv as u32).map(|v| vec![v]).collect();
+
+    let mut merged = 0usize;
+    for b in func.block_ids() {
+        for inst in &func.block(b).insts {
+            if let Inst::Copy { dst, src } = inst {
+                let (d, s) = (dst.index() as u32, src.index() as u32);
+                let (rd, rs) = (find(&mut root, d), find(&mut root, s));
+                if rd == rs {
+                    continue; // already merged; copy will collapse
+                }
+                let (gd, gs) = (&members[rd as usize], &members[rs as usize]);
+                if gd.iter().any(|&x| gs.iter().any(|&y| interferes(x, y))) || !admit(gd, gs, d) {
+                    continue;
+                }
+                // Union rd into rs.
+                root[rd as usize] = rs;
+                let moved = std::mem::take(&mut members[rd as usize]);
+                members[rs as usize].extend(moved);
+                merged += 1;
+            }
+        }
+    }
+    (merged, root)
+}
+
+/// Interference among copy endpoints only, equal pair for pair to what
+/// [`build_graph`] would give them: liveness is separable per register,
+/// so liveness over the endpoints alone is the full liveness restricted
+/// to them, and the same backward scan — copy refinement, same-class
+/// rule, entry clique — over those sets finds the same pairs.
+struct CopyInterference {
+    /// Each register's position among the endpoints, or `u32::MAX`.
+    index: Vec<u32>,
+    /// Triangular bit matrix over endpoint positions.
+    matrix: DenseBitSet,
+}
+
+impl CopyInterference {
+    fn new(func: &Function, cfg: &Cfg) -> Self {
+        const NONE: u32 = u32::MAX;
+        let mut index = vec![NONE; func.num_vregs()];
+        let mut classes: Vec<RegClass> = Vec::new();
+        for (_, block) in func.blocks() {
+            for inst in &block.insts {
+                if let Inst::Copy { dst, src } = inst {
+                    for v in [dst, src] {
+                        if index[v.index()] == NONE {
+                            index[v.index()] = classes.len() as u32;
+                            classes.push(func.class_of(*v));
+                        }
+                    }
+                }
+            }
+        }
+        let n = classes.len();
+        let at = |v: VReg| Some(index[v.index()] as usize).filter(|&i| i != NONE as usize);
+        let live = Liveness::over(func, cfg, n, at);
+
+        // The build phase's scan: each def interferes with everything
+        // live after it, except a copy's destination with its source.
+        let mut matrix = DenseBitSet::new(n * n.saturating_sub(1) / 2);
+        let mut add = |a: usize, b: usize| {
+            if a != b && classes[a] == classes[b] {
+                matrix.insert(tri(a, b));
+            }
+        };
+        let mut cur = DenseBitSet::new(n);
+        let mut uses = Vec::new();
+        for &b in cfg.rpo() {
+            cur.copy_from(live.live_out(b));
+            for inst in func.block(b).insts.iter().rev() {
+                if let Some(d) = inst.def().and_then(at) {
+                    cur.remove(d);
+                    let skip = match inst {
+                        Inst::Copy { src, .. } => at(*src),
+                        _ => None,
+                    };
+                    for l in cur.iter() {
+                        if Some(l) != skip {
+                            add(d, l);
+                        }
+                    }
+                }
+                uses.clear();
+                inst.uses_into(&mut uses);
+                for &u in &uses {
+                    if let Some(i) = at(u) {
+                        cur.insert(i);
+                    }
+                }
+            }
+        }
+        // Everything live at the top of the function is defined on entry.
+        let entry: Vec<usize> = live.live_in(func.entry()).iter().collect();
+        for (i, &x) in entry.iter().enumerate() {
+            for &y in &entry[i + 1..] {
+                add(x, y);
+            }
+        }
+        CopyInterference { index, matrix }
+    }
+
+    /// True if copy endpoints `x` and `y` interfere.
+    fn interferes(&self, x: u32, y: u32) -> bool {
+        let (a, b) = (self.index[x as usize], self.index[y as usize]);
+        debug_assert!(a != u32::MAX && b != u32::MAX, "v{x} or v{y} ends no copy");
+        a != b && self.matrix.contains(tri(a as usize, b as usize))
+    }
+}
+
+/// Position of the pair `{a, b}` (`a ≠ b`) in a triangular bit matrix.
+fn tri(a: usize, b: usize) -> usize {
+    let (lo, hi) = if a < b { (a, b) } else { (b, a) };
+    hi * (hi - 1) / 2 + lo
 }
 
 #[cfg(test)]

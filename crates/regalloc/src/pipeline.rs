@@ -235,11 +235,12 @@ impl WorkerPool {
     /// workers, returning one result per input in input order. Blocks until
     /// every job is done. Safe to call from many threads at once: jobs from
     /// concurrent callers interleave in the shared queue, but each caller
-    /// only sees its own results.
+    /// only sees its own results. Each function moves into its job, so a
+    /// caller that still needs its functions clones them once, here.
     pub fn allocate_functions(
         &self,
         config: &AllocatorConfig,
-        funcs: &[Function],
+        funcs: Vec<Function>,
     ) -> Vec<Result<Allocation, AllocError>> {
         self.allocate_functions_with_deadline(config, funcs, &Deadline::none())
     }
@@ -253,17 +254,18 @@ impl WorkerPool {
     pub fn allocate_functions_with_deadline(
         &self,
         config: &AllocatorConfig,
-        funcs: &[Function],
+        funcs: Vec<Function>,
         deadline: &Deadline,
     ) -> Vec<Result<Allocation, AllocError>> {
         if funcs.is_empty() {
             return Vec::new();
         }
+        let n = funcs.len();
         let (out_tx, out_rx) = mpsc::channel();
-        for (index, func) in funcs.iter().enumerate() {
+        for (index, func) in funcs.into_iter().enumerate() {
             self.pending.fetch_add(1, Ordering::Relaxed);
             self.queue.push(Job {
-                func: func.clone(),
+                func,
                 config: config.clone(),
                 deadline: deadline.clone(),
                 index,
@@ -271,8 +273,7 @@ impl WorkerPool {
             });
         }
         drop(out_tx);
-        let mut slots: Vec<Option<Result<Allocation, AllocError>>> =
-            funcs.iter().map(|_| None).collect();
+        let mut slots: Vec<Option<Result<Allocation, AllocError>>> = (0..n).map(|_| None).collect();
         for (index, result) in out_rx {
             slots[index] = Some(result);
         }
@@ -286,7 +287,7 @@ impl WorkerPool {
     /// workers, preserving the module's function order in the result.
     pub fn allocate_module(&self, config: &AllocatorConfig, module: &Module) -> ModuleAllocation {
         let results = self
-            .allocate_functions(config, module.functions())
+            .allocate_functions(config, module.functions().to_vec())
             .into_iter()
             .zip(module.functions())
             .map(|(r, f)| (f.name().to_string(), r))
@@ -486,7 +487,7 @@ mod tests {
         let m = test_module(7);
         let cfg = config();
         for threads in [1, 4] {
-            let via_pool = pool(threads).allocate_functions(&cfg, m.functions());
+            let via_pool = pool(threads).allocate_functions(&cfg, m.functions().to_vec());
             for (f, r) in m.functions().iter().zip(&via_pool) {
                 let direct = allocate(f, &cfg).unwrap();
                 assert_eq!(fingerprint(r.as_ref().unwrap()), fingerprint(&direct));
@@ -503,7 +504,7 @@ mod tests {
                 std::thread::spawn(move || {
                     let cfg = config();
                     let m = test_module(3 + caller);
-                    let results = pool.allocate_functions(&cfg, m.functions());
+                    let results = pool.allocate_functions(&cfg, m.functions().to_vec());
                     assert_eq!(results.len(), 3 + caller);
                     for (f, r) in m.functions().iter().zip(&results) {
                         let direct = allocate(f, &cfg).unwrap();
@@ -527,14 +528,14 @@ mod tests {
             .push(optimist_ir::Inst::Ret {
                 value: Some(optimist_ir::VReg::new(9999)),
             });
-        let results = pool.allocate_functions(&cfg, &[bad]);
+        let results = pool.allocate_functions(&cfg, vec![bad]);
         assert!(matches!(
             results[0],
             Err(AllocError::WorkerPanic { ref function, .. }) if function == "bad"
         ));
         // The single worker took the panic and must still serve new jobs.
         let good = pressure_function("good", 6);
-        let results = pool.allocate_functions(&cfg, &[good]);
+        let results = pool.allocate_functions(&cfg, vec![good]);
         assert!(results[0].is_ok());
         assert_eq!(pool.pending(), 0);
     }
@@ -546,7 +547,7 @@ mod tests {
         let funcs = [pressure_function("slow", 40)];
         let results = pool.allocate_functions_with_deadline(
             &cfg,
-            &funcs,
+            funcs.to_vec(),
             &Deadline::after(std::time::Duration::ZERO),
         );
         assert!(matches!(
@@ -554,7 +555,7 @@ mod tests {
             Err(AllocError::DeadlineExceeded { ref function, passes: 0 }) if function == "slow"
         ));
         // The worker shed the job at its first check and is free again.
-        let results = pool.allocate_functions(&cfg, &funcs);
+        let results = pool.allocate_functions(&cfg, funcs.to_vec());
         assert!(results[0].is_ok());
         assert_eq!(pool.pending(), 0);
     }
@@ -598,10 +599,10 @@ mod tests {
         let m = test_module(5);
         let bounded = pool.allocate_functions_with_deadline(
             &cfg,
-            m.functions(),
+            m.functions().to_vec(),
             &Deadline::after(std::time::Duration::from_secs(3600)),
         );
-        let unbounded = pool.allocate_functions(&cfg, m.functions());
+        let unbounded = pool.allocate_functions(&cfg, m.functions().to_vec());
         for (b, u) in bounded.iter().zip(&unbounded) {
             assert_eq!(
                 fingerprint(b.as_ref().unwrap()),
@@ -720,7 +721,7 @@ mod tests {
                 } else {
                     Deadline::after(std::time::Duration::from_secs(3600))
                 };
-                let results = pool.allocate_functions_with_deadline(&cfg, &funcs, &deadline);
+                let results = pool.allocate_functions_with_deadline(&cfg, funcs.to_vec(), &deadline);
                 if is_expired {
                     prop_assert!(matches!(
                         results[0],

@@ -10,7 +10,7 @@
 //!
 //! 1. [`construct`] — phi insertion via dominance frontiers, renaming over
 //!    the dominator tree ([`construct`] module docs for the details);
-//! 2. `lower_pressure` (the private `spill` module) — the *spill phase*:
+//! 2. [`lower_pressure`] — the *spill phase*:
 //!    demote values until maxlive ≤ k, at which point coloring is
 //!    guaranteed to succeed;
 //! 3. [`chordal_color`] — one greedy pass over a perfect elimination
@@ -31,6 +31,7 @@ pub use color::{chordal_color, dominance_order, is_perfect_elimination_order, mc
 pub use construct::{construct, Phi, PhiSrc, SsaForm};
 pub use destruct::destruct;
 pub use liveness::{analyze, pressure, SsaAnalysis, SsaLiveness, SsaPressure};
+pub use spill::lower_pressure;
 
 use crate::allocator::{
     AllocError, AllocStats, Allocation, AllocatorConfig, PassRecord, PhaseTimes,
@@ -60,8 +61,8 @@ pub(crate) fn allocate_ssa(
     }
 
     let t_spill = Instant::now();
-    let (spilled, spilled_cost, analysis) =
-        spill::lower_pressure(&mut ssa, &config.target, func.name())?;
+    let (rounds, spilled_cost, analysis) = lower_pressure(&mut ssa, &config.target, func.name())?;
+    let spilled: usize = rounds.iter().map(Vec::len).sum();
     let mut spill_time = t_spill.elapsed();
     if deadline.expired() {
         return Err(overdue());
@@ -125,7 +126,7 @@ pub(crate) fn allocate_ssa(
         },
         live_ranges,
         edges: analysis.graph.num_edges(),
-        spilled: spilled.len(),
+        spilled,
         spilled_cost,
         coalesced,
     };
@@ -134,7 +135,7 @@ pub(crate) fn allocate_ssa(
         assignment,
         stats: AllocStats {
             live_ranges,
-            registers_spilled: spilled.len(),
+            registers_spilled: spilled,
             spill_cost: spilled_cost,
             passes: 1,
             coalesced_copies: coalesced,

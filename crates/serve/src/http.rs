@@ -12,13 +12,13 @@
 //! * `GET /v1/health` — the `{"req":"health"}` response.
 //! * `GET /v1/stats` — the `{"req":"stats"}` response.
 //!
-//! Every line goes through the one dispatcher, `Server::answer`, whose
-//! lines [`Server::handle_line`] collects per body, so admission control
-//! (per batch item), deadlines, caching, and metrics behave identically
-//! on every front-end. Protocol-level failures stay in-band
-//! (`"ok":false` with HTTP 200); HTTP status codes are reserved for
-//! framing problems (malformed request line, missing length, oversized
-//! body).
+//! Every line goes through the one dispatcher, `Server::answer`, which
+//! renders a body's response lines straight into one buffer, so
+//! admission control (per batch item), deadlines, caching, and metrics
+//! behave identically on every front-end. Protocol-level failures stay
+//! in-band (`"ok":false` with HTTP 200); HTTP status codes are reserved
+//! for framing problems (malformed request line, missing length,
+//! oversized body).
 //!
 //! The listener runs on the same shared accept/drain loop as the NDJSON
 //! one ([`optimist_store::daemon::Daemon`]): connections register in the
@@ -33,7 +33,7 @@
 use crate::json::Json;
 use crate::server::{Disposition, Server};
 use optimist_store::daemon::{read_line_capped, MAX_LINE_BYTES};
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
 
 /// Largest accepted request body: the same cap the NDJSON listener puts
@@ -121,16 +121,22 @@ fn serve_connection(server: &Server, stream: TcpStream) -> io::Result<()> {
 
         match outcome {
             Route::Lines(text) => {
-                let mut lines = Vec::new();
+                // Each response line ends in a newline; a body with no
+                // request lines answers one empty line.
+                let mut body = Vec::new();
                 for line in text.lines().filter(|l| !l.trim().is_empty()) {
-                    let (resp, disposition) = server.handle_line(line);
-                    lines.push(resp);
+                    let disposition = server
+                        .answer(line, &mut body)
+                        .expect("a Vec takes every write");
                     if disposition == Disposition::Shutdown {
                         stop_after = true;
                         break;
                     }
                 }
-                write_ok(&mut writer, &lines.join("\n"), stop_after)?;
+                if body.is_empty() {
+                    body.push(b'\n');
+                }
+                write_response(&mut writer, 200, &body, stop_after)?;
             }
             Route::Error(status, reason) => {
                 write_error(&mut writer, status, reason)?;
@@ -252,27 +258,32 @@ fn reason_phrase(status: u16) -> &'static str {
     }
 }
 
-/// Write one response in a single `write_all` (one syscall, no Nagle
-/// stall), `Content-Length`-framed, NDJSON media type.
-fn write_response(writer: &mut impl Write, status: u16, body: &str, close: bool) -> io::Result<()> {
+/// Write one response, head and body in one vectored write (one syscall
+/// on a socket, so no Nagle stall, and no copy of the body),
+/// `Content-Length`-framed, NDJSON media type.
+fn write_response(
+    writer: &mut impl Write,
+    status: u16,
+    body: &[u8],
+    close: bool,
+) -> io::Result<()> {
     let connection = if close { "close" } else { "keep-alive" };
     let head = format!(
         "HTTP/1.1 {status} {}\r\nContent-Type: application/x-ndjson\r\nContent-Length: {}\r\nConnection: {connection}\r\n\r\n",
         reason_phrase(status),
         body.len(),
     );
-    let mut out = Vec::with_capacity(head.len() + body.len());
-    out.extend_from_slice(head.as_bytes());
-    out.extend_from_slice(body.as_bytes());
-    writer.write_all(&out)?;
+    let mut parts = [IoSlice::new(head.as_bytes()), IoSlice::new(body)];
+    let mut parts = &mut parts[..];
+    while !parts.is_empty() {
+        match writer.write_vectored(parts) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut parts, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     writer.flush()
-}
-
-fn write_ok(writer: &mut impl Write, lines: &str, close: bool) -> io::Result<()> {
-    let mut body = String::with_capacity(lines.len() + 1);
-    body.push_str(lines);
-    body.push('\n');
-    write_response(writer, 200, &body, close)
 }
 
 fn write_error(writer: &mut impl Write, status: u16, reason: &str) -> io::Result<()> {
@@ -280,7 +291,12 @@ fn write_error(writer: &mut impl Write, status: u16, reason: &str) -> io::Result
         "{}\n",
         Json::obj([("ok", Json::from(false)), ("error", Json::from(reason)),])
     );
-    write_response(writer, status, &body, status != 404 && status != 405)
+    write_response(
+        writer,
+        status,
+        body.as_bytes(),
+        status != 404 && status != 405,
+    )
 }
 
 #[cfg(test)]

@@ -431,8 +431,7 @@ impl Server {
     }
 
     /// Answer one request line and collect the response: its lines joined
-    /// by newlines, with no trailing one. The HTTP front-end frames a body
-    /// this way, and tests read answers through it.
+    /// by newlines, with no trailing one. Tests read answers through it.
     pub fn handle_line(&self, line: &str) -> (String, Disposition) {
         let mut out = Vec::new();
         let disposition = self
@@ -669,7 +668,7 @@ impl Server {
             let inputs: Vec<_> = cold.iter().map(|&(i, _)| funcs[i].clone()).collect();
             let results = self
                 .pool
-                .allocate_functions_with_deadline(config, &inputs, deadline);
+                .allocate_functions_with_deadline(config, inputs, deadline);
             self.metrics.workers_busy.lower(1);
 
             for ((i, key), result) in cold.into_iter().zip(results) {

@@ -45,10 +45,21 @@ if [[ $quick -eq 0 ]]; then
     # and of generated routines, the IR printer against its
     # clone-and-rename formulation (the same `to_string`, canonical text
     # and cache key) on the corpus, generated routines, their allocations
-    # and adversarial renamings, and `select` against its k-sized scratch
-    # on corpus and random graphs up to 65,536 registers.
+    # and adversarial renamings, `select` against its k-sized scratch
+    # on corpus and random graphs up to 65,536 registers, the SSA spill
+    # phase against `reference::lower_pressure`, its rounds that recompute
+    # everything (the same victims per round, cost bits, function and phi
+    # tables), and coalescing against `reference::coalesce`, its rounds
+    # over the whole interference graph (the same function and merge
+    # count in every mode, on spilled code too).
     echo "==> reference models under --release (full proptest case count)"
     cargo test --release -q --test reference_models
+
+    # Figure 7's phase tables, which time the build split and every
+    # strategy's phases over the corpus; output discarded, so this only
+    # keeps them running.
+    echo "==> figure7 under --release (output discarded)"
+    cargo run --release -q -p optimist-bench --bin figure7 >/dev/null
 
     # The lossless IR text round trip, `parse(display(f)) == f`, over the
     # corpus and generated routines under adversarial renamings.

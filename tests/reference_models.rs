@@ -22,7 +22,16 @@
 //!   strategy, α-renamings and adversarial names;
 //! * `select` vs. [`reference::select`], its loop with a fresh `k`-entry
 //!   scratch per node: the same colors on first-pass graphs of the corpus
-//!   and on random graphs, from one register to 65,536.
+//!   and on random graphs, from one register to 65,536;
+//! * the SSA spill phase vs. [`reference::lower_pressure`], its rounds
+//!   recomputing liveness, pressure, costs and defined values and
+//!   rewriting every block: the same victims in every round, the same
+//!   cost bits, function text, phi tables and final analysis, on the
+//!   corpus and generated routines at several register counts;
+//! * aggressive coalescing vs. [`reference::coalesce`], its rounds over a
+//!   fresh CFG, liveness and whole interference graph: the same function
+//!   and merge count in all three modes, on the corpus, generated
+//!   routines and spilled code.
 
 use optimist::analysis::{renumber, Cfg, Dominators, Liveness, LoopInfo};
 use optimist::ir::{
@@ -30,10 +39,11 @@ use optimist::ir::{
 };
 use optimist::machine::Target;
 use optimist::regalloc::irc::{collect_moves, irc};
+use optimist::regalloc::ssa::{construct, lower_pressure, SsaAnalysis, SsaForm};
 use optimist::regalloc::{
-    allocate, build_graph, fnv1a, insert_spill_code, select, simplify, spill_costs,
-    AllocatorConfig, ConservativeTest, Heuristic, InterferenceGraph, IrcOutcome, SpillMetric,
-    SpillOpts, Strategy,
+    allocate, build_graph, coalesce, fnv1a, insert_spill_code, select, simplify, spill_costs,
+    AllocError, AllocatorConfig, CoalesceMode, CoalesceOpts, ConservativeTest, Heuristic,
+    InterferenceGraph, IrcOutcome, SpillMetric, SpillOpts, Strategy,
 };
 use optimist::serve::cache_key;
 use optimist::workloads::{generate_routine, GenConfig};
@@ -850,10 +860,274 @@ proptest! {
     }
 }
 
-/// The reference models of `renumber`, the IRC engine, the IR printer and
-/// `select`, which the library's must match exactly: the library's
-/// implementations before their rewrites, moved here with only their
-/// paths changed (the printer with its own number formatting).
+// ---- the SSA spill phase vs. its reference model --------------------------
+
+/// The register counts the spill-phase and coalescing oracles run at,
+/// from nothing spilled to much.
+fn oracle_targets() -> [Target; 4] {
+    [
+        Target::rt_pc(),
+        Target::custom("i6f4", 6, 4),
+        Target::custom("i4f3", 4, 3),
+        Target::with_int_regs(8),
+    ]
+}
+
+/// Everything of an [`SsaForm`] the later phases read: the function's
+/// text and its phi tables.
+fn ssa_text(ssa: &SsaForm) -> (String, String) {
+    (ssa.func.to_string(), format!("{:?}", ssa.phis))
+}
+
+type Lowered = Result<(Vec<Vec<VReg>>, f64, SsaAnalysis), AllocError>;
+
+/// Both spill phases on `f`'s SSA form at `target`: the same victims per
+/// round, cost bits, function, phi tables and final analysis. Returns the
+/// number of rounds.
+fn check_lower_pressure(f: &Function, target: &Target, what: &str) -> usize {
+    let (mut fast, mut slow) = (construct(f), construct(f));
+    let fast_out: Lowered = lower_pressure(&mut fast, target, f.name());
+    let slow_out: Lowered = reference::lower_pressure(&mut slow, target, f.name());
+    let what = format!("{what}, {target:?}");
+    let (fast_out, slow_out) = match (fast_out, slow_out) {
+        (Ok(a), Ok(b)) => (a, b),
+        (a, b) => {
+            assert_eq!(
+                format!("{:?}", a.err()),
+                format!("{:?}", b.err()),
+                "{what}: outcomes differ"
+            );
+            return 0;
+        }
+    };
+    assert_eq!(fast_out.0, slow_out.0, "{what}: victims differ");
+    assert_eq!(
+        fast_out.1.to_bits(),
+        slow_out.1.to_bits(),
+        "{what}: spill costs differ"
+    );
+    let (fast_text, fast_phis) = ssa_text(&fast);
+    let (slow_text, slow_phis) = ssa_text(&slow);
+    assert_eq!(fast_text, slow_text, "{what}: function text differs");
+    assert_eq!(fast_phis, slow_phis, "{what}: phi tables differ");
+    let (a, b) = (&fast_out.2, &slow_out.2);
+    assert_eq!(a.pressure, b.pressure, "{what}: pressure facts differ");
+    assert_eq!(a.graph.num_edges(), b.graph.num_edges(), "{what}: edges");
+    for v in 0..a.graph.num_nodes() as u32 {
+        assert_eq!(a.graph.neighbors(v), b.graph.neighbors(v), "{what}: v{v}");
+    }
+    fast_out.0.len()
+}
+
+#[test]
+fn lower_pressure_matches_reference_on_the_corpus() {
+    let (mut rounds, mut several) = (0, 0);
+    for p in optimist::workloads::programs() {
+        let modules = [
+            (
+                "compile",
+                optimist::frontend::compile(&p.source).expect("compiles"),
+            ),
+            (
+                "compile_optimized",
+                optimist::compile_optimized(&p.source).expect("compiles"),
+            ),
+        ];
+        for (mode, module) in modules {
+            for f in module.functions() {
+                for target in &oracle_targets() {
+                    let what = format!("{} {} ({mode})", p.name, f.name());
+                    let n = check_lower_pressure(f, target, &what);
+                    rounds += n;
+                    several += usize::from(n > 1);
+                }
+            }
+        }
+    }
+    assert!(
+        rounds > 1000 && several > 100,
+        "too few rounds to test: {rounds} in all, {several} functions with several"
+    );
+}
+
+// ---- aggressive coalescing vs. its reference model ------------------------
+
+/// Both coalescers on a renumbered `f` in every mode, conservatively at
+/// each of `targets`: the same function and the same merge count.
+/// Returns the aggressive merges.
+fn check_coalesce(f: &Function, targets: &[Target], what: &str) -> usize {
+    let mut renumbered = f.clone();
+    renumber(&mut renumbered);
+    let mut aggressive = 0;
+    let modes = [(CoalesceMode::Aggressive, None), (CoalesceMode::Off, None)];
+    let conservative = targets
+        .iter()
+        .map(|t| (CoalesceMode::Conservative, Some(t)));
+    for (mode, target) in modes.into_iter().chain(conservative) {
+        let opts = CoalesceOpts { mode, target };
+        let (mut fast, mut slow) = (renumbered.clone(), renumbered.clone());
+        let merged = coalesce(&mut fast, &opts);
+        let what = format!("{what}, {mode:?} at {target:?}");
+        assert_eq!(
+            merged,
+            reference::coalesce(&mut slow, &opts),
+            "{what}: merges"
+        );
+        assert_eq!(fast.to_string(), slow.to_string(), "{what}: text differs");
+        assert!(fast == slow, "{what}: functions differ");
+        if mode == CoalesceMode::Aggressive {
+            aggressive = merged;
+        }
+    }
+    aggressive
+}
+
+/// [`check_coalesce`] on `f` and on `f` with a seeded quarter of its
+/// ranges spilled, as the allocator's later passes see it.
+fn check_coalesce_family(f: &Function, targets: &[Target], seed: u64, what: &str) -> usize {
+    let mut merged = check_coalesce(f, targets, what);
+    let mut renumbered = f.clone();
+    renumber(&mut renumbered);
+    let mut next = xorshift(seed);
+    let spilled: Vec<VReg> = (0..renumbered.num_vregs() as u32)
+        .map(VReg::new)
+        .filter(|&v| renumbered.vreg(v).spillable)
+        .filter(|_| next().is_multiple_of(4))
+        .collect();
+    let opts = SpillOpts {
+        rematerialize: seed % 2 == 1,
+    };
+    insert_spill_code(&mut renumbered, &spilled, &opts);
+    merged += check_coalesce(&renumbered, targets, &format!("{what}, spill seed {seed}"));
+    merged
+}
+
+#[test]
+fn coalesce_matches_reference_on_the_corpus() {
+    let mut merged = 0;
+    for p in optimist::workloads::programs() {
+        let modules = [
+            (
+                "compile",
+                optimist::frontend::compile(&p.source).expect("compiles"),
+            ),
+            (
+                "compile_optimized",
+                optimist::compile_optimized(&p.source).expect("compiles"),
+            ),
+        ];
+        for (mode, module) in modules {
+            for (i, f) in module.functions().iter().enumerate() {
+                let what = format!("{} {} ({mode})", p.name, f.name());
+                merged += check_coalesce_family(f, &oracle_targets(), i as u64, &what);
+            }
+        }
+    }
+    assert!(merged > 500, "only {merged} merges to test");
+}
+
+/// Shapes whose only interference between two copy-joined groups comes
+/// from the entry clique or is waived by the copy refinement: both
+/// coalescers must merge alike, and the clique must block the merge.
+#[test]
+fn coalesce_matches_reference_on_hand_made_edge_cases() {
+    let targets = [Target::custom("k", 3, 3)];
+    // v4 joins v0 on one path and v1 on the other; the parameters meet
+    // only at the entry, so only the entry clique refuses the second
+    // merge.
+    let params = "func f(v0:int, v1:int) -> int {
+b0:
+    v2 = imm 0
+    v3 = cmp.i.gt v0, v2
+    branch v3, b1, b2
+b1:
+    v4 = copy v0
+    jump b3
+b2:
+    v4 = copy v1
+    jump b3
+b3:
+    ret v4
+}
+";
+    // The same through a may-be-uninitialized v5, live at the entry.
+    let uninit = "func g(v0:int) -> int {
+b0:
+    v2 = imm 0
+    v3 = cmp.i.gt v0, v2
+    branch v3, b1, b2
+b1:
+    v5 = imm 7
+    v4 = copy v0
+    jump b3
+b2:
+    v4 = copy v5
+    jump b3
+b3:
+    v6 = add.i v4, v5
+    ret v6
+}
+";
+    // v1 copies v0 and both stay live: only the copy refinement keeps
+    // them apart in the graph, so they merge.
+    let refinement = "func h(v0:int) -> int {
+b0:
+    v1 = copy v0
+    v2 = add.i v0, v1
+    v3 = copy v2
+    v4 = add.i v3, v1
+    ret v4
+}
+";
+    for text in [params, uninit, refinement] {
+        let f = parse_function(text).expect("test IR parses");
+        check_coalesce(&f, &targets, f.name());
+    }
+    let f = parse_function(params).expect("test IR parses");
+    let mut renumbered = f.clone();
+    renumber(&mut renumbered);
+    assert_eq!(
+        coalesce(&mut renumbered, &CoalesceOpts::default()),
+        1,
+        "the entry clique must keep the parameters apart"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(CASES))]
+
+    /// Generated routines, optimized as `paper_invariants` compiles them,
+    /// at register counts from two up.
+    #[test]
+    fn lower_pressure_matches_reference_on_generated_routines(seed in 0u64..1_000_000, k in 2usize..9) {
+        let src = generate_routine("GEN", seed, &GenConfig::default());
+        let module = optimist::compile_optimized(&src)
+            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        let target = Target::custom("t", k, k.div_ceil(2) + 1);
+        for f in module.functions() {
+            check_lower_pressure(f, &target, &format!("seed {seed} {}", f.name()));
+        }
+    }
+
+    /// Generated routines and their spilled forms.
+    #[test]
+    fn coalesce_matches_reference_on_generated_routines(seed in 0u64..1_000_000, k in 2usize..9) {
+        let src = generate_routine("GEN", seed, &GenConfig::default());
+        let module = optimist::compile_optimized(&src)
+            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        let targets = [Target::custom("t", k, k)];
+        for f in module.functions() {
+            check_coalesce_family(f, &targets, seed, &format!("seed {seed} {}", f.name()));
+        }
+    }
+}
+
+/// The reference models of `renumber`, the IRC engine, the IR printer,
+/// `select`, the SSA spill phase and aggressive coalescing, which the
+/// library's must match exactly: the library's implementations before
+/// their rewrites, moved here with only their paths changed (the printer
+/// with its own number formatting, the spill phase reporting its victims
+/// round by round).
 ///
 /// Reaching-definitions analysis: each definition point of each virtual
 /// register gets a *def-site* id; the analysis computes which def sites
@@ -1842,6 +2116,346 @@ mod reference {
     }
 
     // The reaching-definitions unit tests, moved with the analysis.
+
+    // ---- the SSA spill phase before its rounds carried state ----------
+    //
+    // `ssa/spill.rs` as it stood: every round recomputes liveness, the
+    // pressure walk, spill costs and defined values, then rewrites every
+    // block. Its victims are returned round by round.
+
+    use optimist::analysis::LoopInfo;
+    use optimist::regalloc::ssa::{analyze, pressure, PhiSrc, SsaAnalysis, SsaForm, SsaLiveness};
+    use optimist::regalloc::{spill_costs, AllocError};
+
+    fn frame(slot: FrameSlot) -> Addr {
+        Addr::Frame { slot, offset: 0 }
+    }
+
+    fn temp(f: &mut Function, class: RegClass, tag: &str) -> VReg {
+        let v = f.new_vreg(class, tag);
+        f.set_spillable(v, false);
+        v
+    }
+
+    /// Lower maxlive to ≤ k by rounds, each demoting the cheapest values
+    /// at the worst-pressure point of each over-budget class.
+    pub fn lower_pressure(
+        ssa: &mut SsaForm,
+        target: &Target,
+        func_name: &str,
+    ) -> Result<(Vec<Vec<VReg>>, f64, SsaAnalysis), AllocError> {
+        let loops = LoopInfo::new(&ssa.func, ssa.cfg(), ssa.dom());
+        let k = [target.regs(RegClass::Int), target.regs(RegClass::Float)];
+        let nonconvergence = || AllocError::NonConvergence {
+            function: func_name.to_string(),
+            passes: 1,
+        };
+
+        let mut spilled = Vec::new();
+        let mut total_cost = 0.0;
+        let round_limit = 16 + ssa.func.num_vregs();
+        let mut rounds = 0;
+        loop {
+            let live = SsaLiveness::new(ssa);
+            let facts = pressure(ssa, &live);
+            if (0..2).all(|ci| facts.maxlive[ci] <= k[ci]) {
+                let analysis = analyze(ssa, &live);
+                return Ok((spilled, total_cost, analysis));
+            }
+            rounds += 1;
+            if rounds > round_limit {
+                return Err(nonconvergence());
+            }
+
+            let costs = spill_costs(&ssa.func, &loops);
+            let has_def = defined_values(ssa);
+            let mut chosen: Vec<VReg> = Vec::new();
+            for (ci, &kc) in k.iter().enumerate() {
+                if facts.maxlive[ci] <= kc {
+                    continue;
+                }
+                let excess = facts.maxlive[ci] - kc;
+                let mut candidates: Vec<(f64, u32)> = facts.worst[ci]
+                    .iter()
+                    .filter(|&&v| {
+                        ssa.func.vreg(v).spillable
+                            && costs[v.index()].is_finite()
+                            && has_def[v.index()]
+                    })
+                    .map(|&v| (costs[v.index()], v.index() as u32))
+                    .collect();
+                if candidates.len() < excess {
+                    return Err(nonconvergence());
+                }
+                candidates.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+                chosen.extend(candidates[..excess].iter().map(|&(_, v)| VReg::new(v)));
+            }
+            for &v in &chosen {
+                total_cost += costs[v.index()];
+            }
+            spill_values(ssa, &chosen);
+            spilled.push(chosen);
+        }
+    }
+
+    fn defined_values(ssa: &SsaForm) -> Vec<bool> {
+        let mut has_def = vec![false; ssa.func.num_vregs()];
+        for &p in ssa.func.params() {
+            has_def[p.index()] = true;
+        }
+        for &b in ssa.cfg().rpo() {
+            for inst in &ssa.func.block(b).insts {
+                if let Some(d) = inst.def() {
+                    has_def[d.index()] = true;
+                }
+            }
+            for phi in &ssa.phis[b.index()] {
+                has_def[phi.dst.index()] = true;
+            }
+        }
+        has_def
+    }
+
+    fn spill_values(ssa: &mut SsaForm, chosen: &[VReg]) {
+        let nb = ssa.func.num_blocks();
+        let nv = ssa.func.num_vregs();
+        let mut slot_of: Vec<Option<FrameSlot>> = vec![None; nv];
+        for &v in chosen {
+            let name = format!("{}.spill", ssa.func.vreg(v).name);
+            let s = ssa.func.new_slot(8, name, true);
+            slot_of[v.index()] = Some(s);
+            ssa.func.set_spillable(v, false);
+        }
+        let in_set = |v: VReg| slot_of.get(v.index()).copied().flatten();
+
+        let mut edge_insts: Vec<Vec<Inst>> = vec![Vec::new(); nb];
+        for b in 0..nb {
+            let mut kept = Vec::new();
+            for phi in std::mem::take(&mut ssa.phis[b]) {
+                let Some(slot) = in_set(phi.dst) else {
+                    kept.push(phi);
+                    continue;
+                };
+                for &(p, a) in &phi.args {
+                    let src_slot = match a {
+                        PhiSrc::Reg(v) => in_set(v),
+                        PhiSrc::Slot(s) => Some(s),
+                    };
+                    match (a, src_slot) {
+                        (PhiSrc::Reg(v), None) => edge_insts[p.index()].push(Inst::Store {
+                            src: v,
+                            addr: frame(slot),
+                        }),
+                        (a, Some(aslot)) => {
+                            let class = match a {
+                                PhiSrc::Reg(v) => ssa.func.vreg(v).class,
+                                PhiSrc::Slot(_) => ssa.func.vreg(phi.dst).class,
+                            };
+                            let t = temp(&mut ssa.func, class, "spl");
+                            edge_insts[p.index()].push(Inst::Load {
+                                dst: t,
+                                addr: frame(aslot),
+                            });
+                            edge_insts[p.index()].push(Inst::Store {
+                                src: t,
+                                addr: frame(slot),
+                            });
+                        }
+                        (PhiSrc::Slot(_), None) => unreachable!("slot arg always has a slot"),
+                    }
+                }
+            }
+            ssa.phis[b] = kept;
+        }
+
+        for b in 0..nb {
+            for phi in &mut ssa.phis[b] {
+                for arg in &mut phi.args {
+                    if let PhiSrc::Reg(v) = arg.1 {
+                        if let Some(aslot) = in_set(v) {
+                            arg.1 = PhiSrc::Slot(aslot);
+                        }
+                    }
+                }
+            }
+        }
+
+        let mut uses = Vec::new();
+        for b in 0..nb {
+            let bid = BlockId::new(b as u32);
+            let old = std::mem::take(&mut ssa.func.block_mut(bid).insts);
+            let mut out = Vec::with_capacity(old.len());
+            for mut inst in old {
+                uses.clear();
+                inst.uses_into(&mut uses);
+                uses.sort_unstable_by_key(|v| v.index());
+                uses.dedup();
+                let mut remap: Vec<(VReg, VReg)> = Vec::new();
+                for &u in &uses {
+                    if let Some(slot) = in_set(u) {
+                        let class = ssa.func.vreg(u).class;
+                        let t = temp(&mut ssa.func, class, "rld");
+                        out.push(Inst::Load {
+                            dst: t,
+                            addr: frame(slot),
+                        });
+                        remap.push((u, t));
+                    }
+                }
+                if !remap.is_empty() {
+                    inst.map_uses(|u| {
+                        remap
+                            .iter()
+                            .find(|&&(from, _)| from == u)
+                            .map_or(u, |&(_, to)| to)
+                    });
+                }
+                let def_slot = inst.def().and_then(in_set);
+                let d = inst.def();
+                out.push(inst);
+                if let (Some(d), Some(slot)) = (d, def_slot) {
+                    out.push(Inst::Store {
+                        src: d,
+                        addr: frame(slot),
+                    });
+                }
+            }
+            ssa.func.block_mut(bid).insts = out;
+        }
+
+        let entry = ssa.func.entry();
+        let mut entry_stores = Vec::new();
+        for &p in ssa.func.params() {
+            if let Some(slot) = in_set(p) {
+                entry_stores.push(Inst::Store {
+                    src: p,
+                    addr: frame(slot),
+                });
+            }
+        }
+        if !entry_stores.is_empty() {
+            ssa.func.block_mut(entry).insts.splice(0..0, entry_stores);
+        }
+
+        for (b, insts) in edge_insts.into_iter().enumerate() {
+            if insts.is_empty() {
+                continue;
+            }
+            let bid = BlockId::new(b as u32);
+            let at = ssa.func.block(bid).insts.len().saturating_sub(1);
+            ssa.func.block_mut(bid).insts.splice(at..at, insts);
+        }
+    }
+
+    // ---- aggressive coalescing over the whole graph ---------------------
+    //
+    // `coalesce.rs` as it stood: every round builds a fresh CFG, liveness
+    // and the whole interference graph, whatever the mode.
+
+    use optimist::analysis::Liveness;
+    use optimist::regalloc::{build_graph, CoalesceMode, CoalesceOpts};
+
+    /// Coalesce to a fixpoint; returns the copies merged.
+    pub fn coalesce(func: &mut Function, opts: &CoalesceOpts) -> usize {
+        let mut total = 0;
+        loop {
+            let merged = one_pass(func, opts.mode, opts.target);
+            total += merged;
+            if merged == 0 {
+                return total;
+            }
+        }
+    }
+
+    fn one_pass(func: &mut Function, mode: CoalesceMode, target: Option<&Target>) -> usize {
+        if mode == CoalesceMode::Off {
+            return 0;
+        }
+        let cfg = Cfg::new(func);
+        let live = Liveness::new(func, &cfg);
+        let graph = build_graph(func, &cfg, &live);
+
+        let nv = func.num_vregs();
+        let mut root: Vec<u32> = (0..nv as u32).collect();
+        fn find(root: &mut [u32], mut x: u32) -> u32 {
+            while root[x as usize] != x {
+                let p = root[root[x as usize] as usize];
+                root[x as usize] = p;
+                x = p;
+            }
+            x
+        }
+        let mut members: Vec<Vec<u32>> = (0..nv as u32).map(|v| vec![v]).collect();
+
+        let mut merged = 0usize;
+        for b in func.block_ids() {
+            for inst in &func.block(b).insts {
+                if let Inst::Copy { dst, src } = inst {
+                    let (d, s) = (dst.index() as u32, src.index() as u32);
+                    let (rd, rs) = (find(&mut root, d), find(&mut root, s));
+                    if rd == rs {
+                        continue;
+                    }
+                    let conflict = members[rd as usize]
+                        .iter()
+                        .any(|&x| members[rs as usize].iter().any(|&y| graph.interferes(x, y)));
+                    if conflict {
+                        continue;
+                    }
+                    if mode == CoalesceMode::Conservative {
+                        let target = target.expect("conservative coalescing needs a target");
+                        let k = target.regs(graph.class(d));
+                        let mut heavy = std::collections::HashSet::new();
+                        for &m in members[rd as usize].iter().chain(&members[rs as usize]) {
+                            for &nb in graph.neighbors(m) {
+                                if graph.degree(nb) >= k {
+                                    heavy.insert(nb);
+                                }
+                            }
+                        }
+                        if heavy.len() >= k {
+                            continue;
+                        }
+                    }
+                    root[rd as usize] = rs;
+                    let moved = std::mem::take(&mut members[rd as usize]);
+                    members[rs as usize].extend(moved);
+                    merged += 1;
+                }
+            }
+        }
+
+        if merged == 0 {
+            return 0;
+        }
+
+        for v in 0..nv as u32 {
+            let r = find(&mut root, v);
+            if r != v && !func.vreg(VReg::new(v)).spillable {
+                func.set_spillable(VReg::new(r), false);
+            }
+        }
+
+        func.for_each_inst_mut(|_, _, inst| {
+            inst.map_uses(|v| VReg::new(find(&mut root, v.index() as u32)));
+            inst.map_def(|v| VReg::new(find(&mut root, v.index() as u32)));
+        });
+        let params = func
+            .params()
+            .iter()
+            .map(|p| VReg::new(find(&mut root, p.index() as u32)))
+            .collect();
+        func.set_params(params);
+        func.rewrite_blocks(|_, insts| {
+            insts
+                .into_iter()
+                .filter(|i| !matches!(i, Inst::Copy { dst, src } if dst == src))
+                .collect()
+        });
+
+        merged
+    }
+
     mod tests {
         use super::*;
         use optimist::ir::{Cmp, FunctionBuilder, Imm, RegClass};

@@ -24,7 +24,7 @@ use optimist_analysis::{renumber, Cfg, Dominators, Liveness, LoopInfo};
 use optimist_ir::Function;
 use optimist_machine::Target;
 use optimist_regalloc::{
-    allocate, build_graph_par, coalesce, spill_costs, AllocatorConfig, CoalesceOpts, PassRecord,
+    allocate, build_graph, coalesce, spill_costs, AllocatorConfig, CoalesceOpts, PassRecord,
     Strategy,
 };
 use std::hint::black_box;
@@ -84,7 +84,7 @@ fn build_split(f: &Function, config: &AllocatorConfig) -> [Duration; 5] {
     let live = Liveness::new(&f, &cfg);
     let dom = Dominators::new(&f, &cfg);
     let loops = LoopInfo::new(&f, &cfg, &dom);
-    black_box(build_graph_par(&f, &cfg, &live, config.graph_threads.get()));
+    black_box(build_graph(&f, &cfg, &live));
     lap(3);
     black_box(spill_costs(&f, &loops));
     lap(4);

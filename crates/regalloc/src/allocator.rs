@@ -22,20 +22,18 @@
 //! CFG, dominators and loop nesting are built once, inside the first pass's
 //! build phase.
 
-use crate::build::build_graph_par;
+use crate::build::build_graph;
 use crate::coalesce::{coalesce, CoalesceOpts};
 use crate::cost::spill_costs;
 use crate::irc::{apply_coalesces, collect_moves, irc};
-use crate::par::par_select;
 use crate::select::select;
-use crate::simplify::{simplify_with_metric_threads, Heuristic};
+use crate::simplify::{simplify_with_metric, Heuristic};
 use crate::spill::{insert_spill_code, SpillOpts};
 use optimist_analysis::{renumber, Cfg, Dominators, Liveness, LoopInfo};
 use optimist_ir::{Function, VReg};
 use optimist_machine::{PhysReg, Target};
 use std::error::Error;
 use std::fmt;
-use std::num::NonZeroUsize;
 use std::time::{Duration, Instant};
 
 /// Which allocator family drives the Build–Simplify–Color cycle — the
@@ -90,12 +88,10 @@ impl Strategy {
 /// ```
 /// use optimist_machine::Target;
 /// use optimist_regalloc::{AllocatorConfig, CoalesceMode, Strategy};
-/// use std::num::NonZeroUsize;
 ///
 /// let config = AllocatorConfig::new(Target::rt_pc(), Strategy::Briggs)
 ///     .with_coalesce(CoalesceMode::Conservative)
-///     .with_rematerialize(true)
-///     .with_graph_threads(NonZeroUsize::new(4).unwrap());
+///     .with_rematerialize(true);
 /// assert!(config.rematerialize);
 /// ```
 ///
@@ -125,20 +121,12 @@ pub struct AllocatorConfig {
     /// Safety bound on Build–Simplify–Color cycles. The paper never
     /// observed more than three; we fail loudly rather than loop.
     pub max_passes: usize,
-    /// Intra-function threads for the build and select phases of the
-    /// classic strategies (sharded graph construction, speculative
-    /// parallel coloring — see the [`par`](crate::par_stats) machinery):
-    /// exactly the thread count of one function's build and select. The
-    /// allocation result is bit-identical for every value; only wall clock
-    /// changes. Defaults to 1 (fully sequential).
-    pub graph_threads: NonZeroUsize,
 }
 
 impl AllocatorConfig {
     /// An allocator configuration for `strategy` on `target`, with every
     /// other knob at its default (aggressive coalescing for the classic
-    /// strategies, `cost/degree` spill ranking, no rematerialization, one
-    /// graph-build thread).
+    /// strategies, `cost/degree` spill ranking, no rematerialization).
     pub fn new(target: Target, strategy: Strategy) -> Self {
         AllocatorConfig {
             target,
@@ -147,7 +135,6 @@ impl AllocatorConfig {
             spill_metric: crate::simplify::SpillMetric::CostOverDegree,
             rematerialize: false,
             max_passes: 64,
-            graph_threads: NonZeroUsize::MIN,
         }
     }
 
@@ -181,22 +168,12 @@ impl AllocatorConfig {
         self
     }
 
-    /// Set the intra-function thread count for the build and select
-    /// phases.
-    pub fn with_graph_threads(mut self, threads: NonZeroUsize) -> Self {
-        self.graph_threads = threads;
-        self
-    }
-
     /// A stable 64-bit fingerprint of every knob that can change the
     /// *result* of an allocation: target register files, strategy,
     /// coalescing mode, spill metric and rematerialization.
     ///
-    /// [`AllocatorConfig::graph_threads`] is deliberately excluded: it only
-    /// changes scheduling, never output (the par-equivalence proptests pin
-    /// that down — intra-function speculation is repaired to the
-    /// sequential fixpoint before any result escapes), and neither does
-    /// the size of the [`WorkerPool`](crate::WorkerPool) that runs it.
+    /// The size of the [`WorkerPool`](crate::WorkerPool) that runs an
+    /// allocation never changes its output, so it has no place here.
     /// [`AllocatorConfig::max_passes`] caps how
     /// long the Build–Simplify–Color cycle may iterate but never changes a
     /// *converged* result: any bound ≥ the passes actually taken yields the
@@ -441,9 +418,6 @@ pub fn allocate_with_deadline(
         // construct → spill → color → destruct pipeline.
         return crate::ssa::allocate_ssa(func, config, deadline);
     }
-    // Intra-function parallelism. Every path below is bit-identical for
-    // every value of this; it is pure scheduling.
-    let graph_threads = config.graph_threads.get();
     let mut f = func.clone();
     let mut passes: Vec<PassRecord> = Vec::new();
     let mut total_spilled = 0usize;
@@ -478,7 +452,7 @@ pub fn allocate_with_deadline(
             (cfg, loops)
         });
         let live = Liveness::new(&f, cfg);
-        let graph = build_graph_par(&f, cfg, &live, graph_threads);
+        let graph = build_graph(&f, cfg, &live);
         total_coalesced += coalesced;
         let costs = spill_costs(&f, loops);
         let build_time = t_build.elapsed();
@@ -496,13 +470,12 @@ pub fn allocate_with_deadline(
             let out = irc(&graph, &moves, &costs, &config.target, config.spill_metric);
             (None, Some(out))
         } else {
-            let out = simplify_with_metric_threads(
+            let out = simplify_with_metric(
                 &graph,
                 &costs,
                 &config.target,
                 config.strategy.heuristic(),
                 config.spill_metric,
-                graph_threads,
             );
             (Some(out), None)
         };
@@ -535,12 +508,7 @@ pub fn allocate_with_deadline(
                 }
                 Some(c)
             }
-            (Some(out), None) => Some(par_select(
-                &graph,
-                &out.stack,
-                &config.target,
-                graph_threads,
-            )),
+            (Some(out), None) => Some(select(&graph, &out.stack, &config.target)),
             (None, None) => unreachable!("one of the two simplify paths ran"),
         };
         let color_time = if skip_color {
@@ -1036,60 +1004,18 @@ mod tests {
             .with_coalesce(crate::coalesce::CoalesceMode::Off)
             .with_spill_metric(crate::simplify::SpillMetric::Cost)
             .with_rematerialize(true)
-            .with_max_passes(7)
-            .with_graph_threads(NonZeroUsize::new(2).unwrap());
+            .with_max_passes(7);
         assert_eq!(cfg.strategy, Strategy::Briggs);
         assert_eq!(cfg.coalesce, crate::coalesce::CoalesceMode::Off);
         assert_eq!(cfg.spill_metric, crate::simplify::SpillMetric::Cost);
         assert!(cfg.rematerialize);
         assert_eq!(cfg.max_passes, 7);
-        assert_eq!(cfg.graph_threads.get(), 2);
-        // Defaults.
-        let d = AllocatorConfig::new(Target::rt_pc(), Strategy::Briggs);
-        assert_eq!(d.graph_threads.get(), 1, "sequential by default");
-    }
-
-    #[test]
-    fn graph_threads_do_not_change_the_allocation() {
-        // The differential proptests at the workspace root cover this at
-        // scale; this is the in-crate smoke over every classic strategy.
-        let f = pressure_function(24);
-        for strategy in [Strategy::Chaitin, Strategy::Briggs, Strategy::Irc] {
-            let base = AllocatorConfig::new(Target::with_int_regs(8), strategy);
-            let seq = allocate(&f, &base).unwrap();
-            for threads in [2usize, 8] {
-                let cfg = base
-                    .clone()
-                    .with_graph_threads(NonZeroUsize::new(threads).unwrap());
-                let par = allocate(&f, &cfg).unwrap();
-                assert_eq!(par.assignment, seq.assignment, "{strategy:?}/{threads}");
-                assert_eq!(
-                    par.stats.registers_spilled, seq.stats.registers_spilled,
-                    "{strategy:?}/{threads}"
-                );
-                assert_eq!(par.stats.passes, seq.stats.passes, "{strategy:?}/{threads}");
-                assert_eq!(
-                    par.func.to_string(),
-                    seq.func.to_string(),
-                    "{strategy:?}/{threads}"
-                );
-            }
-        }
     }
 
     #[test]
     fn fingerprint_tracks_result_relevant_knobs_only() {
         let base = AllocatorConfig::new(Target::rt_pc(), Strategy::Briggs);
         assert_eq!(base.fingerprint(), base.clone().fingerprint());
-        // Intra-function threads never change results: speculation is
-        // repaired to the sequential fixpoint, so the knob may not split
-        // the cache.
-        assert_eq!(
-            base.fingerprint(),
-            base.clone()
-                .with_graph_threads(NonZeroUsize::new(8).unwrap())
-                .fingerprint()
-        );
         // The pass bound never changes a converged result, so it never
         // changes the print either — a cache warmed under one bound stays
         // addressable under another (bound sensitivity is the caller's job).

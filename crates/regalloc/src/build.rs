@@ -6,13 +6,11 @@
 //! interfere with `src`, which is what later allows the two to coalesce.
 //!
 //! [`build_graph`] walks every block and produces a fresh graph, the full
-//! rebuild run at the top of each allocation pass; [`build_graph_par`]
-//! shards the same scan across threads.
+//! rebuild run at the top of each allocation pass.
 
 use crate::graph::InterferenceGraph;
-use optimist_analysis::{Cfg, DenseBitSet, Liveness};
+use optimist_analysis::{Cfg, Liveness};
 use optimist_ir::{BlockId, Function, Inst, VReg};
-use std::time::Instant;
 
 /// Scratch buffers for the backward block scan, reusable across blocks.
 struct ScanState {
@@ -47,16 +45,14 @@ impl ScanState {
     }
 }
 
-/// Walk `b` backward from its live-out set, reporting each interference pair
-/// `(def, live)` to `edge`. Honors the copy refinement. The same scan serves
-/// the sequential build (where `edge` inserts) and the sharded one (where
-/// `edge` logs each pair's first occurrence).
+/// Walk `b` backward from its live-out set, adding each interference pair
+/// `(def, live)` to `graph`. Honors the copy refinement.
 fn scan_block(
     func: &Function,
     live: &Liveness,
     b: BlockId,
     state: &mut ScanState,
-    mut edge: impl FnMut(u32, u32),
+    graph: &mut InterferenceGraph,
 ) {
     state.live_now.fill(false);
     state.live_list.clear();
@@ -75,7 +71,7 @@ fn scan_block(
             state.remove_from_live(dv);
             for &l in &state.live_list {
                 if Some(l) != skip {
-                    edge(dv, l);
+                    graph.add_edge(dv, l);
                 }
             }
         }
@@ -88,10 +84,10 @@ fn scan_block(
     }
 }
 
-/// Report the entry-block clique to `edge`: everything live at the top of
+/// Add the entry-block clique to `graph`: everything live at the top of
 /// the function (parameters, plus any may-be-uninitialized webs) is
 /// simultaneously defined on entry, so those ranges pairwise interfere.
-fn entry_clique(func: &Function, live: &Liveness, mut edge: impl FnMut(u32, u32)) {
+fn entry_clique(func: &Function, live: &Liveness, graph: &mut InterferenceGraph) {
     let entry_live: Vec<u32> = live
         .live_in(func.entry())
         .iter()
@@ -99,7 +95,7 @@ fn entry_clique(func: &Function, live: &Liveness, mut edge: impl FnMut(u32, u32)
         .collect();
     for (i, &x) in entry_live.iter().enumerate() {
         for &y in &entry_live[i + 1..] {
-            edge(x, y);
+            graph.add_edge(x, y);
         }
     }
 }
@@ -116,95 +112,10 @@ pub fn build_graph(func: &Function, cfg: &Cfg, live: &Liveness) -> InterferenceG
     let mut state = ScanState::new(nv);
 
     for &b in cfg.rpo() {
-        scan_block(func, live, b, &mut state, |a, l| graph.add_edge(a, l));
+        scan_block(func, live, b, &mut state, &mut graph);
     }
-    entry_clique(func, live, |a, l| graph.add_edge(a, l));
+    entry_clique(func, live, &mut graph);
 
-    graph
-}
-
-/// [`build_graph`] with the block scan sharded across `threads` scoped
-/// workers — bit-identical output for every thread count.
-///
-/// The RPO block sequence is cut into at most `threads` contiguous ranges;
-/// each worker scans its range in order with a private scan state,
-/// recording the **first in-shard occurrence** of every interference pair
-/// (a private triangular bit set deduplicates repeats) into an ordered
-/// shard log. The merge then replays the logs shard by shard, in range
-/// order, through [`InterferenceGraph::add_edge`], and finishes with the
-/// entry clique — exactly the order the sequential build presents pairs
-/// in. Because adjacency lists record *insertion* order and `add_edge`
-/// keeps only the first insertion of a pair, replaying first occurrences
-/// in scan order reproduces the sequential graph exactly — `num_edges`,
-/// neighbor order, everything (the `par_equivalence` proptests at the
-/// workspace root compare against [`build_graph`] node by node).
-///
-/// `threads <= 1`, or a function too small to shard, falls back to the
-/// sequential build.
-pub fn build_graph_par(
-    func: &Function,
-    cfg: &Cfg,
-    live: &Liveness,
-    threads: usize,
-) -> InterferenceGraph {
-    let blocks = cfg.rpo();
-    if threads <= 1 || blocks.len() < 2 {
-        return build_graph(func, cfg, live);
-    }
-    let nv = func.num_vregs();
-    let ranges = crate::par::chunk_ranges(blocks.len(), threads);
-
-    // Phase 1: scan shards in parallel. Each shard log holds the pairs in
-    // first-occurrence scan order, with the orientation (def, live) of the
-    // first occurrence preserved — `add_edge(a, b)` pushes `b` onto `a`'s
-    // adjacency first, so orientation matters for byte-identity.
-    let shards: Vec<(Vec<(u32, u32)>, u128)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .iter()
-            .map(|r| {
-                let shard_blocks = &blocks[r.start..r.end];
-                scope.spawn(move || {
-                    let start = Instant::now();
-                    let mut state = ScanState::new(nv);
-                    let mut seen = DenseBitSet::new(nv * nv.saturating_sub(1) / 2);
-                    let mut log: Vec<(u32, u32)> = Vec::new();
-                    for &b in shard_blocks {
-                        scan_block(func, live, b, &mut state, |a, l| {
-                            if a == l {
-                                return;
-                            }
-                            let (lo, hi) = if a < l { (a, l) } else { (l, a) };
-                            let idx = hi as usize * (hi as usize - 1) / 2 + lo as usize;
-                            if seen.insert(idx) {
-                                log.push((a, l));
-                            }
-                        });
-                    }
-                    (log, start.elapsed().as_nanos())
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("graph-build shard panicked"))
-            .collect()
-    });
-
-    // Phase 2: deterministic merge — replay shard logs in range order.
-    let classes = (0..nv)
-        .map(|i| func.class_of(VReg::new(i as u32)))
-        .collect();
-    let mut graph = InterferenceGraph::new(classes);
-    let mut shard_nanos = 0u128;
-    for (log, nanos) in &shards {
-        for &(a, l) in log {
-            graph.add_edge(a, l);
-        }
-        shard_nanos += nanos;
-    }
-    entry_clique(func, live, |a, l| graph.add_edge(a, l));
-
-    crate::par::record_parallel_build(shards.len(), shard_nanos);
     graph
 }
 
@@ -337,94 +248,5 @@ mod tests {
         let g = graph_of(&mut f);
         // n, a, c all pairwise interfere (plus edges to temporaries).
         assert!(g.num_edges() >= 3);
-    }
-
-    /// Bit-identity, not just set equality: same neighbor *order* on every
-    /// node, same edge count, same classes.
-    fn assert_identical(par: &InterferenceGraph, seq: &InterferenceGraph) {
-        assert_eq!(par.num_nodes(), seq.num_nodes());
-        assert_eq!(par.num_edges(), seq.num_edges());
-        for v in 0..seq.num_nodes() as u32 {
-            assert_eq!(par.class(v), seq.class(v), "class of {v}");
-            assert_eq!(par.neighbors(v), seq.neighbors(v), "adjacency of {v}");
-        }
-    }
-
-    /// A loop-carried pair is the adversarial case for the shard merge: the
-    /// pair {x, y} is first reported in the entry block as `(y, x)` (def of
-    /// y while x is live) and again in the loop body with *both*
-    /// orientations (`x = x + y` then `y = y + x`). A shard boundary
-    /// between those blocks makes each shard record its own first
-    /// occurrence; the ordered replay must keep the entry block's
-    /// orientation, or the adjacency lists come out permuted.
-    fn loop_carried_function() -> Function {
-        let mut bld = FunctionBuilder::new("f");
-        bld.set_ret_class(Some(RegClass::Int));
-        let n = bld.add_param(RegClass::Int, "n");
-        let x = bld.new_vreg(RegClass::Int, "x");
-        let y = bld.new_vreg(RegClass::Int, "y");
-        bld.load_imm(x, Imm::Int(1));
-        bld.load_imm(y, Imm::Int(2));
-        let head = bld.new_block();
-        let body = bld.new_block();
-        let exit = bld.new_block();
-        bld.jump(head);
-        bld.switch_to(head);
-        let cond = bld.cmp_i(optimist_ir::Cmp::Gt, n, x);
-        bld.branch(cond, body, exit);
-        bld.switch_to(body);
-        bld.bin(BinOp::AddI, x, x, y);
-        bld.bin(BinOp::AddI, y, y, x);
-        bld.jump(head);
-        bld.switch_to(exit);
-        let r = bld.binv(BinOp::AddI, x, y);
-        bld.ret(Some(r));
-        bld.finish()
-    }
-
-    #[test]
-    fn parallel_build_matches_sequential_across_seam_orientations() {
-        let mut f = loop_carried_function();
-        renumber(&mut f);
-        let cfg = Cfg::new(&f);
-        let live = Liveness::new(&f, &cfg);
-        let seq = build_graph(&f, &cfg, &live);
-        assert!(seq.num_edges() >= 3, "the loop must create interference");
-        // Every chunking, including one block per shard and more shards
-        // than blocks.
-        for threads in [2, 3, 4, 8, 64] {
-            let par = build_graph_par(&f, &cfg, &live, threads);
-            assert_identical(&par, &seq);
-        }
-    }
-
-    #[test]
-    fn parallel_build_falls_back_on_tiny_functions() {
-        let mut bld = FunctionBuilder::new("f");
-        bld.set_ret_class(Some(RegClass::Int));
-        let a = bld.int(1);
-        let b = bld.int(2);
-        let c = bld.binv(BinOp::AddI, a, b);
-        bld.ret(Some(c));
-        let mut f = bld.finish();
-        renumber(&mut f);
-        let cfg = Cfg::new(&f);
-        let live = Liveness::new(&f, &cfg);
-        let seq = build_graph(&f, &cfg, &live);
-        let par = build_graph_par(&f, &cfg, &live, 8);
-        assert_identical(&par, &seq);
-    }
-
-    #[test]
-    fn parallel_build_bumps_the_stats_registry() {
-        let mut f = loop_carried_function();
-        renumber(&mut f);
-        let cfg = Cfg::new(&f);
-        let live = Liveness::new(&f, &cfg);
-        let before = crate::par::par_stats();
-        let _ = build_graph_par(&f, &cfg, &live, 2);
-        let after = crate::par::par_stats();
-        assert!(after.parallel_builds > before.parallel_builds);
-        assert!(after.shards_built >= before.shards_built + 2);
     }
 }

@@ -162,8 +162,8 @@ fn merge_copies(
 ) -> (usize, Vec<u32>) {
     let nv = func.num_vregs();
     let mut root: Vec<u32> = (0..nv as u32).collect();
-    // Members of each union group (lazily: singleton unless merged).
-    let mut members: Vec<Vec<u32>> = (0..nv as u32).map(|v| vec![v]).collect();
+    // Members of each root's group, empty until the group first merges.
+    let mut members: Vec<Vec<u32>> = vec![Vec::new(); nv];
 
     let mut merged = 0usize;
     for b in func.block_ids() {
@@ -174,19 +174,38 @@ fn merge_copies(
                 if rd == rs {
                     continue; // already merged; copy will collapse
                 }
-                let (gd, gs) = (&members[rd as usize], &members[rs as usize]);
+                let (gd, gs) = (group(&members, &rd), group(&members, &rs));
                 if gd.iter().any(|&x| gs.iter().any(|&y| interferes(x, y))) || !admit(gd, gs, d) {
                     continue;
                 }
                 // Union rd into rs.
                 root[rd as usize] = rs;
                 let moved = std::mem::take(&mut members[rd as usize]);
-                members[rs as usize].extend(moved);
+                let into = &mut members[rs as usize];
+                if into.is_empty() {
+                    into.push(rs);
+                }
+                if moved.is_empty() {
+                    into.push(rd);
+                } else {
+                    into.extend(moved);
+                }
                 merged += 1;
             }
         }
     }
     (merged, root)
+}
+
+/// The members of root `r`'s group: its list, or just `r` while the list
+/// is empty (the group has not merged yet).
+fn group<'a>(members: &'a [Vec<u32>], r: &'a u32) -> &'a [u32] {
+    let m = &members[*r as usize];
+    if m.is_empty() {
+        std::slice::from_ref(r)
+    } else {
+        m
+    }
 }
 
 /// Interference among copy endpoints only, equal pair for pair to what

@@ -75,7 +75,6 @@ mod graph;
 pub mod irc;
 mod listing;
 mod matula;
-mod par;
 mod pipeline;
 mod select;
 mod simplify;
@@ -86,18 +85,14 @@ pub use allocator::{
     allocate, allocate_with_deadline, fnv1a, AllocError, AllocStats, Allocation, AllocatorConfig,
     PassRecord, PhaseTimes, Strategy,
 };
-pub use build::{build_graph, build_graph_par};
+pub use build::build_graph;
 pub use coalesce::{coalesce, CoalesceMode, CoalesceOpts};
 pub use cost::{depth_weight, spill_costs};
 pub use deadline::Deadline;
 pub use graph::InterferenceGraph;
 pub use irc::{ConservativeTest, IrcEvent, IrcOutcome};
 pub use matula::smallest_last_order;
-pub use par::{par_select, par_stats, ParStats};
 pub use pipeline::{default_threads, ModuleAllocation, WorkerPool};
 pub use select::{select, Coloring};
-pub use simplify::{
-    simplify, simplify_with_metric, simplify_with_metric_threads, Heuristic, SimplifyOutcome,
-    SpillMetric,
-};
+pub use simplify::{simplify, simplify_with_metric, Heuristic, SimplifyOutcome, SpillMetric};
 pub use spill::{insert_spill_code, SpillOpts, SpillStats};

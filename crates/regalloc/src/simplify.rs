@@ -96,33 +96,6 @@ pub fn simplify_with_metric(
     heuristic: Heuristic,
     metric: SpillMetric,
 ) -> SimplifyOutcome {
-    simplify_with_metric_threads(graph, costs, target, heuristic, metric, 1)
-}
-
-/// Node-count threshold below which the blocked scan stays sequential:
-/// spawning workers costs more than scanning a small graph.
-const PAR_SCAN_MIN_NODES: usize = 2048;
-
-/// [`simplify_with_metric`] with the blocked-candidate scan sharded across
-/// `threads` scoped workers — bit-identical output for every thread count.
-///
-/// Only the blocked scan (the O(n) argmin re-run every time the worklist
-/// empties — the phase's hot spot on giant graphs) is parallelized: each
-/// worker takes a contiguous node range and keeps its local minimum under
-/// the same strict `<` comparison the sequential scan uses, and the local
-/// minima are folded in ascending range order, again with strict `<`.
-/// Strict comparison means the lowest index wins every tie in both the
-/// sequential and the sharded scan — including NaN and ±∞ costs, which
-/// compare identically in both — so the chosen candidate, and therefore
-/// the whole removal order, cannot depend on the thread count.
-pub fn simplify_with_metric_threads(
-    graph: &InterferenceGraph,
-    costs: &[f64],
-    target: &Target,
-    heuristic: Heuristic,
-    metric: SpillMetric,
-    threads: usize,
-) -> SimplifyOutcome {
     let n = graph.num_nodes();
     debug_assert_eq!(costs.len(), n);
 
@@ -168,8 +141,14 @@ pub fn simplify_with_metric_threads(
         }
 
         // Blocked: every remaining node has degree >= k. Pick the metric's
-        // minimal candidate (lowest index on ties).
-        let best = blocked_candidate(costs, &cur_degree, &removed, metric, threads);
+        // minimal candidate; the strict `<` lets the lowest index win ties.
+        let mut best: Option<(f64, u32)> = None;
+        for v in (0..n).filter(|&v| !removed[v]) {
+            let rank = metric.rank(costs[v], cur_degree[v]);
+            if best.is_none_or(|(r, _)| rank < r) {
+                best = Some((rank, v as u32));
+            }
+        }
         let (_, v) = best.expect("remaining > 0 implies a candidate");
         remove_node(v, &mut cur_degree, &mut removed, &mut low);
         remaining -= 1;
@@ -185,61 +164,6 @@ pub fn simplify_with_metric_threads(
         spill_marked,
         blocked,
     }
-}
-
-/// The blocked-phase argmin: the not-yet-removed node minimizing
-/// `metric.rank(cost, degree)`, lowest index on ties. Shards the scan when
-/// the graph is large enough and `threads > 1`; otherwise scans inline.
-fn blocked_candidate(
-    costs: &[f64],
-    cur_degree: &[usize],
-    removed: &[bool],
-    metric: SpillMetric,
-    threads: usize,
-) -> Option<(f64, u32)> {
-    let n = costs.len();
-    let scan = |range: std::ops::Range<usize>| -> Option<(f64, u32)> {
-        let mut best: Option<(f64, u32)> = None;
-        for v in range {
-            if removed[v] {
-                continue;
-            }
-            let ratio = metric.rank(costs[v], cur_degree[v]);
-            match best {
-                None => best = Some((ratio, v as u32)),
-                Some((r, _)) if ratio < r => best = Some((ratio, v as u32)),
-                _ => {}
-            }
-        }
-        best
-    };
-    if threads <= 1 || n < PAR_SCAN_MIN_NODES {
-        return scan(0..n);
-    }
-
-    let ranges = crate::par::chunk_ranges(n, threads);
-    let locals: Vec<Option<(f64, u32)>> = std::thread::scope(|scope| {
-        let scan = &scan;
-        let handles: Vec<_> = ranges
-            .into_iter()
-            .map(|r| scope.spawn(move || scan(r)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("blocked-scan shard panicked"))
-            .collect()
-    });
-    // Fold shard minima in ascending range order with the same strict `<`,
-    // so the globally lowest index still wins every tie.
-    let mut best: Option<(f64, u32)> = None;
-    for local in locals.into_iter().flatten() {
-        match best {
-            None => best = Some(local),
-            Some((r, _)) if local.0 < r => best = Some(local),
-            _ => {}
-        }
-    }
-    best
 }
 
 #[cfg(test)]
@@ -321,67 +245,6 @@ mod tests {
         let mut sorted = out.stack.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn sharded_blocked_scan_matches_sequential_with_ties_nan_and_inf() {
-        // Big enough to clear PAR_SCAN_MIN_NODES, seeded with the nasty
-        // cases: exact ties (index must win), NaN costs (never compare
-        // less, so never picked while a non-NaN remains), and ±infinity.
-        let n = PAR_SCAN_MIN_NODES + 1000;
-        let mut costs = vec![0.0f64; n];
-        let mut degrees = vec![0usize; n];
-        let mut removed = vec![false; n];
-        for v in 0..n {
-            costs[v] = match v % 7 {
-                0 => 4.0, // deliberate ties across shard boundaries
-                1 => f64::NAN,
-                2 => f64::INFINITY,
-                3 => -1.0 - (v % 13) as f64,
-                _ => (v % 29) as f64 + 0.5,
-            };
-            degrees[v] = v % 5 + 1;
-            removed[v] = v % 11 == 0;
-        }
-        for metric in [
-            SpillMetric::CostOverDegree,
-            SpillMetric::Cost,
-            SpillMetric::CostOverDegreeSquared,
-        ] {
-            let seq = blocked_candidate(&costs, &degrees, &removed, metric, 1);
-            for threads in [2, 4, 8] {
-                let par = blocked_candidate(&costs, &degrees, &removed, metric, threads);
-                // Compare indices (and bits of the ratio) — f64 == would
-                // treat two NaNs as different.
-                assert_eq!(
-                    par.map(|(r, v)| (r.to_bits(), v)),
-                    seq.map(|(r, v)| (r.to_bits(), v)),
-                    "{metric:?} with {threads} threads"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn threaded_simplify_matches_sequential_on_small_graphs() {
-        // Below the size threshold the call must take the inline path and
-        // the outcome must be identical either way.
-        let g = int_graph(4, &[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]);
-        let costs = vec![9.0, 9.0, 1.0, 9.0];
-        for h in [Heuristic::ChaitinPessimistic, Heuristic::BriggsOptimistic] {
-            let seq = simplify_with_metric(&g, &costs, &k(2), h, SpillMetric::CostOverDegree);
-            for threads in [2, 8] {
-                let par = simplify_with_metric_threads(
-                    &g,
-                    &costs,
-                    &k(2),
-                    h,
-                    SpillMetric::CostOverDegree,
-                    threads,
-                );
-                assert_eq!(par, seq);
-            }
-        }
     }
 
     #[test]

@@ -11,8 +11,7 @@
 //! ```json
 //! {"req":"alloc","ir":"fn F(v0:int) {...}","config":{"strategy":"briggs",
 //!  "target":"rt-pc","int_regs":16,"float_regs":8,"coalesce":"aggressive",
-//!  "spill_metric":"cost/degree","rematerialize":false,"max_passes":64,
-//!  "graph_threads":1}}
+//!  "spill_metric":"cost/degree","rematerialize":false,"max_passes":64}}
 //! {"req":"batch","config":{...},"items":[
 //!  {"id":"mod-a","ir":"func A() ..."},
 //!  {"id":7,"key":"00baadf00dcafe42"}]}
@@ -30,8 +29,7 @@
 //! allocation path.
 //!
 //! Every `config` field is optional; the default is the paper's Briggs
-//! configuration on the RT/PC. `graph_threads` is bounded by
-//! [`MAX_GRAPH_THREADS`], and `int_regs` and `float_regs` by
+//! configuration on the RT/PC. `int_regs` and `float_regs` are bounded by
 //! [`MAX_REGS_PER_CLASS`] (a request past it is refused before any table is
 //! sized by it). The `alloc` response carries one entry per
 //! function with the register assignment (vreg index → `r3`/`f1`/`spill`),
@@ -62,13 +60,6 @@ use optimist_machine::{Target, MAX_REGS_PER_CLASS};
 use optimist_regalloc::{
     AllocStats, Allocation, AllocatorConfig, CoalesceMode, SpillMetric, Strategy,
 };
-use std::num::NonZeroUsize;
-
-/// The largest `graph_threads` a request may ask for. Speculative parallel
-/// coloring repairs cross-chunk conflicts in rounds, and the rounds grow
-/// with the chunk count, so the daemon — not the client — caps how finely
-/// one request may split its own work.
-pub const MAX_GRAPH_THREADS: usize = 64;
 
 /// A parsed request line.
 #[derive(Debug)]
@@ -274,7 +265,6 @@ pub fn parse_config(spec: Option<&Json>) -> Result<AllocatorConfig, ProtocolErro
     let mut spill_metric = None;
     let mut rematerialize = None;
     let mut max_passes = None;
-    let mut graph_threads = None;
 
     for (key, value) in spec {
         match key.as_str() {
@@ -339,20 +329,6 @@ pub fn parse_config(spec: Option<&Json>) -> Result<AllocatorConfig, ProtocolErro
                         .ok_or_else(|| bad("max_passes must be a positive integer"))?,
                 )
             }
-            "graph_threads" => {
-                graph_threads = Some(
-                    value
-                        .as_u64()
-                        .and_then(|n| usize::try_from(n).ok())
-                        .filter(|&n| n <= MAX_GRAPH_THREADS)
-                        .and_then(NonZeroUsize::new)
-                        .ok_or_else(|| {
-                            bad(format!(
-                                "graph_threads must be an integer from 1 to {MAX_GRAPH_THREADS}"
-                            ))
-                        })?,
-                )
-            }
             other => return Err(bad(format!("unknown config field {other:?}"))),
         }
     }
@@ -392,9 +368,6 @@ pub fn parse_config(spec: Option<&Json>) -> Result<AllocatorConfig, ProtocolErro
     }
     if let Some(n) = max_passes {
         config = config.with_max_passes(n as usize);
-    }
-    if let Some(n) = graph_threads {
-        config = config.with_graph_threads(n);
     }
     Ok(config)
 }
@@ -548,7 +521,7 @@ mod tests {
         let line = r#"{"req":"alloc","ir":"","config":{
             "strategy":"chaitin","target":"tiny","int_regs":4,"float_regs":2,
             "coalesce":"off","spill_metric":"cost","rematerialize":true,
-            "max_passes":7,"graph_threads":4}}"#
+            "max_passes":7}}"#
             .replace('\n', " ");
         let Request::Alloc { config, .. } = Request::parse(&line).unwrap() else {
             panic!("wrong kind")
@@ -561,29 +534,6 @@ mod tests {
         assert_eq!(config.spill_metric, SpillMetric::Cost);
         assert!(config.rematerialize);
         assert_eq!(config.max_passes, 7);
-        assert_eq!(config.graph_threads.get(), 4);
-    }
-
-    #[test]
-    fn graph_thread_fields_must_be_positive_integers() {
-        let parse = |n: &str| {
-            Request::parse(&format!(
-                r#"{{"req":"alloc","ir":"","config":{{"graph_threads":{n}}}}}"#
-            ))
-        };
-        for bad in ["0", "-1", "\"two\"", "65", "100000"] {
-            let err = parse(bad).unwrap_err();
-            assert_eq!(
-                err.0, "graph_threads must be an integer from 1 to 64",
-                "graph_threads:{bad}"
-            );
-        }
-        for good in ["1", "64"] {
-            let Request::Alloc { config, .. } = parse(good).unwrap() else {
-                panic!("wrong kind")
-            };
-            assert_eq!(config.graph_threads.get().to_string(), good);
-        }
     }
 
     #[test]
@@ -744,8 +694,15 @@ mod tests {
         );
         // Worker counts are the daemon's business, not a config field:
         // sending one is a typo like any other. So are the pre-`Strategy`
-        // selector key and the removed graph-repair switch.
-        for field in ["threads", "thread_budget", "heuristic", "incremental"] {
+        // selector key, the removed graph-repair switch and the removed
+        // intra-function thread count.
+        for field in [
+            "threads",
+            "thread_budget",
+            "heuristic",
+            "incremental",
+            "graph_threads",
+        ] {
             let line = format!(r#"{{"req":"alloc","ir":"","config":{{"{field}":2}}}}"#);
             let err = Request::parse(&line).unwrap_err();
             assert_eq!(err.0, format!("unknown config field \"{field}\""));

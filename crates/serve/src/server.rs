@@ -455,22 +455,6 @@ impl Server {
                 ("shards", Json::from(self.cache.num_shards())),
             ]),
         );
-        // Intra-function parallelism counters. These live in a process-wide
-        // registry rather than AllocStats because they depend on the thread
-        // count: putting them in per-function results would break the cache's
-        // byte-for-byte response identity across graph_threads settings.
-        let par = optimist_regalloc::par_stats();
-        stats.push(
-            "par",
-            Json::obj([
-                ("parallel_builds", Json::from(par.parallel_builds)),
-                ("shards_built", Json::from(par.shards_built)),
-                ("shard_build_us", Json::from(par.shard_build_nanos / 1_000)),
-                ("parallel_selects", Json::from(par.parallel_selects)),
-                ("speculation_rounds", Json::from(par.speculation_rounds)),
-                ("conflict_nodes", Json::from(par.conflict_nodes)),
-            ]),
-        );
         if let Some(tier) = &self.store {
             stats.push("store", tier.stats_json(&self.metrics));
         }

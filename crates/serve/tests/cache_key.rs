@@ -6,7 +6,6 @@ use optimist_ir::{RegClass, VReg};
 use optimist_machine::Target;
 use optimist_regalloc::{AllocatorConfig, CoalesceMode, SpillMetric, Strategy};
 use optimist_serve::{cache_key, ShardedLru};
-use std::num::NonZeroUsize;
 use std::sync::Arc;
 
 const SRC: &str = "
@@ -66,18 +65,6 @@ fn every_result_relevant_knob_changes_the_key() {
         assert!(!seen.contains(&k), "variant {i} collided");
         seen.push(k);
     }
-}
-
-#[test]
-fn thread_count_is_not_part_of_the_key() {
-    // Scheduling does not change results, so requests that differ only in
-    // intra-function threads share an address.
-    let module = compile_or_panic(SRC);
-    let f = &module.functions()[0];
-    let one = AllocatorConfig::new(Target::rt_pc(), Strategy::Briggs);
-    let eight = AllocatorConfig::new(Target::rt_pc(), Strategy::Briggs)
-        .with_graph_threads(NonZeroUsize::new(8).unwrap());
-    assert_eq!(cache_key(f, &one), cache_key(f, &eight));
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! End-to-end drills on in-process daemons over real TCP: store fault
 //! injection (chaos), a replicated fleet losing and regaining a store
-//! peer (fleet), giant kernels under intra-function parallel coloring
-//! (giant), and the streaming batch transports (stream).
+//! peer (fleet), giant kernels served by one daemon (giant), and the
+//! streaming batch transports (stream).
 //!
 //! Every correctness bar holds in every build. The timing bars count only
 //! in release builds, run one drill at a time so that no drill times
@@ -253,7 +253,10 @@ fn fleet_stays_warm_and_byte_identical_through_a_store_peer_stop_and_empty_reviv
 }
 
 #[test]
-fn giant_kernels_allocate_byte_identically_under_parallel_coloring() {
+fn giant_kernels_are_served_as_a_local_allocation_computes_them() {
+    use optimist_machine::Target;
+    use optimist_regalloc::{allocate, AllocatorConfig, Strategy};
+    use optimist_serve::FnResult;
     use optimist_workloads::{giant_kernel, GiantConfig};
     const DEADLINE: Duration = Duration::from_secs(120);
 
@@ -262,37 +265,34 @@ fn giant_kernels_allocate_byte_identically_under_parallel_coloring() {
     } else {
         GiantConfig::small()
     };
-    // Two daemons, because the cache ignores threading knobs: one daemon
-    // would answer the parallel lane from the sequential lane's cache.
-    let seq = TestDaemon::spawn(Server::new(4096, 16));
-    let par = TestDaemon::spawn(Server::new(4096, 16));
-    let seq_config = Json::obj([("graph_threads", Json::from(1u64))]);
-    let par_config = Json::obj([("graph_threads", Json::from(8u64))]);
-    let alloc = |client: &mut Client, ir: &str, config: &Json| {
-        let resp = client.alloc(ir, config.clone()).expect("alloc");
-        assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(true), "{resp}");
-        resp.get("functions").expect("functions").to_string()
-    };
-
-    let (mut seq_client, mut par_client) = (seq.client(), par.client());
-    let mut par_time = Duration::ZERO;
+    let daemon = TestDaemon::spawn(Server::new(4096, 16));
+    let mut client = daemon.client();
+    // The wire's default configuration.
+    let local = AllocatorConfig::new(Target::rt_pc(), Strategy::Briggs);
+    let mut served = Duration::ZERO;
     for seed in 0..3u64 {
         let name = format!("GIANT{seed}");
         let module = optimist_frontend::compile(&giant_kernel(&name, seed, &cfg))
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         let ir = module.to_string();
-        let sequential = alloc(&mut seq_client, &ir, &seq_config);
         let started = Instant::now();
-        let parallel = alloc(&mut par_client, &ir, &par_config);
-        par_time += started.elapsed();
-        assert_eq!(parallel, sequential, "{name}: graph_threads 8 differs");
+        let resp = client.alloc(&ir, Json::Null).expect("alloc");
+        served += started.elapsed();
+        assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(true), "{resp}");
+        let records = resp
+            .get("functions")
+            .and_then(Json::as_arr)
+            .expect("functions");
+        let parsed = optimist_ir::parse_module(&ir).expect("parses");
+        assert_eq!(records.len(), parsed.functions().len(), "{name}");
+        for (record, f) in records.iter().zip(parsed.functions()) {
+            let alloc = allocate(f, &local).unwrap_or_else(|e| panic!("{name}: {e}"));
+            let expected = FnResult::from_allocation(f.name(), &alloc).to_json(false);
+            assert_eq!(record.get("stats"), expected.get("stats"), "{name}");
+        }
     }
-    // A silently sequential lane would make the identity check vacuous.
-    let stats = par_client.stats().expect("stats");
-    let builds = stats.get("par").and_then(|p| p.get("parallel_builds"));
-    assert!(builds.and_then(Json::as_u64) > Some(0), "{stats}");
     if TIMED {
-        assert!(par_time <= DEADLINE, "parallel lane took {par_time:?}");
+        assert!(served <= DEADLINE, "the giant kernels took {served:?}");
     }
 }
 

@@ -3,10 +3,8 @@
 //! (every accumulator is initialized up front and folded into the final
 //! checksum, so all of them stay live across the whole body).
 //!
-//! This is the shared workload behind the `par_equivalence` differential
-//! proptests and the serve crate's giant drill: intra-function
-//! parallelism only matters on functions like these, where one routine
-//! would otherwise serialize a module worker. Like
+//! This is the workload of the serve crate's giant drill, the one test
+//! that pushes functions of this size through a daemon. Like
 //! [`generate_routine`](crate::generate_routine), the output is closed
 //! (no calls), terminates (counted `DO` loops with literal bounds, no
 //! `GOTO`), and is a pure function of `(name, seed, config)`.
@@ -192,8 +190,8 @@ mod tests {
     #[test]
     fn default_config_is_actually_giant() {
         // Hundreds of blocks worth of structure: each segment opens at
-        // least two DO loops and one IF. Count the source constructs here;
-        // the par_equivalence suite checks the compiled CFG's block count.
+        // least two DO loops and one IF. Count the source constructs here,
+        // without compiling.
         let src = giant_kernel("G", 0, &GiantConfig::default());
         let dos = src.matches("DO ").count();
         let ifs = src.matches("IF (").count();

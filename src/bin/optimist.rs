@@ -28,10 +28,8 @@
 //!                      chaitin/briggs only — irc coalesces on its own and
 //!                      ssa elides no-op phi copies instead)
 //!   --threads N        worker-pool size for module allocation (default:
-//!                      the machine's available parallelism)
-//!   --graph-threads N  intra-function threads for graph build and
-//!                      speculative coloring (default 1); neither thread
-//!                      flag changes any result
+//!                      the machine's available parallelism); it never
+//!                      changes any result
 //!   --batch DIR        (remote) compile every .ft/.ir file in DIR and
 //!                      stream them as one batch request; item reports
 //!                      print in completion order
@@ -64,7 +62,6 @@ struct Options {
     rematerialize: bool,
     coalesce: Option<optimist::regalloc::CoalesceMode>,
     threads: Option<std::num::NonZeroUsize>,
-    graph_threads: Option<std::num::NonZeroUsize>,
     routine: Option<String>,
     batch: Option<std::path::PathBuf>,
     positional: Vec<String>,
@@ -80,7 +77,6 @@ fn parse_options(args: &[String], default_opt: bool) -> Result<Options, String> 
         rematerialize: false,
         coalesce: None,
         threads: None,
-        graph_threads: None,
         routine: None,
         batch: None,
         positional: Vec::new(),
@@ -98,12 +94,6 @@ fn parse_options(args: &[String], default_opt: bool) -> Result<Options, String> 
                     Some(v.parse().map_err(|_| {
                         format!("bad --threads `{v}` (expected a positive integer)")
                     })?);
-            }
-            "--graph-threads" => {
-                let v = it.next().ok_or("--graph-threads needs a value")?;
-                o.graph_threads = Some(v.parse().map_err(|_| {
-                    format!("bad --graph-threads `{v}` (expected a positive integer)")
-                })?);
             }
             "--coalesce" => {
                 let v = it.next().ok_or("--coalesce needs a value")?;
@@ -182,9 +172,6 @@ impl Options {
             .with_rematerialize(self.rematerialize);
         if let Some(mode) = self.coalesce {
             cfg = cfg.with_coalesce(mode);
-        }
-        if let Some(n) = self.graph_threads {
-            cfg = cfg.with_graph_threads(n);
         }
         cfg
     }
@@ -456,9 +443,6 @@ fn remote_config(o: &Options) -> optimist::serve::Json {
         );
     }
     config.push("rematerialize", Json::from(o.rematerialize));
-    if let Some(n) = o.graph_threads {
-        config.push("graph_threads", Json::from(n.get() as u64));
-    }
     config
 }
 

@@ -213,33 +213,15 @@ fn allocate_output_does_not_depend_on_thread_flags() {
     let path = example("pressure.ft");
     let one = stdout_of(&["allocate", &path, "--threads", "1"]);
     assert!(one.contains("STENCIL"), "{one}");
-    for flags in [
-        &["--threads", "4"][..],
-        &["--threads", "4", "--graph-threads", "4"],
-    ] {
-        let args: Vec<&str> = ["allocate", path.as_str()]
-            .iter()
-            .chain(flags)
-            .copied()
-            .collect();
-        assert_eq!(stdout_of(&args), one, "{flags:?}");
-    }
+    let four = stdout_of(&["allocate", &path, "--threads", "4"]);
+    assert_eq!(four, one);
 }
 
 #[test]
 fn run_output_does_not_depend_on_thread_flags() {
     let path = example("dotproduct.ft");
     let one = stdout_of(&["run", &path, "DEMO", "50", "--threads", "1"]);
-    let four = stdout_of(&[
-        "run",
-        &path,
-        "DEMO",
-        "50",
-        "--threads",
-        "4",
-        "--graph-threads",
-        "2",
-    ]);
+    let four = stdout_of(&["run", &path, "DEMO", "50", "--threads", "4"]);
     assert!(one.contains("result:"), "{one}");
     assert_eq!(four, one);
 }
@@ -262,6 +244,17 @@ fn incremental_is_an_unknown_option() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(
         err.contains("unknown option `--incremental`"),
+        "stderr: {err}"
+    );
+}
+
+#[test]
+fn graph_threads_is_an_unknown_option() {
+    let out = optimist(&["allocate", &example("pressure.ft"), "--graph-threads", "2"]);
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("unknown option `--graph-threads`"),
         "stderr: {err}"
     );
 }

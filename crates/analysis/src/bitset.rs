@@ -130,10 +130,20 @@ impl DenseBitSet {
 
     /// Iterate over the elements in increasing order.
     pub fn iter(&self) -> Iter<'_> {
+        self.iter_from(0)
+    }
+
+    /// Iterate over the elements `>= start` in increasing order.
+    pub fn iter_from(&self, start: usize) -> Iter<'_> {
+        let word_idx = start / 64;
+        let bits = self
+            .words
+            .get(word_idx)
+            .map_or(0, |&w| w & (!0 << (start % 64)));
         Iter {
             set: self,
-            word_idx: 0,
-            bits: self.words.first().copied().unwrap_or(0),
+            word_idx,
+            bits,
         }
     }
 }
@@ -271,7 +281,8 @@ mod tests {
 
     proptest! {
         #[test]
-        fn matches_btreeset_semantics(ops in proptest::collection::vec((0usize..200, any::<bool>()), 0..100)) {
+        fn matches_btreeset_semantics(ops in proptest::collection::vec((0usize..200, any::<bool>()), 0..100),
+                                      start in 0usize..210) {
             let mut bits = DenseBitSet::new(200);
             let mut model = BTreeSet::new();
             for (v, ins) in ops {
@@ -282,6 +293,7 @@ mod tests {
                 }
             }
             prop_assert_eq!(bits.iter().collect::<Vec<_>>(), model.iter().copied().collect::<Vec<_>>());
+            prop_assert_eq!(bits.iter_from(start).collect::<Vec<_>>(), model.range(start..).copied().collect::<Vec<_>>());
             prop_assert_eq!(bits.count(), model.len());
         }
 

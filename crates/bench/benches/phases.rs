@@ -93,7 +93,13 @@ fn bench_phases(c: &mut Criterion) {
         g_irc.bench_function(BenchmarkId::from_parameter(name), |b| {
             b.iter(|| {
                 let moves = collect_moves(&f, &graph);
-                irc(&graph, &moves, &costs, &target, SpillMetric::default())
+                irc(
+                    graph.clone(),
+                    &moves,
+                    &costs,
+                    &target,
+                    SpillMetric::default(),
+                )
             });
         });
     }

@@ -25,6 +25,7 @@
 use crate::build::build_graph;
 use crate::coalesce::{coalesce, CoalesceOpts};
 use crate::cost::spill_costs;
+use crate::graph::InterferenceGraph;
 use crate::irc::{apply_coalesces, collect_moves, irc};
 use crate::select::select;
 use crate::simplify::{simplify_with_metric, Heuristic};
@@ -452,7 +453,10 @@ pub fn allocate_with_deadline(
             (cfg, loops)
         });
         let live = Liveness::new(&f, cfg);
-        let graph = build_graph(&f, cfg, &live);
+        let mut graph = build_graph(&f, cfg, &live);
+        // IRC's engine adds its merges' edges to the graph it colors; the
+        // pass record counts the built graph's.
+        let edges = graph.num_edges();
         total_coalesced += coalesced;
         let costs = spill_costs(&f, loops);
         let build_time = t_build.elapsed();
@@ -467,7 +471,9 @@ pub fn allocate_with_deadline(
         let t_simplify = Instant::now();
         let (outcome, irc_out) = if config.strategy == Strategy::Irc {
             let moves = collect_moves(&f, &graph);
-            let out = irc(&graph, &moves, &costs, &config.target, config.spill_metric);
+            // The engine takes the graph over and hands it back as `graph`.
+            let graph = std::mem::replace(&mut graph, InterferenceGraph::new(Vec::new()));
+            let out = irc(graph, &moves, &costs, &config.target, config.spill_metric);
             (None, Some(out))
         } else {
             let out = simplify_with_metric(
@@ -483,6 +489,8 @@ pub fn allocate_with_deadline(
         if deadline.expired() {
             return Err(overdue(passes.len()));
         }
+        // IRC's graph holds every built edge, so the checks below hold on it.
+        let graph = irc_out.as_ref().map_or(&graph, |out| &out.graph);
 
         // ---- color ------------------------------------------------------
         // Chaitin's flow: when simplify marked spills, the pass goes
@@ -495,11 +503,12 @@ pub fn allocate_with_deadline(
         let coloring = match (&outcome, &irc_out) {
             _ if skip_color => None,
             (_, Some(out)) => {
-                // Color the merged graph, then propagate each root's color
-                // to the nodes coalesced into it: a member never interferes
-                // with anything its root does not, so the propagated
-                // coloring is valid on the original graph too.
-                let mut c = select(&out.merged_graph, &out.stack, &config.target);
+                // Color the engine's graph, which among roots is the merged
+                // graph, then propagate each root's color to the nodes
+                // coalesced into it: a member never interferes with anything
+                // its root does not, so the propagated coloring is valid on
+                // the original graph too.
+                let mut c = select(&out.graph, &out.stack, &config.target);
                 for v in 0..out.alias.len() {
                     let r = out.alias[v] as usize;
                     if r != v {
@@ -508,7 +517,7 @@ pub fn allocate_with_deadline(
                 }
                 Some(c)
             }
-            (Some(out), None) => Some(select(&graph, &out.stack, &config.target)),
+            (Some(out), None) => Some(select(graph, &out.stack, &config.target)),
             (None, None) => unreachable!("one of the two simplify paths ran"),
         };
         let color_time = if skip_color {
@@ -576,7 +585,7 @@ pub fn allocate_with_deadline(
 
         if uncolored.is_empty() {
             let coloring = coloring.expect("no spills implies coloring ran");
-            debug_assert!(coloring.is_valid(&graph));
+            debug_assert!(coloring.is_valid(graph));
             let assignment: Vec<PhysReg> = coloring
                 .color
                 .iter()
@@ -602,7 +611,7 @@ pub fn allocate_with_deadline(
                     spill: Duration::ZERO,
                 },
                 live_ranges: graph.num_nodes(),
-                edges: graph.num_edges(),
+                edges,
                 spilled: 0,
                 spilled_cost: 0.0,
                 coalesced,
@@ -659,7 +668,7 @@ pub fn allocate_with_deadline(
                 spill: spill_time,
             },
             live_ranges: graph.num_nodes(),
-            edges: graph.num_edges(),
+            edges,
             spilled: uncolored.len(),
             spilled_cost: pass_cost,
             coalesced,

@@ -28,20 +28,24 @@
 //! simplification or coalescing is possible does the machinery *freeze* a
 //! move (give up on it) and continue simplifying.
 //!
-//! The engine runs over a copy of the interference graph of
+//! The engine takes the interference graph of
 //! [`build_graph`](crate::build_graph) (with its copy refinement: a copy's
-//! source and destination do not interfere through the copy itself): its
-//! flat adjacency lists walk neighbors, its bit matrix answers the tests'
-//! interference probes, merges add edges, and stacked or merged nodes are
-//! skipped by one flag rather than removed. It produces a removal
+//! source and destination do not interfere through the copy itself) by
+//! value and works in it: its flat adjacency lists walk neighbors, its bit
+//! matrix answers the tests' interference probes, merges add edges, and
+//! stacked or merged nodes are skipped by one flag rather than removed. A
+//! merge gives the survivor an edge to every neighbor of the merged-away
+//! node that is still a root, stacked or live, so the graph restricted to
+//! roots is the merged graph. It produces a removal
 //! [`stack`](IrcOutcome::stack) for the optimistic [`select`](crate::select)
-//! phase, plus the alias map and the merged graph that select colors.
+//! phase, plus the alias map and that graph, which select colors.
 //! Spill candidates are ranked by the same [`SpillMetric`] the classic
 //! simplify phase uses and are pushed optimistically, so Briggs' §2.3
 //! behavior (select gets the final word) is preserved.
 
 use crate::graph::InterferenceGraph;
 use crate::simplify::SpillMetric;
+use optimist_analysis::DenseBitSet;
 use optimist_ir::{Function, Inst, VReg};
 use optimist_machine::Target;
 use std::collections::BTreeSet;
@@ -99,9 +103,11 @@ pub struct IrcOutcome {
     /// Fully resolved alias map: `alias[v] == v` unless `v` was coalesced,
     /// in which case it names the surviving root.
     pub alias: Vec<u32>,
-    /// The post-merge interference graph (same node count as the input;
-    /// coalesced nodes are isolated). This is the graph select colors.
-    pub merged_graph: InterferenceGraph,
+    /// The input graph with the merges' edges added: every input edge,
+    /// and among roots (`alias[v] == v`) exactly the merged graph. This is
+    /// the graph select colors; a coalesced node's row is stale, but select
+    /// never reads it, since coalesced nodes are never stacked.
+    pub graph: InterferenceGraph,
     /// Moves merged, in merge order, each with its passing test.
     pub coalesced: Vec<CoalescedMove>,
     /// Moves given up on (frozen) instead of merged.
@@ -181,8 +187,10 @@ pub fn apply_coalesces(func: &mut Function, alias: &[u32]) -> usize {
 /// `moves` (from [`collect_moves`]) and per-node spill `costs`. Costs of
 /// merged nodes are summed, so a web containing an unspillable member
 /// inherits its infinite cost and is never picked as a spill candidate.
+/// The engine adds its merges' edges to `graph` and hands it back as
+/// [`IrcOutcome::graph`].
 pub fn irc(
-    graph: &InterferenceGraph,
+    graph: InterferenceGraph,
     moves: &[(u32, u32)],
     costs: &[f64],
     target: &Target,
@@ -190,22 +198,25 @@ pub fn irc(
 ) -> IrcOutcome {
     debug_assert!(moves.iter().all(|&(a, b)| graph.class(a) == graph.class(b)));
     let n = graph.num_nodes();
+    let mut worklist_moves = Worklist::new(moves.len());
+    for m in 0..moves.len() {
+        worklist_moves.insert(m);
+    }
     let engine = Engine {
-        input: graph,
-        graph: graph.clone(),
+        degree: (0..n as u32).map(|v| graph.degree(v)).collect(),
+        graph,
         target,
         metric,
-        degree: (0..n as u32).map(|v| graph.degree(v)).collect(),
         cost: costs.to_vec(),
         alias: (0..n as u32).collect(),
         gone: vec![false; n],
         move_list: vec![Vec::new(); n],
         moves,
         move_state: vec![MoveState::Worklist; moves.len()],
-        worklist_moves: (0..moves.len()).collect(),
-        simplify_wl: BTreeSet::new(),
-        freeze_wl: BTreeSet::new(),
-        spill_wl: BTreeSet::new(),
+        worklist_moves,
+        simplify_wl: Worklist::new(n),
+        freeze_wl: Worklist::new(n),
+        spill_wl: Worklist::new(n),
         stack: Vec::new(),
         coalesced: Vec::new(),
         frozen_moves: 0,
@@ -225,12 +236,53 @@ enum MoveState {
     Done,
 }
 
+/// A set of indices below a fixed bound that pops its lowest member
+/// first. `first` bounds the members from below, so pops resume where the
+/// last one stopped instead of rescanning from zero.
+struct Worklist {
+    set: DenseBitSet,
+    first: usize,
+}
+
+impl Worklist {
+    fn new(n: usize) -> Self {
+        Worklist {
+            set: DenseBitSet::new(n),
+            first: 0,
+        }
+    }
+
+    fn insert(&mut self, i: usize) {
+        self.set.insert(i);
+        self.first = self.first.min(i);
+    }
+
+    /// Remove `i`; true if it was a member.
+    fn remove(&mut self, i: usize) -> bool {
+        self.set.remove(i)
+    }
+
+    fn pop_first(&mut self) -> Option<usize> {
+        let Some(i) = self.set.iter_from(self.first).next() else {
+            self.first = self.set.capacity();
+            return None;
+        };
+        self.set.remove(i);
+        self.first = i;
+        Some(i)
+    }
+
+    /// The members in ascending order.
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.set.iter_from(self.first)
+    }
+}
+
 /// The worklist engine's state. Every worklist pops its lowest index
 /// first, so the event log is a function of the input alone.
 struct Engine<'a> {
-    input: &'a InterferenceGraph,
-    /// A working copy of `input`: merges add edges, nothing is removed.
-    /// Its bit matrix answers the coalesce tests' interference probes.
+    /// The input graph: merges add edges, nothing is removed. Its bit
+    /// matrix answers the coalesce tests' interference probes.
     graph: InterferenceGraph,
     target: &'a Target,
     metric: SpillMetric,
@@ -244,10 +296,10 @@ struct Engine<'a> {
     move_list: Vec<Vec<usize>>,
     moves: &'a [(u32, u32)],
     move_state: Vec<MoveState>,
-    worklist_moves: BTreeSet<usize>,
-    simplify_wl: BTreeSet<u32>,
-    freeze_wl: BTreeSet<u32>,
-    spill_wl: BTreeSet<u32>,
+    worklist_moves: Worklist,
+    simplify_wl: Worklist,
+    freeze_wl: Worklist,
+    spill_wl: Worklist,
     stack: Vec<u32>,
     coalesced: Vec<CoalescedMove>,
     frozen_moves: usize,
@@ -307,19 +359,19 @@ impl Engine<'_> {
                     self.enable_moves(n);
                 }
             }
-            self.spill_wl.remove(&t);
+            self.spill_wl.remove(t as usize);
             if self.move_related(t) {
-                self.freeze_wl.insert(t);
+                self.freeze_wl.insert(t as usize);
             } else {
-                self.simplify_wl.insert(t);
+                self.simplify_wl.insert(t as usize);
             }
         }
     }
 
     fn add_worklist(&mut self, u: u32) {
         if !self.move_related(u) && !self.significant(u) {
-            self.freeze_wl.remove(&u);
-            self.simplify_wl.insert(u);
+            self.freeze_wl.remove(u as usize);
+            self.simplify_wl.insert(u as usize);
         }
     }
 
@@ -410,9 +462,9 @@ impl Engine<'_> {
     }
 
     fn combine(&mut self, u: u32, v: u32) {
-        self.freeze_wl.remove(&v);
-        self.spill_wl.remove(&v);
-        self.simplify_wl.remove(&v);
+        self.freeze_wl.remove(v as usize);
+        self.spill_wl.remove(v as usize);
+        self.simplify_wl.remove(v as usize);
         self.gone[v as usize] = true;
         self.alias[v as usize] = u;
         self.enable_moves(v);
@@ -420,10 +472,20 @@ impl Engine<'_> {
         self.move_list[u as usize].extend(vmoves);
         self.cost[u as usize] += self.cost[v as usize];
         // New edges land on `u` and `t`, never on `v`, so `v`'s adjacency
-        // holds still while it is walked.
+        // holds still while it is walked. Every root neighbor of `v` gets
+        // an edge to `u`; a merged-away neighbor's root got its edge to `v`
+        // when it merged, while `v` was live, and is walked here in its own
+        // right. So among roots this graph is the merged graph, and select
+        // can color it as it stands.
         for i in 0..self.graph.degree(v) {
             let t = self.graph.neighbors(v)[i];
+            if self.alias[t as usize] != t {
+                continue;
+            }
             if self.gone[t as usize] {
+                // Stacked: it constrains `u` at select, but its degree is
+                // no longer counted.
+                self.graph.add_edge(t, u);
                 continue;
             }
             if !self.graph.interferes(t, u) {
@@ -433,13 +495,13 @@ impl Engine<'_> {
             }
             self.decrement_degree(t);
         }
-        if self.significant(u) && self.freeze_wl.remove(&u) {
-            self.spill_wl.insert(u);
+        if self.significant(u) && self.freeze_wl.remove(u as usize) {
+            self.spill_wl.insert(u as usize);
         }
     }
 
     fn do_freeze(&mut self, u: u32) {
-        self.simplify_wl.insert(u);
+        self.simplify_wl.insert(u as usize);
         self.events.push(IrcEvent::Freeze(u));
         self.freeze_moves(u);
     }
@@ -453,7 +515,7 @@ impl Engine<'_> {
                 continue;
             }
             self.move_state[m] = MoveState::Done;
-            self.worklist_moves.remove(&m);
+            self.worklist_moves.remove(m);
             self.frozen_moves += 1;
             let (x, y) = self.moves[m];
             let v = if self.get_alias(y) == self.get_alias(u) {
@@ -462,33 +524,29 @@ impl Engine<'_> {
                 self.get_alias(y)
             };
             if !self.move_related(v) && !self.significant(v) {
-                self.freeze_wl.remove(&v);
-                self.simplify_wl.insert(v);
+                self.freeze_wl.remove(v as usize);
+                self.simplify_wl.insert(v as usize);
             }
         }
     }
 
-    fn do_select_spill(&mut self) {
-        // Cheapest blocked candidate under the configured metric, over the
-        // *web* cost (member costs were summed on combine); ties go to the
-        // lowest node index, matching the classic simplify phase.
-        let rank = |v: u32| {
-            self.metric
-                .rank(self.cost[v as usize], self.degree[v as usize])
-        };
-        let m = self
-            .spill_wl
-            .iter()
-            .copied()
-            .min_by(|&a, &b| {
-                rank(a)
-                    .partial_cmp(&rank(b))
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.cmp(&b))
-            })
-            .expect("non-empty");
-        self.spill_wl.remove(&m);
-        self.simplify_wl.insert(m);
+    /// The cheapest blocked candidate under the configured metric, over
+    /// the *web* cost (member costs were summed on combine); ties go to
+    /// the lowest node index, matching the classic simplify phase.
+    fn cheapest_spill_candidate(&self) -> Option<u32> {
+        let rank = |v: usize| self.metric.rank(self.cost[v], self.degree[v]);
+        let m = self.spill_wl.iter().min_by(|&a, &b| {
+            rank(a)
+                .partial_cmp(&rank(b))
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.cmp(&b))
+        });
+        m.map(|m| m as u32)
+    }
+
+    fn do_select_spill(&mut self, m: u32) {
+        self.spill_wl.remove(m as usize);
+        self.simplify_wl.insert(m as usize);
         self.blocked.push(m);
         self.events.push(IrcEvent::PotentialSpill(m));
         self.freeze_moves(m);
@@ -500,10 +558,10 @@ impl Engine<'_> {
             self.move_list[a as usize].push(mi);
             self.move_list[b as usize].push(mi);
         }
-        for v in 0..n as u32 {
-            if self.significant(v) {
+        for v in 0..n {
+            if self.significant(v as u32) {
                 self.spill_wl.insert(v);
-            } else if self.move_related(v) {
+            } else if self.move_related(v as u32) {
                 self.freeze_wl.insert(v);
             } else {
                 self.simplify_wl.insert(v);
@@ -511,32 +569,23 @@ impl Engine<'_> {
         }
         loop {
             if let Some(v) = self.simplify_wl.pop_first() {
-                self.do_simplify(v);
+                self.do_simplify(v as u32);
             } else if let Some(m) = self.worklist_moves.pop_first() {
                 self.do_coalesce(m);
             } else if let Some(u) = self.freeze_wl.pop_first() {
-                self.do_freeze(u);
-            } else if !self.spill_wl.is_empty() {
-                self.do_select_spill();
+                self.do_freeze(u as u32);
+            } else if let Some(m) = self.cheapest_spill_candidate() {
+                self.do_select_spill(m);
             } else {
                 break;
             }
         }
 
         let alias: Vec<u32> = (0..n as u32).map(|v| self.get_alias(v)).collect();
-        let classes = (0..n as u32).map(|v| self.input.class(v)).collect();
-        let mut merged_graph = InterferenceGraph::new(classes);
-        for a in 0..n as u32 {
-            for &b in self.input.neighbors(a) {
-                if b < a {
-                    merged_graph.add_edge(alias[a as usize], alias[b as usize]);
-                }
-            }
-        }
         IrcOutcome {
             stack: self.stack,
             alias,
-            merged_graph,
+            graph: self.graph,
             coalesced: self.coalesced,
             frozen_moves: self.frozen_moves,
             blocked: self.blocked,
@@ -564,7 +613,7 @@ mod tests {
         Target::custom("t", n, n)
     }
 
-    fn run(g: &InterferenceGraph, moves: &[(u32, u32)], t: &Target) -> IrcOutcome {
+    fn run(g: InterferenceGraph, moves: &[(u32, u32)], t: &Target) -> IrcOutcome {
         let costs = vec![1.0; g.num_nodes()];
         irc(g, moves, &costs, t, SpillMetric::CostOverDegree)
     }
@@ -573,13 +622,13 @@ mod tests {
     fn safe_move_is_coalesced() {
         // Two isolated nodes joined by a move: trivially safe (Briggs).
         let g = int_graph(2, &[]);
-        let out = run(&g, &[(0, 1)], &k(2));
+        let out = run(g, &[(0, 1)], &k(2));
         assert_eq!(out.coalesced.len(), 1);
         assert_eq!(out.coalesced[0].test, ConservativeTest::Briggs);
         assert_eq!(out.alias[1], 0, "lower index survives");
         assert_eq!(out.frozen_moves, 0);
         assert_eq!(out.stack, vec![0], "merged node never enters the stack");
-        assert_eq!(out.merged_graph.num_edges(), 0);
+        assert_eq!(out.graph.num_edges(), 0);
     }
 
     #[test]
@@ -588,11 +637,11 @@ mod tests {
         // resolved as constrained (not frozen — freezing is giving up on a
         // *mergeable* move).
         let g = int_graph(2, &[(0, 1)]);
-        let out = run(&g, &[(0, 1)], &k(4));
+        let out = run(g, &[(0, 1)], &k(4));
         assert!(out.coalesced.is_empty());
         assert_eq!(out.frozen_moves, 0);
         let t = k(4);
-        let coloring = select(&out.merged_graph, &out.stack, &t);
+        let coloring = select(&out.graph, &out.stack, &t);
         assert!(coloring.is_complete());
     }
 
@@ -605,16 +654,43 @@ mod tests {
         // IRC must park, then freeze the move — and 2-color the path.
         let g = int_graph(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]);
         let t = k(2);
-        let out = run(&g, &[(0, 5)], &t);
+        let out = run(g, &[(0, 5)], &t);
         assert!(
             out.coalesced.is_empty(),
             "C5-closing merge must be declined"
         );
         assert_eq!(out.frozen_moves, 1);
         assert!(out.blocked.is_empty(), "the path needs no spill candidates");
-        let coloring = select(&out.merged_graph, &out.stack, &t);
+        let coloring = select(&out.graph, &out.stack, &t);
         assert!(coloring.is_complete(), "P5 is 2-colorable");
-        assert!(coloring.is_valid(&out.merged_graph));
+        assert!(coloring.is_valid(&out.graph));
+    }
+
+    #[test]
+    fn a_neighbour_stacked_before_the_merge_still_constrains_the_survivor() {
+        // u = 0, v = 1, t = 2: t interferes with v, and a move joins u and
+        // v. t simplifies first (it has no moves), then v merges into u.
+        // Select colors u before t, so t must still see u as a neighbor,
+        // or both get the first color and v inherits u's, clashing with t.
+        let g = int_graph(3, &[(1, 2)]);
+        let t = k(2);
+        let out = run(g, &[(0, 1)], &t);
+        assert_eq!(
+            out.events,
+            vec![
+                IrcEvent::Simplify(2),
+                IrcEvent::Coalesce {
+                    u: 0,
+                    v: 1,
+                    test: ConservativeTest::Briggs
+                },
+                IrcEvent::Simplify(0),
+            ]
+        );
+        assert!(out.graph.interferes(2, 0), "the merge must reach t");
+        let coloring = select(&out.graph, &out.stack, &t);
+        assert!(coloring.color[0].is_some() && coloring.color[2].is_some());
+        assert_ne!(coloring.color[2], coloring.color[0]);
     }
 
     #[test]
@@ -628,7 +704,7 @@ mod tests {
         // "iterated" retry loop doing its job.
         let g = int_graph(4, &[(2, 3), (0, 2), (0, 3), (1, 2), (1, 3)]);
         let t = k(2);
-        let out = run(&g, &[(0, 1)], &t);
+        let out = run(g, &[(0, 1)], &t);
         assert_eq!(out.coalesced.len(), 1);
         assert_eq!(out.coalesced[0].test, ConservativeTest::Briggs);
         assert_eq!(out.frozen_moves, 0);
@@ -660,7 +736,7 @@ mod tests {
         let mut costs = vec![1.0; g.num_nodes()];
         costs[0] = f64::INFINITY;
         costs[1] = f64::INFINITY;
-        let out = irc(&g, &[(0, 1)], &costs, &t, SpillMetric::CostOverDegree);
+        let out = irc(g, &[(0, 1)], &costs, &t, SpillMetric::CostOverDegree);
         assert_eq!(out.coalesced.len(), 1);
         assert_eq!(out.coalesced[0].test, ConservativeTest::George);
         let merge_at = out

@@ -41,19 +41,28 @@ if [[ $quick -eq 0 ]]; then
     # against its reaching-definitions formulation (same webs, same
     # numbering) over the corpus, generated routines and post-spill code,
     # the IRC engine against its `BTreeSet` formulation (the same
-    # outcome, field for field) on the first-pass graphs of the corpus
-    # and of generated routines, the IR printer against its
-    # clone-and-rename formulation (the same `to_string`, canonical text
-    # and cache key) on the corpus, generated routines, their allocations
-    # and adversarial renamings, `select` against its k-sized scratch
-    # on corpus and random graphs up to 65,536 registers, the SSA spill
-    # phase against `reference::lower_pressure`, its rounds that recompute
-    # everything (the same victims per round, cost bits, function and phi
-    # tables), and coalescing against `reference::coalesce`, its rounds
-    # over the whole interference graph (the same function and merge
-    # count in every mode, on spilled code too).
+    # outcome, field for field; the engine's graph is compared among
+    # roots against the reference's replayed merged graph) on the
+    # first-pass graphs of the corpus and of generated routines, the IR
+    # printer against its clone-and-rename formulation (the same
+    # `to_string`, canonical text and cache key) on the corpus, generated
+    # routines, their allocations and adversarial renamings, `select`
+    # against its k-sized scratch on corpus and random graphs up to
+    # 65,536 registers, the SSA spill phase against
+    # `reference::lower_pressure`, its rounds that recompute everything
+    # (the same victims per round, cost bits, function and phi tables),
+    # and coalescing against `reference::coalesce`, its rounds over the
+    # whole interference graph (the same function and merge count in
+    # every mode, on spilled code too).
     echo "==> reference models under --release (full proptest case count)"
     cargo test --release -q --test reference_models
+
+    # IRC's peak memory on the 4,000-value clique, at most 1.25x
+    # Briggs's: the engine works in the built graph and select colors
+    # it, so IRC holds one graph at its peak (debug builds run a smaller
+    # clique).
+    echo "==> IRC peak memory under --release (4,000-value clique)"
+    cargo test --release -q --test irc_memory
 
     # Figure 7's phase tables, which time the build split and every
     # strategy's phases over the corpus; output discarded, so this only

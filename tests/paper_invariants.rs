@@ -140,7 +140,7 @@ proptest! {
                 continue; // over pressure: no guarantee to check
             }
             let moves = collect_moves(&f, &graph);
-            let out = irc(&graph, &moves, &costs, &target, SpillMetric::CostOverDegree);
+            let out = irc(graph, &moves, &costs, &target, SpillMetric::CostOverDegree);
             prop_assert!(
                 out.blocked.is_empty(),
                 "{} (k={k}): the uncoalesced graph simplifies completely but \
@@ -148,7 +148,7 @@ proptest! {
                 f.name(),
                 out.blocked
             );
-            let coloring = select(&out.merged_graph, &out.stack, &target);
+            let coloring = select(&out.graph, &out.stack, &target);
             prop_assert!(
                 coloring.uncolored().is_empty(),
                 "{} (k={k}): simplifiable graph left {:?} uncolored after merging",
@@ -179,7 +179,7 @@ proptest! {
             let costs = spill_costs(&f, &loops);
             let moves = collect_moves(&f, &graph);
             let out = irc(
-                &graph,
+                graph.clone(),
                 &moves,
                 &costs,
                 &target,

@@ -562,10 +562,28 @@ fn first_pass_input(f: &Function) -> (InterferenceGraph, Vec<(u32, u32)>, Vec<f6
     (graph, moves, spill_costs(&f, &loops))
 }
 
+/// The edges of `graph` whose two ends are both roots of `alias`
+/// (`alias[v] == v`): the merged graph, if the engine kept its invariant.
+fn roots_only(graph: &InterferenceGraph, alias: &[u32]) -> InterferenceGraph {
+    let n = graph.num_nodes() as u32;
+    let mut roots = InterferenceGraph::new((0..n).map(|v| graph.class(v)).collect());
+    let root = |v: u32| alias[v as usize] == v;
+    for a in (0..n).filter(|&a| root(a)) {
+        for &b in graph.neighbors(a) {
+            if b < a && root(b) {
+                roots.add_edge(a, b);
+            }
+        }
+    }
+    roots
+}
+
 /// Both engines on `f`'s first-pass input at `target`, under every spill
 /// metric, with its own costs and again with a seeded third of the nodes
 /// unspillable (so that George's test, which needs both ends unspillable,
-/// runs). Every outcome field must match. Returns the George merges seen.
+/// runs). Every outcome field must match; the engine's graph is compared
+/// among roots against the reference's replayed merged graph. Returns the
+/// George merges seen.
 fn check_irc(f: &Function, target: &Target, seed: u64, what: &str) -> usize {
     let (graph, moves, costs) = first_pass_input(f);
     let mut next = xorshift(seed);
@@ -587,7 +605,7 @@ fn check_irc(f: &Function, target: &Target, seed: u64, what: &str) -> usize {
             SpillMetric::CostOverDegreeSquared,
         ] {
             let what = format!("{what}, {target:?}, {metric:?}, {which}");
-            let fast = irc(&graph, &moves, costs, target, metric);
+            let fast = irc(graph.clone(), &moves, costs, target, metric);
             let slow = reference::irc(&graph, &moves, costs, target, metric);
             assert_eq!(fast.events, slow.events, "{what}: events differ");
             assert_eq!(fast.stack, slow.stack, "{what}: stacks differ");
@@ -599,7 +617,7 @@ fn check_irc(f: &Function, target: &Target, seed: u64, what: &str) -> usize {
             };
             assert_eq!(merges(&fast), merges(&slow), "{what}: merges differ");
             assert!(
-                fast.merged_graph.same_edges(&slow.merged_graph),
+                roots_only(&fast.graph, &fast.alias).same_edges(&slow.graph),
                 "{what}: merged graphs differ"
             );
             george += fast
@@ -1862,7 +1880,7 @@ mod reference {
             IrcOutcome {
                 stack: self.stack,
                 alias,
-                merged_graph,
+                graph: merged_graph,
                 coalesced: self.coalesced,
                 frozen_moves: self.frozen_moves,
                 blocked: self.blocked,

@@ -35,8 +35,8 @@
 //! `--http`, stdio, and `--oneshot` modes, all over the same dispatcher)
 //! and the [`client::Client`] used by `optimist remote`. The crate's
 //! `tests/drills.rs` drives real listeners end to end: store chaos, a
-//! fleet losing a store peer, giant kernels under parallel coloring, and
-//! streamed batches.
+//! fleet losing a store peer and reviving it empty, giant kernels served
+//! by one daemon, and streamed batches.
 
 #![warn(missing_docs)]
 

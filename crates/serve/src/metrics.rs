@@ -334,18 +334,6 @@ pub struct Metrics {
     /// Keys written back to an earlier replica after a failover hit
     /// found it alive but missing the entry.
     pub store_read_repairs: Counter,
-    /// Writes queued as hinted handoff because their replica was
-    /// tripwired (or the write to it failed).
-    pub store_hints_queued: Counter,
-    /// Hints discarded oldest-first because a peer's queue hit its
-    /// entry or byte cap.
-    pub store_hints_dropped: Counter,
-    /// Hints delivered to their peer after it recovered.
-    pub store_hints_drained: Counter,
-    /// Anti-entropy sweeps run against peers that revived empty.
-    pub store_resyncs: Counter,
-    /// Keys copied from live replicas during anti-entropy sweeps.
-    pub store_resync_keys: Counter,
     /// Per-strategy function request/hit counters.
     pub strategies: PerStrategy,
 }
@@ -443,11 +431,6 @@ impl Metrics {
                 Json::obj([
                     ("failovers", Json::from(self.store_failovers.get())),
                     ("read_repairs", Json::from(self.store_read_repairs.get())),
-                    ("hints_queued", Json::from(self.store_hints_queued.get())),
-                    ("hints_dropped", Json::from(self.store_hints_dropped.get())),
-                    ("hints_drained", Json::from(self.store_hints_drained.get())),
-                    ("resyncs", Json::from(self.store_resyncs.get())),
-                    ("resync_keys", Json::from(self.store_resync_keys.get())),
                 ]),
             ),
             ("strategies", self.strategies.to_json()),

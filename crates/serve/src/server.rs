@@ -160,16 +160,6 @@ impl Server {
         self
     }
 
-    /// Bound each tripwired peer's hinted-handoff queue (entries and
-    /// payload bytes). Overflow discards oldest-first and counts the
-    /// drops; the anti-entropy sweep repairs whatever the caps lost.
-    pub fn with_hint_limits(mut self, max_entries: usize, max_bytes: usize) -> Self {
-        self.store = self
-            .store
-            .map(|tier| tier.with_hint_limits(max_entries, max_bytes));
-        self
-    }
-
     /// Change how often a degraded store is re-probed for recovery.
     /// Tests shrink this to exercise the recovery path without waiting
     /// out the production interval.

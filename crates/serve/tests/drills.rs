@@ -15,10 +15,9 @@ mod serve_test_util;
 
 use optimist_serve::{Client, Json, RetryPolicy, Server};
 use optimist_store::failpoint::FailKind;
-use optimist_store::net::StoreClient;
 use optimist_store::{Store, StoreOptions};
 use serve_test_util::{corpus_modules, scratch, StoreDaemon, TestDaemon};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::time::{Duration, Instant};
 
@@ -123,6 +122,12 @@ fn http_get(addr: std::net::SocketAddr, path: &str) -> (u16, String) {
     (status.unwrap_or(0), body.to_string())
 }
 
+/// The 99th-percentile latency of `latencies`.
+fn p99(mut latencies: Vec<Duration>) -> Duration {
+    latencies.sort_unstable();
+    latencies[((latencies.len() - 1) as f64 * 0.99).round() as usize]
+}
+
 /// The share of `daemon`'s `functions` answered from the store tier.
 fn store_hit_rate(daemon: &TestDaemon, functions: usize) -> f64 {
     daemon.server().metrics().store_hits.get() as f64 / functions as f64
@@ -131,7 +136,6 @@ fn store_hit_rate(daemon: &TestDaemon, functions: usize) -> f64 {
 #[test]
 fn fleet_stays_warm_and_byte_identical_through_a_store_peer_stop_and_empty_revival() {
     const WARM_HIT_BAR: f64 = 0.9;
-    const RESYNC_BAR: f64 = 0.9;
     const TAIL_BAR: Duration = Duration::from_millis(250);
     let corpus = corpus_modules();
 
@@ -177,7 +181,6 @@ fn fleet_stays_warm_and_byte_identical_through_a_store_peer_stop_and_empty_reviv
     // Its keys all have a live replica, so nothing fails or goes cold.
     // (An in-process stop is a graceful drain; the CI smoke SIGKILLs a
     // real `optimist-stored`.)
-    let owner_keys = stores[0].store().scan_keys(None, usize::MAX).0;
     let fresh = fleet_daemon(&peers);
     let mut client = fresh.client();
     let split = corpus.len() / 3;
@@ -194,8 +197,7 @@ fn fleet_stays_warm_and_byte_identical_through_a_store_peer_stop_and_empty_reviv
     assert_eq!(state(&mut client), "degraded", "the dead peer must trip");
 
     // Revive the peer empty on its old port — the disk-loss case. Health
-    // polls probe it back, and anti-entropy repopulates it behind the
-    // probe before the state returns to ok.
+    // polls probe it back; the recovery itself copies no key.
     stores.push(StoreDaemon::spawn_on(&dirs[3], dead));
     let deadline = Instant::now() + Duration::from_secs(30);
     while state(&mut client) != "ok" {
@@ -205,29 +207,50 @@ fn fleet_stays_warm_and_byte_identical_through_a_store_peer_stop_and_empty_reviv
         );
         std::thread::sleep(Duration::from_millis(60));
     }
-    let mut revived = BTreeSet::new();
-    let mut scanner = StoreClient::connect(dead).expect("revived peer answers");
-    let mut cursor = None;
-    loop {
-        let page = scanner.scan(cursor, None).expect("scan");
-        cursor = page.keys.last().copied();
-        revived.extend(page.keys);
-        if page.done {
-            break;
-        }
-    }
-    let restored = owner_keys.iter().filter(|k| revived.contains(k)).count();
-    let rate = restored as f64 / owner_keys.len() as f64;
-    assert!(
-        rate >= RESYNC_BAR,
-        "resync restored {restored}/{}",
-        owner_keys.len()
-    );
     replay(&mut client, &corpus);
     assert!(fresh.server().metrics().store_recoveries.get() >= 1);
 
-    // A last memory-cold daemon over the healed fleet: byte-identical and
-    // warm.
+    // A memory-cold daemon replays the corpus. The keys the revived peer
+    // owns miss there and fail over to their replica, and each failover
+    // hit writes the value back to the revived peer (read repair).
+    let cold = fleet_daemon(&peers);
+    let (answers, latencies) = replay(&mut cold.client(), &corpus);
+    assert_eq!(
+        answers, reference,
+        "the revived fleet differs from one process"
+    );
+    let rate = store_hit_rate(&cold, functions);
+    assert!(
+        rate >= WARM_HIT_BAR,
+        "revived fleet store hit rate {rate:.3}"
+    );
+    let metrics = cold.server().metrics();
+    assert_eq!(
+        metrics.phase_build.count(),
+        0,
+        "the revival cost a recompute"
+    );
+    let failovers = metrics.store_failovers.get();
+    let repairs = metrics.store_read_repairs.get();
+    assert!(failovers > 0, "the revived peer's share must fail over");
+    assert_eq!(
+        failovers, repairs,
+        "every failover must repair the revived peer"
+    );
+    let revived = stores.last().expect("the revived peer").store().len();
+    assert_eq!(
+        revived as u64,
+        repairs + 1,
+        "the revived peer holds its read repairs and the probe sentinel"
+    );
+    eprintln!(
+        "fleet drill, first replay after the empty revival: store hit rate {rate:.3}, \
+         {failovers} failovers, {repairs} read repairs, p99 {:?}",
+        p99(latencies)
+    );
+
+    // A second memory-cold daemon over the repaired fleet: byte-identical,
+    // warm, and every key where the ring puts it.
     let last = fleet_daemon(&peers);
     let (answers, _) = replay(&mut last.client(), &corpus);
     assert_eq!(
@@ -239,14 +262,17 @@ fn fleet_stays_warm_and_byte_identical_through_a_store_peer_stop_and_empty_reviv
         rate >= WARM_HIT_BAR,
         "healed fleet store hit rate {rate:.3}"
     );
+    assert_eq!(
+        last.server().metrics().store_failovers.get(),
+        0,
+        "read repair left a key off its owner"
+    );
 
     if TIMED {
-        warm_latencies.sort_unstable();
-        let p99 = ((warm_latencies.len() - 1) as f64 * 0.99).round() as usize;
-        let p99 = warm_latencies[p99];
-        assert!(p99 <= TAIL_BAR, "cross-daemon warm p99 {p99:?}");
+        let tail = p99(warm_latencies);
+        assert!(tail <= TAIL_BAR, "cross-daemon warm p99 {tail:?}");
     }
-    drop((client, fresh, last, serves, stores));
+    drop((client, fresh, cold, last, serves, stores));
     for dir in dirs {
         let _ = std::fs::remove_dir_all(dir);
     }

@@ -71,9 +71,8 @@ fn two_daemons_share_warmth_through_one_store_peer() {
     assert!(stats.contains(r#""degraded":false"#), "{stats}");
 }
 
-/// Poll `server`'s health until it reports `ok` (the recovery probe —
-/// and, synchronously behind it, the hint drain and anti-entropy sweep —
-/// runs inside the health request).
+/// Poll `server`'s health until it reports `ok` (the recovery probe runs
+/// inside the health request).
 fn wait_until_ok(server: &Server) {
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     loop {
@@ -90,11 +89,12 @@ fn wait_until_ok(server: &Server) {
 }
 
 #[test]
-fn replicated_tier_stays_warm_through_a_peer_death_and_resyncs_an_empty_revival() {
+fn replicated_tier_stays_warm_through_a_peer_death_and_read_repairs_an_empty_revival() {
     let d0 = StoreDaemon::spawn(scratch("shard0"));
     let d1 = StoreDaemon::spawn(scratch("shard1"));
     let peers = [d0.addr().to_string(), d1.addr().to_string()];
     let requests = corpus_requests();
+    let outage = distinct_requests(12);
 
     let a = Server::new(4096, 16)
         .with_remote_store(&peers)
@@ -133,20 +133,46 @@ fn replicated_tier_stays_warm_through_a_peer_death_and_resyncs_an_empty_revival(
     let health = b.health_json().to_string();
     assert!(health.contains(r#""state":"degraded""#), "{health}");
 
+    // Writes made during the outage land on peer 0 alone: the tripwired
+    // peer's copies are skipped.
+    assert_all_ok(&b, &outage, false);
+    assert_eq!(
+        d0.store().len(),
+        len0 + outage.len(),
+        "peer 0 holds every outage write"
+    );
+
     // Resurrect the dead peer on the same address with an EMPTY store —
-    // the disk-loss case. The next probe heals it, and the anti-entropy
-    // sweep behind the probe repopulates it from its live replica.
+    // the disk-loss case. The next probe heals it and copies nothing:
+    // the revived store holds only the probe sentinel.
     let revived = StoreDaemon::spawn_on(scratch("shard1-revived"), dead_addr);
     wait_until_ok(&b);
     assert!(!b.store_degraded());
     assert!(b.metrics().store_recoveries.get() >= 1);
-    assert_eq!(b.metrics().store_resyncs.get(), 1, "one sweep, once");
-    assert!(b.metrics().store_resync_keys.get() > 0);
-    let revived_len = revived.store().len();
-    assert!(
-        revived_len >= len0,
-        "anti-entropy must restore the revived peer's share \
-         ({revived_len} < {len0})"
+    assert_eq!(revived.store().len(), 1, "only the probe sentinel");
+
+    // A memory-cold daemon reads the corpus and the outage writes as
+    // cached. Keys the wiped peer owns miss there, fail over to peer 0,
+    // and each failover hit writes the value back (read repair).
+    let c = Server::new(4096, 16).with_remote_store(&peers);
+    assert_all_ok(&c, &requests, true);
+    assert_all_ok(&c, &outage, true);
+    assert_eq!(
+        c.metrics().phase_build.count(),
+        0,
+        "a revived peer must not cost a recompute"
+    );
+    let failovers = c.metrics().store_failovers.get();
+    let repairs = c.metrics().store_read_repairs.get();
+    assert!(failovers > 0, "the wiped peer's share must fail over");
+    assert_eq!(
+        failovers, repairs,
+        "every failover past a clean miss must repair it"
+    );
+    assert_eq!(
+        revived.store().len() as u64,
+        repairs + 1,
+        "read repair refills exactly the keys that failed over, beside the probe sentinel"
     );
     drop(revived);
 }
@@ -189,8 +215,8 @@ fn failover_hits_read_repair_an_owner_that_lost_its_disk() {
     drop(revived);
 }
 
-/// `n` distinct one-function modules as `alloc` request lines — small
-/// enough to overflow a tiny hint queue predictably.
+/// `n` distinct one-function modules as `alloc` request lines, each a
+/// key of its own.
 fn distinct_requests(n: usize) -> Vec<String> {
     (0..n)
         .map(|i| {
@@ -276,11 +302,10 @@ fn store_stats_and_health_keep_their_shape_for_every_tier() {
 
     let peer = |i: usize| {
         format!(
-            r#"{{"addr":"peer{i}","gets":0,"puts":0,"errors":0,"degraded":false,"retries":0,"failovers":0,"hints":{{"queued":0,"dropped":0,"drained":0,"depth":0}},"sync":"in_sync"}}"#
+            r#"{{"addr":"peer{i}","gets":0,"puts":0,"errors":0,"degraded":false,"retries":0,"failovers":0}}"#
         )
     };
-    let topology_peer =
-        |i: usize| format!(r#"{{"addr":"peer{i}","state":"ok","sync":"in_sync","hint_depth":0}}"#);
+    let topology_peer = |i: usize| format!(r#"{{"addr":"peer{i}","state":"ok"}}"#);
 
     let daemon = StoreDaemon::spawn(scratch("surface-remote"));
     let addrs = [daemon.addr().to_string()];
@@ -326,55 +351,6 @@ fn store_stats_and_health_keep_their_shape_for_every_tier() {
     for name in ["local", "remote", "shard0", "shard1", "shard2"] {
         let _ = std::fs::remove_dir_all(scratch(&format!("surface-{name}")));
     }
-}
-
-#[test]
-fn hinted_handoff_is_bounded_and_drains_exactly_once() {
-    let d0 = StoreDaemon::spawn(scratch("hints0"));
-    let dead_addr = StoreDaemon::spawn(scratch("hints1")).stop();
-    let peers = [d0.addr().to_string(), dead_addr.to_string()];
-    let requests = distinct_requests(12);
-
-    // Every put fans out to both replicas; the dead peer's copies queue
-    // as hints, bounded at 4 entries — 8 of the 12 overflow and drop.
-    let a = Server::new(4096, 16)
-        .with_remote_store(&peers)
-        .with_hint_limits(4, 1 << 20)
-        .with_store_probe_interval(Duration::from_millis(50));
-    assert_all_ok(&a, &requests, false);
-    assert!(a.store_degraded(), "the dead peer must trip its tripwire");
-    assert_eq!(a.metrics().store_hints_queued.get(), 12);
-    assert_eq!(a.metrics().store_hints_dropped.get(), 8);
-    let stats = a.stats_json().to_string();
-    assert!(
-        stats.contains(r#""queued":12,"dropped":8,"drained":0,"depth":4"#),
-        "{stats}"
-    );
-    assert!(stats.contains(r#""sync":"hinted""#), "{stats}");
-
-    // Revive the peer empty. The drain behind the recovery probe
-    // delivers the 4 retained hints — exactly once each: the revived
-    // store ends with 4 entries plus the probe sentinel and zero
-    // superseded records (a duplicate put would supersede).
-    let revived = StoreDaemon::spawn_on(scratch("hints1-revived"), dead_addr);
-    wait_until_ok(&a);
-    assert_eq!(a.metrics().store_hints_drained.get(), 4);
-    assert_eq!(
-        revived.store().len(),
-        4 + 1,
-        "retained hints plus the probe sentinel"
-    );
-    assert_eq!(
-        revived.store().snapshot().superseded,
-        0,
-        "drain must deliver each hint exactly once"
-    );
-    // The drained hints refilled the store past the emptiness gate, so
-    // no anti-entropy sweep ran on top of them.
-    assert_eq!(a.metrics().store_resyncs.get(), 0);
-    let stats = a.stats_json().to_string();
-    assert!(stats.contains(r#""sync":"in_sync""#), "{stats}");
-    drop(revived);
 }
 
 #[test]

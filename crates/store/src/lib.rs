@@ -386,32 +386,6 @@ impl Store {
         }
     }
 
-    /// A sorted page of live keys strictly greater than `after` (or from
-    /// the smallest key when `after` is `None`), at most `limit` long,
-    /// plus the total live-entry count. Sorting the index keys gives a
-    /// stable pagination cursor — callers walk the whole key space by
-    /// feeding the last key of each page back in as `after` — which is
-    /// what the fleet's anti-entropy sweep streams over the `scan` wire
-    /// verb to repopulate a replica that came back empty.
-    pub fn scan_keys(&self, after: Option<u64>, limit: usize) -> (Vec<u64>, usize) {
-        let inner = self.lock();
-        let total = inner.index.len();
-        let floor = after.map_or(0, |a| a.saturating_add(1));
-        let mut keys: Vec<u64> = if after == Some(u64::MAX) {
-            Vec::new()
-        } else {
-            inner
-                .index
-                .keys()
-                .copied()
-                .filter(|&k| k >= floor)
-                .collect()
-        };
-        keys.sort_unstable();
-        keys.truncate(limit);
-        (keys, total)
-    }
-
     /// Append `payload` under `key`, superseding any previous record. A
     /// put that grows the log past [`StoreOptions::max_bytes`] runs a
     /// compaction pass before it returns, so the log is back within its
@@ -681,43 +655,6 @@ mod tests {
         let snap = store.snapshot();
         assert_eq!(snap.superseded, 1);
         assert!(snap.dead_bytes > 0, "superseded record must count as dead");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn scan_pages_cover_the_key_space_exactly_once() {
-        let dir = scratch("scan");
-        let store = Store::open(&dir, StoreOptions::default()).unwrap();
-        // Keys deliberately out of insertion order, including the extremes.
-        let mut expected = vec![u64::MAX, 0, 42, 7, 1 << 63, 99, 3];
-        for &k in &expected {
-            store.put(k, k ^ 1, b"v").unwrap();
-        }
-        expected.sort_unstable();
-
-        let mut walked = Vec::new();
-        let mut cursor = None;
-        loop {
-            let (page, total) = store.scan_keys(cursor, 3);
-            assert_eq!(total, expected.len());
-            assert!(page.len() <= 3);
-            if page.is_empty() {
-                break;
-            }
-            assert!(page.windows(2).all(|w| w[0] < w[1]), "pages are sorted");
-            cursor = page.last().copied();
-            walked.extend(page);
-        }
-        assert_eq!(
-            walked, expected,
-            "pagination must cover every live key once"
-        );
-
-        // Cursor past the top of the space terminates cleanly.
-        assert_eq!(store.scan_keys(Some(u64::MAX), 3).0, Vec::<u64>::new());
-        // A superseding put does not duplicate the key.
-        store.put(42, 5, b"again").unwrap();
-        assert_eq!(store.scan_keys(None, 100).0, expected);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -71,17 +71,6 @@ impl StoreClientError {
     }
 }
 
-/// One page of a key-space walk returned by [`StoreClient::scan`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScanPage {
-    /// Sorted keys strictly after the request's cursor.
-    pub keys: Vec<u64>,
-    /// Live entries in the whole store at scan time.
-    pub total: u64,
-    /// True once the page provably exhausted the key space.
-    pub done: bool,
-}
-
 /// A blocking connection to an `optimist-stored` daemon.
 #[derive(Debug)]
 pub struct StoreClient {
@@ -192,48 +181,6 @@ impl StoreClient {
             ("payload", Json::from(text)),
         ]))?;
         Ok(())
-    }
-
-    /// One page of the daemon's key space: sorted keys strictly after
-    /// `after` (from the bottom when `None`), at most `limit` long
-    /// (`None` = the daemon's default page size). Feed the last key of
-    /// each page back in as the next cursor until
-    /// [`ScanPage::done`] — the walk the serving tier's anti-entropy
-    /// sweep uses to repopulate a replica that revived empty.
-    ///
-    /// # Errors
-    ///
-    /// Transport failures, unparsable responses, and daemon refusals.
-    pub fn scan(
-        &mut self,
-        after: Option<u64>,
-        limit: Option<usize>,
-    ) -> Result<ScanPage, StoreClientError> {
-        let mut request = Json::obj([("req", Json::from("scan"))]);
-        if let Some(cursor) = after {
-            request.push("after", Json::from(hex16(cursor)));
-        }
-        if let Some(limit) = limit {
-            request.push("limit", Json::from(limit));
-        }
-        let msg = self.round_trip(request)?;
-        let keys = msg
-            .get("keys")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| StoreClientError::BadResponse("scan response without keys".into()))?
-            .iter()
-            .map(|key| key.as_str().and_then(parse_hex16))
-            .collect::<Option<Vec<u64>>>()
-            .ok_or_else(|| StoreClientError::BadResponse("unparsable scan keys".into()))?;
-        let total = msg
-            .get("total")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| StoreClientError::BadResponse("scan response without total".into()))?;
-        let done = msg
-            .get("done")
-            .and_then(Json::as_bool)
-            .ok_or_else(|| StoreClientError::BadResponse("scan response without done".into()))?;
-        Ok(ScanPage { keys, total, done })
     }
 
     /// Liveness probe.

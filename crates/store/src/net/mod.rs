@@ -4,9 +4,9 @@
 //! puts it on the wire so a *fleet* of serving daemons can share one warm
 //! result tier instead of each owning a cold private disk. Two pieces:
 //!
-//! - [`server::StoreServer`] — the daemon: `get`/`put`/`scan`/`ping`/
-//!   `stats`/`health`/`shutdown` over TCP, concurrent connections,
-//!   single-writer appends, graceful drain;
+//! - [`server::StoreServer`] — the daemon: `get`/`put`/`ping`/`stats`/
+//!   `health`/`shutdown` over TCP, concurrent connections, single-writer
+//!   appends, graceful drain;
 //! - [`client::StoreClient`] — one blocking connection per store peer,
 //!   held by the serving tier's remote/sharded store backends.
 //!
@@ -24,7 +24,7 @@
 pub mod client;
 pub mod server;
 
-pub use client::{ScanPage, StoreClient, StoreClientError};
+pub use client::{StoreClient, StoreClientError};
 pub use server::StoreServer;
 
 /// Spell a key or fingerprint the way the serving protocol does: 16 hex

@@ -8,7 +8,6 @@
 //! | `{"req":"ping"}` | `{"ok":true}` |
 //! | `{"req":"get","key":"16hex"}` | `{"ok":true,"hit":true,"fp":"16hex","payload":"…"}` or `{"ok":true,"hit":false}` |
 //! | `{"req":"put","key":"16hex","fp":"16hex","payload":"…"}` | `{"ok":true}` |
-//! | `{"req":"scan","after":"16hex"?,"limit":N?}` | `{"ok":true,"keys":["16hex",…],"total":N,"done":bool}` |
 //! | `{"req":"stats"}` | `{"ok":true,"stats":{…}}` |
 //! | `{"req":"health"}` | `{"ok":true,"health":{"state":"ok"…}}` |
 //! | `{"req":"shutdown"}` | `{"ok":true,"stopping":true}` |
@@ -47,7 +46,6 @@ struct NetCounters {
     get_errors: AtomicU64,
     puts: AtomicU64,
     put_errors: AtomicU64,
-    scans: AtomicU64,
     malformed: AtomicU64,
 }
 
@@ -71,13 +69,6 @@ pub struct StoreServer {
 }
 
 impl StoreServer {
-    /// Page size a `scan` uses when the request names no `limit`.
-    pub const DEFAULT_SCAN_LIMIT: usize = 512;
-
-    /// Hard ceiling on one `scan` page, whatever the request asks for —
-    /// keeps a single response line (and the index lock hold) bounded.
-    pub const MAX_SCAN_LIMIT: usize = 4096;
-
     /// Wrap `store` in a server with default timeouts.
     pub fn new(store: Store) -> StoreServer {
         StoreServer {
@@ -136,7 +127,6 @@ impl StoreServer {
             Some("ping") => ok_response([]),
             Some("get") => self.handle_get(&msg),
             Some("put") => self.handle_put(&msg),
-            Some("scan") => self.handle_scan(&msg),
             Some("stats") => self.stats_response(),
             Some("health") => self.health_response(),
             Some("shutdown") => {
@@ -202,38 +192,6 @@ impl StoreServer {
         }
     }
 
-    /// One page of the key space, for replica anti-entropy sweeps:
-    /// sorted keys strictly after the optional `after` cursor, at most
-    /// `limit` (default [`StoreServer::DEFAULT_SCAN_LIMIT`], capped at
-    /// [`StoreServer::MAX_SCAN_LIMIT`]) long. `done` is `true` once the
-    /// page provably exhausts the space; a full page answers `false`
-    /// and the caller feeds the last key back in as the next cursor.
-    fn handle_scan(&self, msg: &Json) -> Json {
-        NetCounters::bump(&self.counters.scans);
-        let after = match msg.get("after").and_then(Json::as_str) {
-            Some(text) => match parse_hex16(text) {
-                Some(cursor) => Some(cursor),
-                None => return error_json("scan `after` must be a hex key"),
-            },
-            None => None,
-        };
-        let limit = msg
-            .get("limit")
-            .and_then(Json::as_u64)
-            .map_or(Self::DEFAULT_SCAN_LIMIT, |n| n as usize)
-            .clamp(1, Self::MAX_SCAN_LIMIT);
-        let (keys, total) = self.store.scan_keys(after, limit);
-        let done = keys.len() < limit;
-        ok_response([
-            (
-                "keys",
-                Json::Arr(keys.iter().map(|&key| Json::from(hex16(key))).collect()),
-            ),
-            ("total", Json::from(total)),
-            ("done", Json::from(done)),
-        ])
-    }
-
     fn stats_response(&self) -> Json {
         let snap = self.store.snapshot();
         let store = Json::obj([
@@ -256,7 +214,6 @@ impl StoreServer {
             ("get_errors", NetCounters::read(&c.get_errors)),
             ("puts", NetCounters::read(&c.puts)),
             ("put_errors", NetCounters::read(&c.put_errors)),
-            ("scans", NetCounters::read(&c.scans)),
             ("malformed", NetCounters::read(&c.malformed)),
         ]);
         ok_response([("stats", Json::obj([("store", store), ("net", net)]))])
@@ -414,49 +371,12 @@ mod tests {
     }
 
     #[test]
-    fn scan_pages_walk_the_key_space_with_a_cursor() {
-        let server = server("scan");
-        for k in [3u64, 1, 2, 0xaa] {
-            let line = format!(
-                r#"{{"req":"put","key":"{}","fp":"0000000000000001","payload":"v"}}"#,
-                hex16(k)
-            );
-            assert_eq!(server.handle_line(&line), r#"{"ok":true}"#);
-        }
-
-        let page = server.handle_line(r#"{"req":"scan","limit":3}"#);
-        assert_eq!(
-            page,
-            concat!(
-                r#"{"ok":true,"keys":["0000000000000001","0000000000000002","#,
-                r#""0000000000000003"],"total":4,"done":false}"#
-            )
-        );
-
-        let rest = server.handle_line(r#"{"req":"scan","after":"0000000000000003","limit":3}"#);
-        assert_eq!(
-            rest,
-            r#"{"ok":true,"keys":["00000000000000aa"],"total":4,"done":true}"#
-        );
-
-        let empty = server.handle_line(r#"{"req":"scan","after":"00000000000000aa","limit":3}"#);
-        assert_eq!(empty, r#"{"ok":true,"keys":[],"total":4,"done":true}"#);
-
-        let bad = server.handle_line(r#"{"req":"scan","after":"zz"}"#);
-        assert!(bad.starts_with(r#"{"ok":false"#), "{bad}");
-
-        // Attempts are counted like gets/puts: the rejected cursor above
-        // still bumped the counter.
-        let stats = server.handle_line(r#"{"req":"stats"}"#);
-        assert!(stats.contains(r#""scans":4"#), "{stats}");
-    }
-
-    #[test]
     fn malformed_and_unknown_requests_answer_ok_false() {
         let server = server("malformed");
         for bad in [
             "not json",
             r#"{"req":"frobnicate"}"#,
+            r#"{"req":"scan"}"#,
             r#"{"no_req":true}"#,
             r#"{"req":"get"}"#,
             r#"{"req":"get","key":"xyz"}"#,

@@ -90,43 +90,6 @@ fn payloads_survive_escaping_and_a_daemon_restart() {
 }
 
 #[test]
-fn scan_walks_a_daemon_key_space_over_the_wire() {
-    let (_server, addr, handle) = spawn(scratch("scan"), 0);
-    let mut client = StoreClient::connect(addr).unwrap();
-    let mut expected: Vec<u64> = (0..23u64).map(|i| i.wrapping_mul(0x9e37_79b9)).collect();
-    for &key in &expected {
-        client.put(key, key ^ 7, b"{\"warm\":true}").unwrap();
-    }
-    expected.sort_unstable();
-
-    // Page through with a cursor smaller than the space, from a second
-    // connection (the anti-entropy sweep reads from a peer it did not
-    // populate).
-    let mut sweeper = StoreClient::connect(addr).unwrap();
-    let mut walked = Vec::new();
-    let mut cursor = None;
-    loop {
-        let page = sweeper.scan(cursor, Some(5)).unwrap();
-        assert_eq!(page.total, expected.len() as u64);
-        assert!(page.keys.len() <= 5);
-        walked.extend_from_slice(&page.keys);
-        cursor = page.keys.last().copied();
-        if page.done {
-            break;
-        }
-    }
-    assert_eq!(walked, expected, "paged scan must cover every key once");
-
-    // Default limit covers the whole (small) space in one page.
-    let all = sweeper.scan(None, None).unwrap();
-    assert_eq!(all.keys, expected);
-    assert!(all.done);
-
-    sweeper.shutdown().unwrap();
-    handle.join().unwrap();
-}
-
-#[test]
 fn shutdown_drains_open_connections_cleanly() {
     let (_server, addr, handle) = spawn(scratch("drain"), 0);
     let mut idle = StoreClient::connect(addr).unwrap();

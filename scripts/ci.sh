@@ -104,6 +104,13 @@ fi
 echo "==> benches compile"
 cargo build -q --benches -p optimist-bench
 
+# optbench, the benchmark harness, is a workspace of its own that imports
+# the serving and store crates' public items (cache keys and entries, the
+# LRU, the ring, the store and its client), so a rename there breaks it.
+# `--locked` fails on a stale optbench/Cargo.lock instead of rewriting it.
+echo "==> optbench builds and its unit tests pass"
+cargo test --offline --locked -q --manifest-path optbench/Cargo.toml
+
 echo "==> server smoke test (oneshot)"
 cargo build -q -p optimist-serve --bin optimist-serve
 smoke_req='{"req":"alloc","ir":"func smoke(v0:int) -> int {\nb0:\n    v1 = add.i v0, v0\n    ret v1\n}\n"}'
